@@ -7,7 +7,7 @@ from .analysis import (AssociationClasses, OmepReport, PatternReport,
                        Propagation, Segment, StabilizationReport,
                        association_classes, check_pattern_properties,
                        classify_patterns, detect_stabilization,
-                       extract_propagation, propagation_error, segment,
+                       extract_propagation, propagation_error,
                        series_metrics, validate_omep)
 from .engine import InitState, simulate
 from .errors import (ConfigError, ConnectivityError, InsufficientHorizonError,

@@ -1,16 +1,18 @@
 """Post-hoc trace analysis.
 
 Everything here is a pure function of (Trace, Graph, parameters): round
-segmentation by well-separation, propagation extraction along pioneer
+clustering by inter-trigger gaps, propagation extraction along pioneer
 chains, the five one-shot validity checks, association classes over
 arrival outcomes, cell/neighbor pattern taxonomy with its structural
 invariants, error metrics, and stabilization detection against the
-analytic convergence bound.
+analytic convergence bound.  `detect_stabilization` is the one pass over
+the rounds; the plot series are a view of its report.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from .errors import InsufficientHorizonError, ParameterError
 from .topology import Graph, TopologyStats
 from .trace import (KIND_EXTERNAL, OUTCOME_ACCEPTED, OUTCOME_REJECTED, Trace)
 
-# ---------------------------------------------------------------- segmentation
+# ---------------------------------------------------------------- rounds
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,6 @@ class Segment:
     @property
     def span(self) -> int:
         return self.t2 - self.t1
-
-
-@dataclass(frozen=True)
-class Segmentation:
-    segments: tuple
-    separated: bool
-    witness: tuple | None = None  # (time_a, time_b) violating both bounds
 
 
 def cluster_triggers(triggers, tau_delta: int) -> list:
@@ -61,32 +56,6 @@ def cluster_triggers(triggers, tau_delta: int) -> list:
     segments.append(Segment(members[0].time, members[-1].time,
                             tuple(m.seq for m in members)))
     return segments
-
-
-def segment(trace: Trace, tau_pi: int, tau_delta: int) -> Segmentation:
-    """Split triggers into well-separated clusters.
-
-    Every intra-cluster pair must lie within tau_pi and every
-    inter-cluster pair beyond tau_delta; a pair violating both bounds is
-    returned as the witness.  Within a greedy cluster (consecutive gaps
-    all <= tau_delta) a violation, if any, always shows up on some
-    consecutive pair, so the witness scan is linear.
-    """
-    if tau_delta <= 3 * tau_pi:
-        raise ParameterError(
-            f"need tau_delta > 3*tau_pi, got {tau_delta} <= 3*{tau_pi}")
-    segments = cluster_triggers(trace.triggers, tau_delta)
-    for seg in segments:
-        if seg.span <= tau_pi:
-            continue
-        times = [trace.triggers[s].time for s in seg.trigger_seqs]
-        for a, b in zip(times, times[1:]):
-            if tau_pi < b - a <= tau_delta:
-                return Segmentation(tuple(segments), False, (a, b))
-        # span > tau_pi forces a consecutive witness; reaching here means
-        # the cluster invariant was broken upstream
-        raise AssertionError("cluster span exceeded tau_pi without witness")
-    return Segmentation(tuple(segments), True)
 
 
 # ---------------------------------------------------------------- propagation
@@ -316,8 +285,7 @@ class PatternReport:
     flagged_invalid: bool = False  # propagation failed one-shot validation
 
 
-def classify_patterns(p: Propagation, g: Graph, trace=None,
-                      segment=None) -> PatternReport:
+def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
     """Label every adjacent pair and cell from pioneers and path sources.
 
     Ordered label priority per pair (i, j): j is i's parent if it is i's
@@ -371,7 +339,7 @@ def classify_patterns(p: Propagation, g: Graph, trace=None,
                          flagged_invalid=flagged)
 
 
-def _regions(p: Propagation, g: Graph) -> dict:
+def _regions(p: Propagation) -> dict:
     """source cell -> set of cells whose path starts there."""
     regions = {}
     for i, s in p.source.items():
@@ -391,7 +359,7 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
                              g: Graph) -> list:
     """Structural invariants every valid one-shot propagation must obey."""
     flow, border = report.flow_role, report.border_role
-    regions = _regions(p, g)
+    regions = _regions(p)
     is_tree = g.edge_count == g.node_count - 1
     results = []
 
@@ -462,6 +430,14 @@ def propagation_error(p: Propagation) -> int:
 
 @dataclass
 class StabilizationReport:
+    """Stabilization verdict plus the per-round facts it was drawn from.
+
+    Index k of each series, of `segments` and of `propagations` is the
+    k-th complete round.  Both flag series mean "one-shot valid and
+    complete"; `valid_series` also requires span <= tau_pi, while
+    `oneshot_series` (metrics.json `per_k.valid`) has no span bound.
+    """
+
     stabilized: bool
     t_stab: int | None
     convergence_bound: int  # analytic instant by which stabilization must start
@@ -471,12 +447,13 @@ class StabilizationReport:
     tau_nabla: int
     tau_pi_measured: int | None
     tau_nabla_measured: int | None
-    k_series: list  # cluster index
     t_min_series: list
     e1_series: list
     source_fraction_series: list
-    valid_series: list  # per-cluster all-ok flag
+    valid_series: list
+    oneshot_series: list
     segments: list
+    propagations: list
     first_violation: dict | None = None
 
     @property
@@ -515,15 +492,18 @@ def convergence_bound(params, stats: TopologyStats) -> int:
     return int(math.ceil(t2))
 
 
-def detect_stabilization(trace: Trace, params, stats: TopologyStats,
-                         graph: Graph | None = None) -> StabilizationReport:
+def detect_stabilization(trace: Trace, params,
+                         stats: TopologyStats) -> StabilizationReport:
     """Find the earliest suffix of all-valid rounds with bounded gaps.
 
-    The final cluster is always discarded: the horizon may truncate it
-    mid-round.  Requires the horizon to cover the analytic bound plus a
-    couple of liveness periods, else the verdict would be vacuous.
+    This is the one pass over the rounds: it clusters the trace once and
+    extracts and validates each complete round once, keeping the results
+    in the report for every later consumer.  The final cluster is always
+    discarded: the horizon may truncate it mid-round.  Requires the
+    horizon to cover the analytic bound plus a couple of liveness
+    periods, else the verdict would be vacuous.
     """
-    graph = graph or trace.graph
+    graph = trace.graph
     bound = convergence_bound(params, stats)
     need = required_horizon(params, stats)
     if trace.horizon < need:
@@ -537,17 +517,18 @@ def detect_stabilization(trace: Trace, params, stats: TopologyStats,
         segments = segments[:-1]  # last cluster may be horizon-truncated
 
     all_cells = set(range(graph.node_count))
-    valid_flags, e1s, fracs, t_mins, props = [], [], [], [], []
+    oneshot, valid_flags, e1s, fracs, t_mins, props = [], [], [], [], [], []
     for seg in segments:
         p = extract_propagation(trace, seg)
-        report = validate_omep(p, graph, p.external_cells)
-        ok = report.all_ok and seg.span <= tau_pi and set(p.times) == all_cells
-        valid_flags.append(ok)
+        ok = (validate_omep(p, graph, p.external_cells).all_ok
+              and set(p.times) == all_cells)
+        oneshot.append(ok)
+        valid_flags.append(ok and seg.span <= tau_pi)
         props.append(p)
         t_mins.append(p.t_min)
         e1s.append(propagation_error(p))
         n_src = sum(1 for i, s in p.source.items() if s == i)
-        fracs.append(n_src / graph.node_count if p.times else 0.0)
+        fracs.append(n_src / graph.node_count)
 
     # earliest index with every later cluster valid
     k0 = len(segments)
@@ -584,10 +565,9 @@ def detect_stabilization(trace: Trace, params, stats: TopologyStats,
         bound_slack=params.tau2, tau_pi_used=tau_pi,
         tau_delta_used=tau_delta, tau_nabla=tau_nabla,
         tau_pi_measured=tau_pi_meas, tau_nabla_measured=tau_nab_meas,
-        k_series=list(range(len(segments))), t_min_series=t_mins,
-        e1_series=e1s, source_fraction_series=fracs,
-        valid_series=valid_flags, segments=segments,
-        first_violation=violation)
+        t_min_series=t_mins, e1_series=e1s, source_fraction_series=fracs,
+        valid_series=valid_flags, oneshot_series=oneshot, segments=segments,
+        propagations=props, first_violation=violation)
 
 
 # ---------------------------------------------------------------- association
@@ -630,8 +610,8 @@ class _UnionFind:
         return sorted(tuple(sorted(v)) for v in out.values())
 
 
-def association_classes(trace: Trace, g: Graph, window, stats=None,
-                        d_max: int | None = None) -> AssociationClasses:
+def association_classes(trace: Trace, g: Graph, window,
+                        stats=None) -> AssociationClasses:
     """Partition the window's triggers by signal-exchange connectivity.
 
     Two triggers are linked when one's signal produced (acceptance) or
@@ -643,20 +623,22 @@ def association_classes(trace: Trace, g: Graph, window, stats=None,
     (longest simple path)*d_max.
     """
     lo, hi = window
-    d_max = d_max if d_max is not None else trace.params.d_max
+    d_max = trace.params.d_max
     in_window = [t for t in trace.triggers if lo <= t.time <= hi]
     seqs = [t.seq for t in in_window]
     times = {t.seq: t.time for t in in_window}
-    by_cell = {}
-    for t in in_window:
+    by_cell, cell_times, at = {}, {}, {}
+    for t in in_window:  # time order, so each cell's list is sorted
         by_cell.setdefault(t.cell, []).append(t)
+        cell_times.setdefault(t.cell, []).append(t.time)
+        at.setdefault((t.cell, t.time), t)
 
     def emitter(sender, arrival_time):
-        best = None
-        for t in by_cell.get(sender, ()):
-            if arrival_time - d_max <= t.time <= arrival_time:
-                best = t
-        return best
+        k = bisect_right(cell_times.get(sender, ()), arrival_time)
+        if k == 0:
+            return None
+        t = by_cell[sender][k - 1]
+        return t if t.time >= arrival_time - d_max else None
 
     loose = _UnionFind(seqs)
     strong = _UnionFind(seqs)
@@ -667,8 +649,7 @@ def association_classes(trace: Trace, g: Graph, window, stats=None,
         if emit is None:
             continue
         if a.outcome == OUTCOME_ACCEPTED:
-            other = next((t for t in by_cell.get(a.to, ())
-                          if t.time == a.time), None)
+            other = at.get((a.to, a.time))
         elif a.outcome == OUTCOME_REJECTED and a.rejecting_seq is not None:
             other = trace.triggers[a.rejecting_seq] \
                 if lo <= trace.triggers[a.rejecting_seq].time <= hi else None
@@ -713,22 +694,21 @@ def association_classes(trace: Trace, g: Graph, window, stats=None,
 # ---------------------------------------------------------------- series
 
 
-def series_metrics(trace: Trace, params, stats: TopologyStats,
-                   graph: Graph | None = None) -> dict:
-    """Per-round series shaped for plotting: offsets, sources, patterns."""
-    graph = graph or trace.graph
-    _, tau_delta = segmentation_params(params, stats)
-    segments = cluster_triggers(trace.triggers, tau_delta)
-    if segments:
-        segments = segments[:-1]
+def series_metrics(report: StabilizationReport, graph: Graph) -> dict:
+    """Per-round series shaped for plotting: offsets, sources, patterns.
+
+    A view of `report`: it reads the stored propagations and only adds
+    the pattern counts.  `per_k[k]["valid"]` is `report.oneshot_series[k]`,
+    which has no tau_pi span bound, unlike `report.valid_series[k]`.
+    `scatter` holds one (k, t_min_ns, cell, t_tilde_ns, is_source) tuple
+    per cell and round; tuples, not dicts, because the report's
+    propagations are alive while the scatter is built.
+    """
     all_cells = set(range(graph.node_count))
     rows, per_k = [], []
-    for k, seg in enumerate(segments):
-        p = extract_propagation(trace, seg)
-        report = validate_omep(p, graph, p.external_cells)
-        ok = report.all_ok and set(p.times) == all_cells
+    for k, p in enumerate(report.propagations):
         sources = {i for i, s in p.source.items() if s == i}
-        t_min = p.t_min
+        t_min = report.t_min_series[k]
         pattern = classify_patterns(p, graph)
         counts = {r: pattern.counts.get(r, 0)
                   for r in (ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED,
@@ -736,14 +716,12 @@ def series_metrics(trace: Trace, params, stats: TopologyStats,
         per_k.append({
             "k": k,
             "t_min_ns": t_min,
-            "e1_ns": propagation_error(p),
-            "source_fraction": len(sources) / graph.node_count,
+            "e1_ns": report.e1_series[k],
+            "source_fraction": report.source_fraction_series[k],
             "ideal": sources == all_cells,
-            "valid": ok,
+            "valid": report.oneshot_series[k],
             "pattern_counts": counts,
         })
         for i in sorted(p.times):
-            rows.append({"k": k, "t_min_ns": t_min, "cell": i,
-                         "t_tilde_ns": p.times[i] - t_min,
-                         "is_source": i in sources})
+            rows.append((k, t_min, i, p.times[i] - t_min, i in sources))
     return {"per_k": per_k, "scatter": rows}

@@ -22,11 +22,9 @@ import os
 import sys
 
 from . import __version__
-from .analysis import (ROLE_SOURCE, association_classes,
-                       check_pattern_properties, classify_patterns,
-                       cluster_triggers, detect_stabilization,
-                       extract_propagation, required_horizon,
-                       segmentation_params, series_metrics, validate_omep)
+from .analysis import (association_classes, check_pattern_properties,
+                       classify_patterns, detect_stabilization,
+                       required_horizon, series_metrics)
 from .engine import INIT_ADVERSARIAL, INIT_RANDOM_UNIFORM, InitState, simulate
 from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
                      TraceParseError)
@@ -169,12 +167,16 @@ def _grid_dims(graph):
     return None
 
 
-def build_metrics(trace, stats, association=False) -> dict:
-    """The metrics document; a pure function of (trace, stats)."""
+def build_metrics(trace, stats, association=False) -> tuple:
+    """(metrics document, per-round series); a pure function of (trace, stats).
+
+    The series is returned so the plot data reuses it instead of
+    analyzing the rounds again.
+    """
     params = trace.params
     graph = trace.graph
-    report = detect_stabilization(trace, params, stats, graph)
-    series = series_metrics(trace, params, stats, graph)
+    report = detect_stabilization(trace, params, stats)
+    series = series_metrics(report, graph)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": params.as_dict(),
@@ -199,8 +201,7 @@ def build_metrics(trace, stats, association=False) -> dict:
     }
     checks_ok = True
     if report.stabilized:
-        seg = report.segments[-1]
-        prop = extract_propagation(trace, seg)
+        prop = report.propagations[-1]
         pattern = classify_patterns(prop, graph)
         props = check_pattern_properties(pattern, prop, graph)
         doc["checks"]["pattern_properties"] = [
@@ -218,40 +219,38 @@ def build_metrics(trace, stats, association=False) -> dict:
             }
             checks_ok = checks_ok and ac.partitions_coincide and ac.spans_ok
     doc["checks"]["all_passed"] = checks_ok
-    return doc
+    return doc, series
 
 
-def _write_plotdata(outdir, trace, stats) -> None:
-    series = series_metrics(trace, trace.params, stats, trace.graph)
+def _write_plotdata(outdir, trace, series) -> None:
     plotdir = os.path.join(outdir, "plotdata")
     os.makedirs(plotdir, exist_ok=True)
     with open(os.path.join(plotdir, "offsets.csv"), "w", newline="\n") as fh:
         fh.write("k,t_min_ns,cell,t_tilde_ns,is_source\n")
-        for row in series["scatter"]:
-            fh.write(f"{row['k']},{row['t_min_ns']},{row['cell']},"
-                     f"{row['t_tilde_ns']},{int(row['is_source'])}\n")
+        for k, t_min, cell, t_tilde, is_source in series["scatter"]:
+            fh.write(f"{k},{t_min},{cell},{t_tilde},{int(is_source)}\n")
     dims = _grid_dims(trace.graph)
     with open(os.path.join(plotdir, "pattern_map.csv"), "w", newline="\n") as fh:
         fh.write("k,row,col,is_source\n")
-        for row in series["scatter"]:
+        for k, _, cell, _, is_source in series["scatter"]:
             if dims:
-                r, c = divmod(row["cell"], dims[1])
+                r, c = divmod(cell, dims[1])
             else:
-                r, c = 0, row["cell"]
-            fh.write(f"{row['k']},{r},{c},{int(row['is_source'])}\n")
-    _write_patterns(outdir, trace, stats, series)
+                r, c = 0, cell
+            fh.write(f"{k},{r},{c},{int(is_source)}\n")
+    _write_patterns(outdir, trace, series)
 
 
-def _write_patterns(outdir, trace, stats, series) -> None:
+def _write_patterns(outdir, trace, series) -> None:
     patdir = os.path.join(outdir, "patterns")
     os.makedirs(patdir, exist_ok=True)
     per_k = series["per_k"]
     if not per_k:
         return
     sources_by_k = {}
-    for row in series["scatter"]:
-        if row["is_source"]:
-            sources_by_k.setdefault(row["k"], set()).add(row["cell"])
+    for k, _, cell, _, is_source in series["scatter"]:
+        if is_source:
+            sources_by_k.setdefault(k, set()).add(cell)
     dims = _grid_dims(trace.graph)
     n = trace.graph.node_count
     for k in {per_k[0]["k"], per_k[-1]["k"]}:
@@ -321,9 +320,10 @@ def cmd_run(args) -> int:
                      init=init, record_arrivals=cfg["record_arrivals"])
     write_trace(trace, os.path.join(outdir, "trace.csv"))
     _write_manifest(outdir, cfg, {"horizon_ns": horizon, "seed": cfg["seed"]})
-    metrics = build_metrics(trace, stats, association=cfg["association_checks"])
+    metrics, series = build_metrics(trace, stats,
+                                    association=cfg["association_checks"])
     _json_dump(metrics, os.path.join(outdir, "metrics.json"))
-    _write_plotdata(outdir, trace, stats)
+    _write_plotdata(outdir, trace, series)
 
     if not metrics["stabilization"]["stabilized"]:
         print("not-stabilized")
@@ -341,9 +341,10 @@ def cmd_analyze(args) -> int:
     stats = topology_stats(trace.graph, lg_override=cfg["lg_override"])
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    metrics = build_metrics(trace, stats, association=cfg["association_checks"])
+    metrics, series = build_metrics(trace, stats,
+                                    association=cfg["association_checks"])
     _json_dump(metrics, os.path.join(outdir, "metrics.json"))
-    _write_plotdata(outdir, trace, stats)
+    _write_plotdata(outdir, trace, series)
     _write_manifest(outdir, cfg, {"analyzed_trace": os.path.abspath(args.trace)})
     if not metrics["stabilization"]["stabilized"]:
         print("not-stabilized")
@@ -377,7 +378,7 @@ def _sweep_worker(task):
     trace = simulate(graph, params, delay_model=delay_model, horizon=horizon,
                      seed=cfg["seed"], fault_model=fault, drift=drift,
                      init=init, record_arrivals=cfg["record_arrivals"])
-    report = detect_stabilization(trace, params, stats, graph)
+    report = detect_stabilization(trace, params, stats)
     valid = [k for k, ok in enumerate(report.valid_series) if ok]
     final_e1 = report.e1_series[valid[-1]] if valid else None
     final_frac = report.source_fraction_series[valid[-1]] if valid else None

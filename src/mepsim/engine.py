@@ -17,7 +17,7 @@ the smallest sender id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import ParameterError

@@ -114,6 +114,7 @@ def read_trace(path) -> Trace:
         idx += 1
     if meta is None:
         raise TraceParseError("missing #meta header")
+    n = meta["graph"]["n"]
     if idx >= len(lines) or lines[idx] != "[triggers]":
         raise TraceParseError("missing [triggers] section", line=idx + 1)
     idx += 1
@@ -126,13 +127,24 @@ def read_trace(path) -> Trace:
         if len(parts) != 5:
             raise TraceParseError("malformed trigger row", line=idx + 1)
         try:
-            triggers.append(TriggerRecord(
+            rec = TriggerRecord(
                 seq=int(parts[0]), time=int(parts[1]), cell=int(parts[2]),
-                kind=parts[3], pioneer=int(parts[4])))
+                kind=parts[3], pioneer=int(parts[4]))
         except ValueError as exc:
             raise TraceParseError(str(exc), line=idx + 1) from exc
-        if triggers[-1].kind not in (KIND_EXTERNAL, KIND_INTERNAL):
+        if rec.kind not in (KIND_EXTERNAL, KIND_INTERNAL):
             raise TraceParseError(f"bad trigger kind {parts[3]!r}", line=idx + 1)
+        if rec.seq != len(triggers):
+            raise TraceParseError(f"trigger seq {rec.seq} is not its index "
+                                  f"{len(triggers)}", line=idx + 1)
+        if not (0 <= rec.cell < n and 0 <= rec.pioneer < n):
+            raise TraceParseError(f"cell or pioneer outside [0, {n})",
+                                  line=idx + 1)
+        if triggers and (rec.time, rec.cell) < (triggers[-1].time,
+                                                triggers[-1].cell):
+            raise TraceParseError("triggers not sorted by (time, cell)",
+                                  line=idx + 1)
+        triggers.append(rec)
         idx += 1
     if idx >= len(lines):
         raise TraceParseError("missing [arrivals] section")
@@ -154,10 +166,13 @@ def read_trace(path) -> Trace:
             raise TraceParseError(str(exc), line=idx + 1) from exc
         if arrivals[-1].outcome not in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_OMITTED):
             raise TraceParseError(f"bad arrival outcome {parts[3]!r}", line=idx + 1)
+        if rej is not None and not 0 <= rej < len(triggers):
+            raise TraceParseError(f"rejecting_seq {rej} outside "
+                                  f"[0, {len(triggers)})", line=idx + 1)
         idx += 1
 
     gmeta = meta["graph"]
-    graph = from_edge_list(gmeta["n"], [tuple(e) for e in gmeta["edges"]])
+    graph = from_edge_list(n, [tuple(e) for e in gmeta["edges"]])
     if gmeta.get("name"):
         graph = Graph(graph.node_count, graph.edges, graph.adjacency, gmeta["name"])
     return Trace(

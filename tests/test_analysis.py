@@ -5,10 +5,10 @@ from mepsim.analysis import (Propagation, association_classes,
                              check_pattern_properties, classify_patterns,
                              cluster_triggers, detect_stabilization,
                              extract_propagation, convergence_bound,
-                             propagation_error, segment, series_metrics,
+                             propagation_error, series_metrics,
                              validate_omep, ROLE_BANK, ROLE_FLAT, ROLE_FLOW,
                              ROLE_RIDGE, ROLE_SINK, ROLE_SOURCE, ROLE_UNITED)
-from mepsim.errors import InsufficientHorizonError, ParameterError
+from mepsim.errors import InsufficientHorizonError
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
 from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_REJECTED,
@@ -32,29 +32,7 @@ def _trace(times, cells=None, kinds=None, pioneers=None, graph=K2,
                  arrivals=list(arrivals), horizon=horizon, seed=0)
 
 
-# ------------------------------------------------------------- segmentation
-
-
-def test_segment_single_cluster():
-    res = segment(_trace([0, D, 2 * D]), tau_pi=3 * D, tau_delta=10 * D)
-    assert res.separated and len(res.segments) == 1
-    assert res.segments[0].t1 == 0 and res.segments[0].t2 == 2 * D
-
-
-def test_segment_large_gap_splits():
-    res = segment(_trace([0, 5 * D]), tau_pi=D, tau_delta=31 * D // 10)
-    assert res.separated and len(res.segments) == 2
-
-
-def test_segment_middle_gap_is_a_violation():
-    res = segment(_trace([0, 2 * D]), tau_pi=D, tau_delta=4 * D)
-    assert not res.separated
-    assert res.witness == (0, 2 * D)
-
-
-def test_segment_requires_wide_separation():
-    with pytest.raises(ParameterError):
-        segment(_trace([0]), tau_pi=D, tau_delta=3 * D)
+# ------------------------------------------------------------- rounds
 
 
 def test_cluster_triggers_is_lenient():
@@ -335,12 +313,14 @@ def test_series_metrics_shapes():
     dm = DelayModel(kind="uniform", d_min=0, d_max=D)
     tr = simulate(g, params, delay_model=dm, horizon=10**5, seed=1,
                   drift=DriftAssignment(mode="zero"))
-    series = series_metrics(tr, params, stats)
+    rep = detect_stabilization(tr, params, stats)
+    series = series_metrics(rep, g)
     assert series["per_k"]
+    assert [r["valid"] for r in series["per_k"]] == rep.oneshot_series
     for row in series["per_k"]:
         assert 0.0 <= row["source_fraction"] <= 1.0
         assert row["e1_ns"] >= 0
         assert row["ideal"] == (row["source_fraction"] == 1.0)
-    ks = {r["k"] for r in series["scatter"]}
+    ks = {k for k, _, _, _, _ in series["scatter"]}
     assert ks == set(r["k"] for r in series["per_k"])
-    assert all(r["t_tilde_ns"] >= 0 for r in series["scatter"])
+    assert all(t_tilde >= 0 for _, _, _, t_tilde, _ in series["scatter"])

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import mepsim.analysis
 from mepsim.cli import (EXIT_HORIZON, EXIT_INVALID, EXIT_NOT_STABILIZED,
                         EXIT_OK, load_config, main, resolve_config)
 from mepsim.errors import ConfigError
@@ -111,6 +112,44 @@ def test_analyze_flags_duplicate_trigger(tmp_path):
     doctored.write_text("\n".join(lines[:start] + rows + lines[end:]) + "\n")
     rc = main(["analyze", str(doctored), "--out", str(tmp_path / "an")] + FAST)
     assert rc == EXIT_NOT_STABILIZED
+
+
+def test_run_extracts_each_round_once(tmp_path, monkeypatch):
+    calls = []
+    original = mepsim.analysis.extract_propagation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mepsim.analysis, "extract_propagation", counted)
+    out = tmp_path / "run"
+    assert main(["run", "--out", str(out), "--seed", "5"] + FAST) == EXIT_OK
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert len(calls) == len(metrics["per_k"])
+
+
+@pytest.mark.parametrize("association", ["false", "true"])
+def test_analyze_rejects_contract_breaks(tmp_path, association):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--out", str(run_dir), "--seed", "2"] + FAST) == EXIT_OK
+    lines = (run_dir / "trace.csv").read_text().splitlines()
+    first_trigger = lines.index("seq,time_ns,cell,kind,pioneer") + 1
+    rejection = next(k for k, line in enumerate(lines)
+                     if ",rejected," in line and not line.endswith(","))
+    mutations = {
+        "seq": (first_trigger, lambda p: ["5"] + p[1:]),
+        "pioneer": (first_trigger, lambda p: p[:4] + ["77"]),
+        "rejecting_seq": (rejection, lambda p: p[:4] + ["99999"]),
+    }
+    for name, (row, mutate) in mutations.items():
+        doctored = list(lines)
+        doctored[row] = ",".join(mutate(doctored[row].split(",")))
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(doctored) + "\n")
+        rc = main(["analyze", str(path), "--out", str(tmp_path / name),
+                   "--override", f"association_checks={association}"] + FAST)
+        assert rc == EXIT_INVALID, name
 
 
 def test_sweep_aggregates(tmp_path):

@@ -63,12 +63,28 @@ def test_malformed_row_reports_line(tmp_path, small_trace):
     assert exc.value.line == 6
 
 
-def test_bad_kind_rejected(tmp_path, small_trace):
+TRIGGERS = "seq,time_ns,cell,kind,pioneer"
+ARRIVALS = "time_ns,from,to,outcome,rejecting_seq"
+
+
+@pytest.mark.parametrize("header, field, value", [
+    pytest.param(TRIGGERS, 3, "sideways", id="kind"),
+    pytest.param(TRIGGERS, 0, "1", id="seq-not-index"),
+    pytest.param(TRIGGERS, 2, "4", id="cell-out-of-range"),
+    pytest.param(TRIGGERS, 4, "77", id="pioneer-out-of-range"),
+    pytest.param(TRIGGERS, 1, "999999999", id="unsorted"),
+    pytest.param(ARRIVALS, 4, "999", id="rejecting-seq-out-of-range"),
+])
+def test_bad_kind_rejected(tmp_path, small_trace, header, field, value):
+    """Each mutation breaks the trace contract in the first row of its
+    section that has the field set (arrival rows may omit rejecting_seq)."""
     path = tmp_path / "trace.csv"
     lines = trace_to_text(small_trace).splitlines()
-    idx = lines.index("seq,time_ns,cell,kind,pioneer") + 1
+    idx = lines.index(header) + 1
+    while lines[idx].endswith(","):
+        idx += 1
     parts = lines[idx].split(",")
-    parts[3] = "sideways"
+    parts[field] = value
     lines[idx] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceParseError):
