@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import (association_classes, check_pattern_properties,
@@ -28,9 +29,10 @@ from .analysis import (association_classes, check_pattern_properties,
 from .engine import INIT_ADVERSARIAL, INIT_RANDOM_UNIFORM, InitState, simulate
 from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
                      TraceParseError)
-from .timing import (DelayModel, DriftAssignment, FaultModel, SimParams,
-                     derive_params, read_schedule_file)
-from .topology import parse_topology, read_edge_list, topology_stats
+from .timing import (DelayModel, DriftAssignment, SimParams, derive_params,
+                     read_schedule_file)
+from .topology import (Graph, TopologyStats, parse_topology, read_edge_list,
+                       topology_stats)
 from .trace import SCHEMA_VERSION, read_trace, write_trace
 
 EXIT_OK = 0
@@ -105,7 +107,27 @@ def load_config(path=None, overrides=()) -> dict:
     return cfg
 
 
-def resolve_config(cfg: dict):
+class RunSpec(NamedTuple):
+    """A validated run: the simulator's inputs plus the topology stats."""
+
+    graph: Graph
+    stats: TopologyStats
+    params: SimParams
+    delay_model: DelayModel
+    drift: DriftAssignment
+    init: InitState
+    horizon: int
+    seed: object
+    record_arrivals: bool
+
+    def run(self):
+        """Simulate this run; `run` and `sweep` both simulate through here."""
+        return simulate(self.graph, self.params, delay_model=self.delay_model,
+                        horizon=self.horizon, seed=self.seed, drift=self.drift,
+                        init=self.init, record_arrivals=self.record_arrivals)
+
+
+def resolve_config(cfg: dict) -> RunSpec:
     """Turn a config dict into runnable objects, validating everything."""
     if cfg["topology_file"]:
         graph = read_edge_list(cfg["topology_file"])
@@ -150,8 +172,8 @@ def resolve_config(cfg: dict):
     horizon = cfg["horizon_ns"]
     if horizon is None:
         horizon = required_horizon(params, stats) + 3 * params.liveness_real_max
-    fault = FaultModel(omission_p=cfg["omission_p"])
-    return graph, stats, params, delay_model, fault, drift, init, horizon
+    return RunSpec(graph, stats, params, delay_model, drift, init, horizon,
+                   cfg["seed"], cfg["record_arrivals"])
 
 
 def _json_dump(obj, path) -> None:
@@ -309,30 +331,17 @@ def cmd_run(args) -> int:
         cfg["seed"] = args.seed
     if args.horizon_ns is not None:
         cfg["horizon_ns"] = args.horizon_ns
-    graph, stats, params, delay_model, fault, drift, init, horizon = \
-        resolve_config(cfg)
+    spec = resolve_config(cfg)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    log.info("run: %s seed=%s horizon=%d", graph.name, cfg["seed"], horizon)
+    log.info("run: %s seed=%s horizon=%d", spec.graph.name, spec.seed,
+             spec.horizon)
 
-    trace = simulate(graph, params, delay_model=delay_model, horizon=horizon,
-                     seed=cfg["seed"], fault_model=fault, drift=drift,
-                     init=init, record_arrivals=cfg["record_arrivals"])
+    trace = spec.run()
     write_trace(trace, os.path.join(outdir, "trace.csv"))
-    _write_manifest(outdir, cfg, {"horizon_ns": horizon, "seed": cfg["seed"]})
-    metrics, series = build_metrics(trace, stats,
-                                    association=cfg["association_checks"])
-    _json_dump(metrics, os.path.join(outdir, "metrics.json"))
-    _write_plotdata(outdir, trace, series)
-
-    if not metrics["stabilization"]["stabilized"]:
-        print("not-stabilized")
-        return EXIT_NOT_STABILIZED
-    if not metrics["checks"]["all_passed"]:
-        print("check-failure")
-        return EXIT_CHECK_FAILURE
-    print(f"stabilized t_stab_ns={metrics['stabilization']['t_stab_ns']}")
-    return EXIT_OK
+    _write_manifest(outdir, cfg, {"horizon_ns": spec.horizon, "seed": spec.seed})
+    return _report(outdir, trace, spec.stats, cfg["association_checks"],
+                   "stabilized t_stab_ns={t_stab_ns}")
 
 
 def cmd_analyze(args) -> int:
@@ -341,44 +350,48 @@ def cmd_analyze(args) -> int:
     stats = topology_stats(trace.graph, lg_override=cfg["lg_override"])
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    metrics, series = build_metrics(trace, stats,
-                                    association=cfg["association_checks"])
+    _write_manifest(outdir, cfg, {"analyzed_trace": os.path.abspath(args.trace)})
+    return _report(outdir, trace, stats, cfg["association_checks"], "ok")
+
+
+def _report(outdir, trace, stats, association, ok_line) -> int:
+    """Write metrics.json and the plot data; print the verdict and return
+    its exit code.  ok_line is formatted with the stabilization metrics."""
+    metrics, series = build_metrics(trace, stats, association=association)
     _json_dump(metrics, os.path.join(outdir, "metrics.json"))
     _write_plotdata(outdir, trace, series)
-    _write_manifest(outdir, cfg, {"analyzed_trace": os.path.abspath(args.trace)})
     if not metrics["stabilization"]["stabilized"]:
         print("not-stabilized")
         return EXIT_NOT_STABILIZED
     if not metrics["checks"]["all_passed"]:
         print("check-failure")
         return EXIT_CHECK_FAILURE
-    print("ok")
+    print(ok_line.format(**metrics["stabilization"]))
     return EXIT_OK
 
 
 def _sweep_point_config(cfg: dict, axis: str, value) -> dict:
     point = copy.deepcopy(cfg)
-    if axis == "topology":
-        point["topology"] = value
-    elif axis == "n":
-        point["topology"] = f"ring:{int(value)}"
-    elif axis == "p":
-        point["omission_p"] = float(value)
-    elif axis == "rho":
-        point["rho"] = float(value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+    try:
+        if axis == "topology":
+            point["topology"] = value
+        elif axis == "n":
+            point["topology"] = f"ring:{int(value)}"
+        elif axis == "p":
+            point["omission_p"] = float(value)
+        elif axis == "rho":
+            point["rho"] = float(value)
+        else:
+            raise ConfigError(f"unknown sweep axis {axis!r}")
+    except ValueError as exc:
+        raise ConfigError(f"bad {axis} sweep value {value!r}") from exc
     return point
 
 
 def _sweep_worker(task):
     point_label, replica, cfg = task
-    graph, stats, params, delay_model, fault, drift, init, horizon = \
-        resolve_config(cfg)
-    trace = simulate(graph, params, delay_model=delay_model, horizon=horizon,
-                     seed=cfg["seed"], fault_model=fault, drift=drift,
-                     init=init, record_arrivals=cfg["record_arrivals"])
-    report = detect_stabilization(trace, params, stats)
+    spec = resolve_config(cfg)
+    report = detect_stabilization(spec.run(), spec.params, spec.stats)
     valid = [k for k, ok in enumerate(report.valid_series) if ok]
     final_e1 = report.e1_series[valid[-1]] if valid else None
     final_frac = report.source_fraction_series[valid[-1]] if valid else None
@@ -387,7 +400,7 @@ def _sweep_worker(task):
     return {
         "point": point_label,
         "replica": replica,
-        "seed": cfg["seed"],
+        "seed": spec.seed,
         "stabilized": report.stabilized,
         "t_stab_ns": report.t_stab,
         "final_e1_ns": final_e1,
@@ -401,6 +414,8 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values or args.replicas < 1:
         raise ConfigError("sweep needs a nonempty value list and replicas >= 1")
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     tasks = []
     for value in values:
         point = _sweep_point_config(cfg, args.axis, value)

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .errors import ParameterError
-from .timing import (DriftAssignment, FaultModel, SimParams, local_to_real,
-                     stream)
+from .timing import DriftAssignment, SimParams, local_to_real, stream
 from .topology import Graph
 from .trace import (ArrivalRecord, KIND_EXTERNAL, KIND_INTERNAL,
                     OUTCOME_ACCEPTED, OUTCOME_OMITTED, OUTCOME_REJECTED,
@@ -62,54 +62,80 @@ class InitState:
         raise ParameterError(f"unknown init mode {self.mode!r}")
 
 
-def _validate_init_signals(init: InitState, graph: Graph, d_max: int) -> None:
-    adjacency = graph.adjacency
-    for frm, to, arrival in init.signals:
-        if not 0 <= arrival <= d_max:
-            raise ParameterError(
-                f"injected signal arrival {arrival} outside [0, {d_max}]")
-        if to not in adjacency[frm]:
-            raise ParameterError(f"injected signal ({frm},{to}) is not an edge")
+class _Setup(NamedTuple):
+    """Everything a simulator derives from its inputs before time starts."""
+
+    drift: DriftAssignment
+    init: InitState
+    rest_due: list  # cell i is excited at instant t iff t <= rest_due[i]
+    first_ext: list  # each cell's first liveness deadline
+    sample: object  # (src, dst) -> delay
+    omission_random: object
+    rest_off: list  # per-cell real ns from a trigger to restoration
+    ext_off: list  # ... and to the next liveness deadline
+    rest_off_c: list  # the same after an internal trigger, d_min-compensated
+    ext_off_c: list  # when dmin_compensation is on
 
 
-def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
-             seed=0, fault_model: FaultModel | None = None,
-             drift: DriftAssignment | None = None,
-             init: InitState | None = None,
-             record_arrivals: bool = True) -> Trace:
-    """Run one deterministic simulation up to the real-time horizon."""
-    if horizon <= 0:
-        raise ParameterError(f"need horizon > 0, got {horizon}")
+def _setup(graph: Graph, params: SimParams, delay_model, seed,
+           drift: DriftAssignment | None, init: InitState | None) -> _Setup:
+    """Validate the inputs and derive drifts, initial timers, rng streams and
+    offset tables; shared by simulate() and the per-ns oracle."""
     if delay_model.d_min < params.d_min or delay_model.d_max > params.d_max:
         raise ParameterError("delay model bounds exceed the params delay bounds")
 
     n = graph.node_count
-    adjacency = graph.adjacency
     tau0, tau2 = params.tau0, params.tau2
     d_min = params.d_min
-    compensate = params.dmin_compensation and d_min > 0
-    p = fault_model.omission_p if fault_model is not None else params.omission_p
 
     drift = drift or DriftAssignment(rho=params.rho)
     drifts = drift.assign(n, stream(seed, "drifts"))
     init = init or InitState()
     elapsed0 = init.resolve_elapsed(n, tau2, stream(seed, "init"))
-    _validate_init_signals(init, graph, params.d_max)
+    for frm, to, arrival in init.signals:
+        if not 0 <= arrival <= params.d_max:
+            raise ParameterError(
+                f"injected signal arrival {arrival} outside [0, {params.d_max}]")
+        if not 0 <= frm < n or to not in graph.adjacency[frm]:
+            raise ParameterError(f"injected signal ({frm},{to}) is not an edge")
 
-    sampler = delay_model.sampler(stream(seed, "delays"))
-    sample = sampler.sample
-    omission_random = stream(seed, "omissions").random
+    rest_due = [-1] * n
+    first_ext = [0] * n
+    for i, dv in enumerate(drifts):
+        e = min(elapsed0[i], tau2)  # timer self-recovery from invalid readings
+        if e < tau0:
+            rest_due[i] = local_to_real(tau0 - e, dv)
+        first_ext[i] = local_to_real(tau2 - e, dv)
 
     rest_off = [local_to_real(tau0, dv) for dv in drifts]
     ext_off = [local_to_real(tau2, dv) for dv in drifts]
-    if compensate:
+    if params.dmin_compensation and d_min > 0:
         rest_off_c = [local_to_real(tau0 - d_min, dv) for dv in drifts]
         ext_off_c = [local_to_real(tau2 - d_min, dv) for dv in drifts]
     else:
         rest_off_c, ext_off_c = rest_off, ext_off
+    return _Setup(drift, init, rest_due, first_ext,
+                  delay_model.sampler(stream(seed, "delays")).sample,
+                  stream(seed, "omissions").random,
+                  rest_off, ext_off, rest_off_c, ext_off_c)
+
+
+def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
+             seed=0, drift: DriftAssignment | None = None,
+             init: InitState | None = None,
+             record_arrivals: bool = True) -> Trace:
+    """Run one deterministic simulation up to the real-time horizon."""
+    if horizon <= 0:
+        raise ParameterError(f"need horizon > 0, got {horizon}")
+    (drift, init, rest_due, first_ext, sample, omission_random, rest_off,
+     ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model,
+                                              seed, drift, init)
+
+    n = graph.node_count
+    adjacency = graph.adjacency
+    p = params.omission_p
 
     generation = [0] * n
-    rest_due = [-1] * n  # cell is excited at instant t iff t <= rest_due
     last_seq = [-1] * n
     raw_triggers = []  # (time, cell, kind, pioneer)
     raw_arrivals = []  # (time, frm, to, outcome, provisional_rejecting_seq)
@@ -117,11 +143,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     counter = 0
 
     for i in range(n):
-        e = min(elapsed0[i], tau2)  # timer self-recovery from invalid readings
-        dv = drifts[i]
-        if e < tau0:
-            rest_due[i] = local_to_real(tau0 - e, dv)
-        heappush(heap, (local_to_real(tau2 - e, dv), _CLS_EXTERNAL, i, i, 0))
+        heappush(heap, (first_ext[i], _CLS_EXTERNAL, i, i, 0))
     for frm, to, arrival in init.signals:
         heappush(heap, (arrival, _CLS_ARRIVAL, to, frm, counter))
         counter += 1
@@ -172,11 +194,13 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                 counter += 1
 
     return _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed,
-                     init, drift, delay_model, p, record_arrivals)
+                     init, drift, delay_model, record_arrivals)
 
 
 def _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed, init,
-              drift, delay_model, omission_p, record_arrivals) -> Trace:
+              drift, delay_model, record_arrivals) -> Trace:
+    """Sort the raw (time, cell, kind, pioneer) triggers and (time, frm, to,
+    outcome, provisional_rejecting_seq) arrivals into a Trace."""
     order = sorted(range(len(raw_triggers)),
                    key=lambda k: (raw_triggers[k][0], raw_triggers[k][1]))
     remap = [0] * len(raw_triggers)
@@ -200,7 +224,7 @@ def _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed, init,
         warnings.append("horizon shorter than one liveness period")
     models = {
         "delay_model": delay_model.kind,
-        "omission_p": omission_p,
+        "omission_p": params.omission_p,
         "drift_mode": drift.mode,
         "init_mode": init.mode,
     }

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
+from .engine import _finalize, _setup
 from .errors import ParameterError
-from .timing import DriftAssignment, FaultModel, SimParams, local_to_real, stream
+from .timing import DriftAssignment, SimParams
 from .topology import Graph
-from .trace import (ArrivalRecord, KIND_EXTERNAL, KIND_INTERNAL,
-                    OUTCOME_ACCEPTED, OUTCOME_OMITTED, OUTCOME_REJECTED,
-                    Trace, TriggerRecord)
+from .trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
+                    OUTCOME_OMITTED, OUTCOME_REJECTED, Trace)
 
 MAX_ORACLE_NODES = 4
 MAX_ORACLE_HORIZON = 1_000_000  # ns; the stepper visits every instant
@@ -25,67 +25,42 @@ MAX_ORACLE_HORIZON = 1_000_000  # ns; the stepper visits every instant
 
 def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
                          horizon: int, seed=0,
-                         fault_model: FaultModel | None = None,
                          drift: DriftAssignment | None = None,
                          init=None, record_arrivals: bool = True) -> Trace:
-    """Per-ns reference run; same inputs and output format as simulate()."""
-    from .engine import InitState, _validate_init_signals
+    """Per-ns reference run; same inputs and output format as simulate().
 
+    Only the stepping below is the oracle's own: input validation, drifts,
+    initial timers, rng streams, offset tables and the final sorting into
+    a Trace are shared with the engine.
+    """
     if graph.node_count > MAX_ORACLE_NODES:
         raise ParameterError(
             f"oracle handles at most {MAX_ORACLE_NODES} cells, got {graph.node_count}")
     if not 0 < horizon <= MAX_ORACLE_HORIZON:
         raise ParameterError(
             f"oracle horizon must be in (0, {MAX_ORACLE_HORIZON}], got {horizon}")
-    if delay_model.d_min < params.d_min or delay_model.d_max > params.d_max:
-        raise ParameterError("delay model bounds exceed the params delay bounds")
+    (drift, init, rest_due, next_ext, sample, omission_random, rest_off,
+     ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model,
+                                              seed, drift, init)
 
     n = graph.node_count
     adjacency = graph.adjacency
-    tau0, tau2 = params.tau0, params.tau2
-    d_min = params.d_min
-    compensate = params.dmin_compensation and d_min > 0
-    p = fault_model.omission_p if fault_model is not None else params.omission_p
-
-    drift = drift or DriftAssignment(rho=params.rho)
-    drifts = drift.assign(n, stream(seed, "drifts"))
-    init = init or InitState()
-    elapsed0 = init.resolve_elapsed(n, tau2, stream(seed, "init"))
-    _validate_init_signals(init, graph, params.d_max)
-
-    sample = delay_model.sampler(stream(seed, "delays")).sample
-    omission_random = stream(seed, "omissions").random
-
-    rest_off = [local_to_real(tau0, dv) for dv in drifts]
-    ext_off = [local_to_real(tau2, dv) for dv in drifts]
-    rest_off_c = [local_to_real(tau0 - d_min, dv) for dv in drifts] \
-        if compensate else rest_off
-    ext_off_c = [local_to_real(tau2 - d_min, dv) for dv in drifts] \
-        if compensate else ext_off
-
-    rest_due = [-1] * n
-    next_ext = [0] * n
+    p = params.omission_p
     last_seq = [-1] * n
-    for i in range(n):
-        e = min(elapsed0[i], tau2)
-        if e < tau0:
-            rest_due[i] = local_to_real(tau0 - e, drifts[i])
-        next_ext[i] = local_to_real(tau2 - e, drifts[i])
 
     pending = {}  # arrival instant -> [(to, frm), ...] in emission order
     for frm, to, arrival in init.signals:
         pending.setdefault(arrival, []).append((to, frm))
 
-    triggers = []  # TriggerRecord in emission order (sorted later)
+    raw_triggers = []  # (time, cell, kind, pioneer) in emission order
     raw_arrivals = []  # (time, frm, to, outcome, provisional_rejecting_seq)
 
     def fire(cell: int, t: int, kind: str, pioneer: int, micro) -> None:
         # the protocol only triggers propagable cells
         excited = 1 if t <= rest_due[cell] else 0
         assert (1 - excited) == 1, "trigger on a non-propagable cell"
-        last_seq[cell] = len(triggers)
-        triggers.append(TriggerRecord(seq=0, cell=cell, time=t, kind=kind,
-                                      pioneer=pioneer))
+        last_seq[cell] = len(raw_triggers)
+        raw_triggers.append((t, cell, kind, pioneer))
         if kind == KIND_INTERNAL:
             rest_due[cell] = t + rest_off_c[cell]
             next_ext[cell] = t + ext_off_c[cell]
@@ -131,33 +106,5 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
                     continue  # deadline superseded earlier this instant
                 fire(cell, t, KIND_EXTERNAL, cell, micro)
 
-    order = sorted(range(len(triggers)),
-                   key=lambda k: (triggers[k].time, triggers[k].cell))
-    remap = [0] * len(triggers)
-    final_triggers = []
-    for final_seq, k in enumerate(order):
-        remap[k] = final_seq
-        rec = triggers[k]
-        final_triggers.append(TriggerRecord(seq=final_seq, cell=rec.cell,
-                                            time=rec.time, kind=rec.kind,
-                                            pioneer=rec.pioneer))
-    arrivals = []
-    for t, frm, to, outcome, rej in sorted(raw_arrivals,
-                                           key=lambda a: (a[0], a[2], a[1])):
-        rej_seq = remap[rej] if outcome == OUTCOME_REJECTED and rej >= 0 else None
-        arrivals.append(ArrivalRecord(frm=frm, to=to, time=t, outcome=outcome,
-                                      rejecting_seq=rej_seq))
-
-    warnings = []
-    if horizon < params.liveness_real_max:
-        warnings.append("horizon shorter than one liveness period")
-    models = {
-        "delay_model": delay_model.kind,
-        "omission_p": p,
-        "drift_mode": drift.mode,
-        "init_mode": init.mode,
-    }
-    return Trace(graph=graph, params=params, triggers=final_triggers,
-                 arrivals=arrivals, horizon=horizon, seed=seed,
-                 warnings=warnings, models=models,
-                 arrivals_recorded=record_arrivals)
+    return _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed,
+                     init, drift, delay_model, record_arrivals)

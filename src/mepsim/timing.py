@@ -45,6 +45,8 @@ class SimParams:
     tau0: int  # local restoration threshold (ticks)
     tau1: int  # external-trigger real-time parameter (ns)
     tau2: int  # local liveness threshold (ticks)
+    # receiver-side omission: each internal-trigger opportunity is lost with
+    # this probability; external triggers and restorations never are
     omission_p: float = 0.0
     dmin_compensation: bool = False
 
@@ -179,7 +181,6 @@ class DelaySampler:
 
     def __init__(self, model: DelayModel, rng: random.Random):
         self.model = model
-        self._rng = rng
         self._cursors = {}
         kind = model.kind
         if kind == DELAY_UNIFORM:
@@ -229,19 +230,6 @@ def read_schedule_file(path) -> dict:
             src, dst, delay = int(parts[0]), int(parts[1]), int(parts[2])
             schedule.setdefault((src, dst), []).append(delay)
     return schedule
-
-
-@dataclass(frozen=True)
-class FaultModel:
-    """Receiver-side omission: each internal-trigger opportunity is lost
-    with probability omission_p.  External triggers and restorations are
-    never omitted."""
-
-    omission_p: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.omission_p <= 1.0:
-            raise ParameterError(f"omission_p must be in [0,1], got {self.omission_p}")
 
 
 DRIFT_ZERO = "zero"

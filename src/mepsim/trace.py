@@ -102,19 +102,30 @@ def read_trace(path) -> Trace:
     version = lines[0].split("=", 1)[1]
     if version != str(SCHEMA_VERSION):
         raise TraceParseError(f"unsupported schema version {version}", line=1)
-    seed = None
-    meta = None
+    header = {}
     idx = 1
     while idx < len(lines) and lines[idx].startswith("#"):
         key, _, value = lines[idx][1:].partition("=")
-        if key == "seed":
-            seed = json.loads(value)
-        elif key == "meta":
-            meta = json.loads(value)
+        if key in ("seed", "meta"):
+            try:
+                header[key] = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"bad #{key} JSON: {exc}",
+                                      line=idx + 1) from exc
         idx += 1
-    if meta is None:
+    if "meta" not in header:
         raise TraceParseError("missing #meta header")
-    n = meta["graph"]["n"]
+    meta = header["meta"]
+    try:
+        gmeta = meta["graph"]
+        graph = from_edge_list(gmeta["n"], [tuple(e) for e in gmeta["edges"]])
+        params = SimParams.from_dict(meta["params"])
+        horizon = meta["horizon"]
+    except (KeyError, TypeError) as exc:
+        raise TraceParseError(f"#meta lacks or mistypes {exc}") from exc
+    if gmeta.get("name"):
+        graph = Graph(graph.node_count, graph.edges, graph.adjacency, gmeta["name"])
+    n = graph.node_count
     if idx >= len(lines) or lines[idx] != "[triggers]":
         raise TraceParseError("missing [triggers] section", line=idx + 1)
     idx += 1
@@ -158,30 +169,29 @@ def read_trace(path) -> Trace:
         if len(parts) != 5:
             raise TraceParseError("malformed arrival row", line=idx + 1)
         try:
+            t, frm, to = int(parts[0]), int(parts[1]), int(parts[2])
             rej = None if parts[4] == "" else int(parts[4])
-            arrivals.append(ArrivalRecord(
-                time=int(parts[0]), frm=int(parts[1]), to=int(parts[2]),
-                outcome=parts[3], rejecting_seq=rej))
         except ValueError as exc:
             raise TraceParseError(str(exc), line=idx + 1) from exc
-        if arrivals[-1].outcome not in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_OMITTED):
-            raise TraceParseError(f"bad arrival outcome {parts[3]!r}", line=idx + 1)
+        outcome = parts[3]
+        if outcome not in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_OMITTED):
+            raise TraceParseError(f"bad arrival outcome {outcome!r}", line=idx + 1)
+        if not (0 <= frm < n and 0 <= to < n):
+            raise TraceParseError(f"from or to outside [0, {n})", line=idx + 1)
         if rej is not None and not 0 <= rej < len(triggers):
             raise TraceParseError(f"rejecting_seq {rej} outside "
                                   f"[0, {len(triggers)})", line=idx + 1)
+        arrivals.append(ArrivalRecord(frm=frm, to=to, time=t,
+                                      outcome=outcome, rejecting_seq=rej))
         idx += 1
 
-    gmeta = meta["graph"]
-    graph = from_edge_list(n, [tuple(e) for e in gmeta["edges"]])
-    if gmeta.get("name"):
-        graph = Graph(graph.node_count, graph.edges, graph.adjacency, gmeta["name"])
     return Trace(
         graph=graph,
-        params=SimParams.from_dict(meta["params"]),
+        params=params,
         triggers=triggers,
         arrivals=arrivals,
-        horizon=meta["horizon"],
-        seed=seed,
+        horizon=horizon,
+        seed=header.get("seed"),
         warnings=list(meta.get("warnings", [])),
         models=meta.get("models", {}),
         arrivals_recorded=meta.get("arrivals_recorded", True),

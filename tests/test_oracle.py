@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mepsim import DelayModel, DriftAssignment, FaultModel, derive_params, simulate
+from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.engine import InitState
 from mepsim.errors import ParameterError
 from mepsim.oracle import brute_force_simulate
@@ -45,7 +46,7 @@ def test_all_omitted_is_periodic():
     dm = DelayModel(kind="uniform", d_min=0, d_max=100)
     init = InitState(mode="adversarial-explicit", elapsed=(0, p.tau0))
     tr = brute_force_simulate(K2, p, delay_model=dm, horizon=6 * p.tau2,
-                              seed=0, fault_model=FaultModel(1.0), init=init)
+                              seed=0, init=init)
     for cell in (0, 1):
         times = [t.time for t in tr.triggers if t.cell == cell]
         assert all(b - a == p.tau2 for a, b in zip(times, times[1:]))
@@ -74,7 +75,58 @@ def test_drift_and_omission_match_engine():
     drift = DriftAssignment(mode="extremal", rho=1e-4)
     for seed in range(5):
         kw = dict(delay_model=dm, horizon=5 * p.liveness_real_max, seed=seed,
-                  fault_model=FaultModel(0.2), drift=drift)
+                  drift=drift)
         a = simulate(P3, p, **kw)
         b = brute_force_simulate(P3, p, **kw)
         assert trace_to_text(a) == trace_to_text(b)
+
+
+@st.composite
+def _differential_case(draw):
+    n = draw(st.integers(2, 4))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    graph = from_edge_list(n, sorted(edges))
+    d_max = draw(st.integers(1, 100))
+    d_min = draw(st.integers(0, d_max))
+    drift_mode = draw(st.sampled_from(["zero", "extremal", "uniform"]))
+    rho = 0.0 if drift_mode == "zero" else draw(st.sampled_from([1e-4, 0.05]))
+    params = derive_params(topology_stats(graph), d_max, rho, d_min=d_min,
+                           omission_p=draw(st.sampled_from([0.0, 0.2, 1.0])),
+                           dmin_compensation=draw(st.booleans()))
+    delays = st.integers(d_min, d_max)
+    if draw(st.booleans()):
+        directed = [(a, b) for a in range(n) for b in graph.adjacency[a]]
+        schedule = {e: draw(st.lists(delays, min_size=1, max_size=4))
+                    for e in directed}
+        dm = DelayModel(kind="adversarial-schedule", d_min=d_min, d_max=d_max,
+                        schedule=schedule, cycle=True)
+    else:
+        dm = DelayModel(kind="uniform", d_min=d_min, d_max=d_max)
+    init = None
+    if draw(st.booleans()):
+        readings = st.integers(0, 2 * params.tau2)
+        signal = st.sampled_from(sorted(graph.edges)).flatmap(
+            lambda e: st.tuples(st.permutations(e),
+                                st.integers(0, d_max)))
+        signals = tuple((a, b, t) for (a, b), t in
+                        draw(st.lists(signal, max_size=4)))
+        init = InitState(mode="adversarial-explicit",
+                         elapsed=tuple(draw(st.lists(readings, min_size=n,
+                                                     max_size=n))),
+                         signals=signals)
+    return graph, params, dict(
+        delay_model=dm, seed=draw(st.integers(0, 2**16)),
+        horizon=draw(st.integers(params.liveness_real_max,
+                                 5 * params.liveness_real_max)),
+        drift=DriftAssignment(mode=drift_mode, rho=rho), init=init)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_differential_case())
+def test_engine_matches_oracle_on_random_small_runs(case):
+    graph, params, kw = case
+    a = simulate(graph, params, **kw)
+    b = brute_force_simulate(graph, params, **kw)
+    assert trace_to_text(a) == trace_to_text(b)

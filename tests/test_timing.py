@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mepsim.errors import ParameterError, ScheduleUnderrunError
-from mepsim.timing import (DelayModel, DriftAssignment, FaultModel, SimParams,
+from mepsim.timing import (DelayModel, DriftAssignment, SimParams,
                            check_strict_constraint, derive_params,
                            local_to_real, read_schedule_file, sample_delay,
                            stream)
@@ -77,6 +77,9 @@ def test_simparams_validation():
     with pytest.raises(ParameterError):
         # tau2 far from tau1*(1+rho)
         SimParams(d_min=0, d_max=1, rho=0.0, tau0=10, tau1=100, tau2=150)
+    with pytest.raises(ParameterError):
+        SimParams(d_min=0, d_max=1, rho=0.0, tau0=10, tau1=100, tau2=100,
+                  omission_p=1.5)
 
 
 def test_simparams_dict_roundtrip():
@@ -141,12 +144,6 @@ def test_schedule_file_parsing(tmp_path):
     path.write_text("# comment\n0 1 5\n0 1 6\n1 0 7\n")
     sched = read_schedule_file(path)
     assert sched == {(0, 1): [5, 6], (1, 0): [7]}
-
-
-def test_fault_model_validation():
-    FaultModel(0.3)
-    with pytest.raises(ParameterError):
-        FaultModel(1.5)
 
 
 def test_drift_assignments():

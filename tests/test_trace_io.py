@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from mepsim import DelayModel, derive_params, simulate
@@ -67,25 +69,55 @@ TRIGGERS = "seq,time_ns,cell,kind,pioneer"
 ARRIVALS = "time_ns,from,to,outcome,rejecting_seq"
 
 
-@pytest.mark.parametrize("header, field, value", [
-    pytest.param(TRIGGERS, 3, "sideways", id="kind"),
-    pytest.param(TRIGGERS, 0, "1", id="seq-not-index"),
-    pytest.param(TRIGGERS, 2, "4", id="cell-out-of-range"),
-    pytest.param(TRIGGERS, 4, "77", id="pioneer-out-of-range"),
-    pytest.param(TRIGGERS, 1, "999999999", id="unsorted"),
-    pytest.param(ARRIVALS, 4, "999", id="rejecting-seq-out-of-range"),
+def _field(field, value):
+    def mutate(line):
+        parts = line.split(",")
+        parts[field] = value
+        return ",".join(parts)
+    return mutate
+
+
+def _meta_without(*keys):
+    def mutate(line):
+        meta = json.loads(line.partition("=")[2])
+        node = meta
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return "#meta=" + json.dumps(meta)
+    return mutate
+
+
+@pytest.mark.parametrize("header, mutate", [
+    pytest.param(TRIGGERS, _field(3, "sideways"), id="kind"),
+    pytest.param(TRIGGERS, _field(0, "1"), id="seq-not-index"),
+    pytest.param(TRIGGERS, _field(2, "4"), id="cell-out-of-range"),
+    pytest.param(TRIGGERS, _field(4, "77"), id="pioneer-out-of-range"),
+    pytest.param(TRIGGERS, _field(1, "999999999"), id="unsorted"),
+    pytest.param(ARRIVALS, _field(4, "999"), id="rejecting-seq-out-of-range"),
+    pytest.param(ARRIVALS, _field(1, "77"), id="arrival-from-out-of-range"),
+    pytest.param(ARRIVALS, _field(2, "-1"), id="arrival-to-out-of-range"),
+    pytest.param("#meta=", lambda line: line.replace("{", "{{", 1),
+                 id="meta-json"),
+    pytest.param("#seed=", lambda line: line + "}", id="seed-json"),
+    pytest.param("#meta=", _meta_without("graph", "n"), id="meta-no-n"),
+    pytest.param("#meta=", _meta_without("graph", "edges"), id="meta-no-edges"),
+    pytest.param("#meta=", _meta_without("params"), id="meta-no-params"),
+    pytest.param("#meta=", _meta_without("horizon"), id="meta-no-horizon"),
 ])
-def test_bad_kind_rejected(tmp_path, small_trace, header, field, value):
-    """Each mutation breaks the trace contract in the first row of its
-    section that has the field set (arrival rows may omit rejecting_seq)."""
+def test_bad_kind_rejected(tmp_path, small_trace, header, mutate):
+    """Each mutation breaks the trace contract in one header line, or in
+    the first row of its section that has every field set (arrival rows
+    may omit rejecting_seq)."""
     path = tmp_path / "trace.csv"
     lines = trace_to_text(small_trace).splitlines()
-    idx = lines.index(header) + 1
-    while lines[idx].endswith(","):
-        idx += 1
-    parts = lines[idx].split(",")
-    parts[field] = value
-    lines[idx] = ",".join(parts)
+    if header.startswith("#"):
+        idx = next(k for k, line in enumerate(lines) if line.startswith(header))
+    else:
+        idx = lines.index(header) + 1
+        while lines[idx].endswith(","):
+            idx += 1
+    lines[idx] = mutate(lines[idx])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceParseError):
         read_trace(path)
