@@ -67,6 +67,80 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # bool is an int subclass but not a count
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(ok(x) for x in v)
+
+
+def _or_null(ok):
+    return lambda v: v is None or ok(v)
+
+
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_STRING = (_is_str, "a string")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_INT_OR_NULL = (_or_null(_is_int), "an integer or null")
+_STRING_OR_NULL = (_or_null(_is_str), "a string or null")
+
+# The type of every config value but the seed, which may be any JSON value.
+_CONFIG_TYPES = {
+    "topology": _STRING,
+    "topology_file": _STRING_OR_NULL,
+    "lg_override": _INT_OR_NULL,
+    "d_min": _INT,
+    "d_max": _INT,
+    "rho": _NUMBER,
+    "param_mode": _STRING,
+    "tau0": _INT_OR_NULL,
+    "tau1": _INT_OR_NULL,
+    "tau2": _INT_OR_NULL,
+    "delay.kind": _STRING,
+    "delay.schedule_file": _STRING_OR_NULL,
+    "delay.cycle": _BOOL,
+    "omission_p": _NUMBER,
+    "drift.mode": _STRING,
+    "drift.values": (_or_null(_list_of(_is_number)),
+                     "a list of numbers or null"),
+    "init.mode": _STRING,
+    "init.elapsed": (_or_null(_list_of(_is_int)),
+                     "a list of integers or null"),
+    "init.signals": (_list_of(lambda s: isinstance(s, list) and len(s) == 3
+                              and all(_is_int(x) for x in s)),
+                     "a list of [from, to, arrival_ns] integer triples"),
+    "dmin_compensation": _BOOL,
+    "horizon_ns": _INT_OR_NULL,
+    "record_arrivals": _BOOL,
+    "association_checks": _BOOL,
+}
+
+
+def _check_config_types(cfg: dict) -> None:
+    """Raise ConfigError on a config value of the wrong JSON type."""
+    for key, (ok, what) in _CONFIG_TYPES.items():
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node.get(part)
+            if not isinstance(node, dict):
+                raise ConfigError(f"config key {part!r} must be an object")
+        value = node.get(leaf)
+        if not ok(value):
+            raise ConfigError(f"config key {key!r} must be {what}, "
+                              f"got {value!r}")
+
+
 def _deep_update(base: dict, extra: dict, path="") -> dict:
     for key, value in extra.items():
         where = f"{path}.{key}" if path else key
@@ -84,16 +158,19 @@ def load_config(path=None, overrides=()) -> dict:
     if path is not None:
         try:
             with open(path) as fh:
-                _deep_update(cfg, json.load(fh))
-        except json.JSONDecodeError as exc:
+                extra = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSON or text encoding
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(extra, dict):
+            raise ConfigError(f"{path}: the config is not a JSON object")
+        _deep_update(cfg, extra)
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"override {item!r} is not KEY=VAL")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             value = raw  # bare strings are convenient on the command line
         node = cfg
         parts = key.split(".")
@@ -104,6 +181,7 @@ def load_config(path=None, overrides=()) -> dict:
         if parts[-1] not in node:
             raise ConfigError(f"unknown config key {key!r}")
         node[parts[-1]] = value
+    _check_config_types(cfg)
     return cfg
 
 
@@ -129,6 +207,7 @@ class RunSpec(NamedTuple):
 
 def resolve_config(cfg: dict) -> RunSpec:
     """Turn a config dict into runnable objects, validating everything."""
+    _check_config_types(cfg)
     if cfg["topology_file"]:
         graph = read_edge_list(cfg["topology_file"])
     else:

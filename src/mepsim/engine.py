@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -200,24 +201,23 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
 def _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed, init,
               drift, delay_model, record_arrivals) -> Trace:
     """Sort the raw (time, cell, kind, pioneer) triggers and (time, frm, to,
-    outcome, provisional_rejecting_seq) arrivals into a Trace."""
+    outcome, provisional_rejecting_seq) arrivals into a Trace.
+
+    Both sorts are stable and keyed by C-level itemgetters; only rejections
+    carry a provisional seq, every other arrival -1."""
+    # the (time, cell) keys die with the sort, before the records exist
     order = sorted(range(len(raw_triggers)),
-                   key=lambda k: (raw_triggers[k][0], raw_triggers[k][1]))
+                   key=list(map(itemgetter(0, 1), raw_triggers)).__getitem__)
     remap = [0] * len(raw_triggers)
     triggers = []
     for final_seq, k in enumerate(order):
         remap[k] = final_seq
         t, cell, kind, pioneer = raw_triggers[k]
-        triggers.append(TriggerRecord(seq=final_seq, cell=cell, time=t,
-                                      kind=kind, pioneer=pioneer))
-    arrivals = []
-    for t, frm, to, outcome, rej in sorted(raw_arrivals,
-                                           key=lambda a: (a[0], a[2], a[1])):
-        rej_seq = remap[rej] if rej >= 0 else None
-        if outcome != OUTCOME_REJECTED:
-            rej_seq = None
-        arrivals.append(ArrivalRecord(frm=frm, to=to, time=t, outcome=outcome,
-                                      rejecting_seq=rej_seq))
+        triggers.append(TriggerRecord(final_seq, cell, t, kind, pioneer))
+    arrivals = [ArrivalRecord(frm, to, t, outcome,
+                              remap[rej] if rej >= 0 else None)
+                for t, frm, to, outcome, rej in sorted(raw_arrivals,
+                                                       key=itemgetter(0, 2, 1))]
 
     warnings = []
     if horizon < params.liveness_real_max:

@@ -220,15 +220,19 @@ def read_schedule_file(path) -> dict:
     """Parse lines 'src dst delay_ns' into per-directed-edge lists."""
     schedule = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParameterError(f"{path}:{lineno}: expected 'src dst delay_ns'")
-            src, dst, delay = int(parts[0]), int(parts[1]), int(parts[2])
-            schedule.setdefault((src, dst), []).append(delay)
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ParameterError(
+                        f"{path}:{lineno}: expected 'src dst delay_ns'")
+                src, dst, delay = int(parts[0]), int(parts[1]), int(parts[2])
+                schedule.setdefault((src, dst), []).append(delay)
+        except ValueError as exc:  # a non-integer field or bad encoding
+            raise ParameterError(f"{path}: {exc}") from exc
     return schedule
 
 

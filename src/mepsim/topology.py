@@ -123,6 +123,8 @@ def from_edge_list(n: int, edges) -> Graph:
     edges = list(edges)
     if not edges:
         raise TopologyError("empty edge list")
+    if n > len(edges) + 1:  # checked before n sizes any per-node table
+        raise ConnectivityError(f"{len(edges)} edges cannot connect {n} nodes")
     return _make_graph(n, edges)
 
 
@@ -226,16 +228,19 @@ def parse_topology(spec: str) -> Graph:
 def read_edge_list(path) -> Graph:
     """Read the text format: first line 'n m', then m lines 'i j'."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise TopologyError(f"{path}: expected header 'n m'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for _ in range(m):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise TopologyError(f"{path}: truncated edge list")
-            edges.append((int(parts[0]), int(parts[1])))
+        try:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise TopologyError(f"{path}: expected header 'n m'")
+            n, m = int(header[0]), int(header[1])
+            edges = []
+            for _ in range(m):
+                parts = fh.readline().split()
+                if len(parts) != 2:
+                    raise TopologyError(f"{path}: truncated edge list")
+                edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:  # a non-integer field or bad encoding
+            raise TopologyError(f"{path}: {exc}") from exc
     return from_edge_list(n, edges)
 
 

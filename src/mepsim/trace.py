@@ -4,7 +4,8 @@ A trace is the single source of truth for all analysis: the time-ordered
 trigger events plus every signal-arrival outcome.  The file format is
 CSV with '#key=value' header lines (schema version, seed, and a JSON
 parameter echo) followed by a [triggers] and an [arrivals] section, so a
-persisted trace can be re-analyzed bit-identically.
+persisted trace can be re-analyzed bit-identically.  The reader streams
+the file line by line and rejects any break of the trace contract.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import TraceParseError
+from .errors import MepsimError, TopologyError, TraceParseError
 from .timing import SimParams
-from .topology import Graph, from_edge_list
+from .topology import Graph, from_edge_list, parse_topology
 
 SCHEMA_VERSION = 1
 
@@ -25,8 +26,19 @@ OUTCOME_ACCEPTED = "accepted"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_OMITTED = "omitted"
 
+# each valid field value maps to the module constant, so parsed records
+# share one string object per kind and outcome
+_KINDS = {k: k for k in (KIND_EXTERNAL, KIND_INTERNAL)}
+_OUTCOMES = {o: o for o in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_OMITTED)}
 
-@dataclass(frozen=True, slots=True)
+TRIGGERS_HEADER = "seq,time_ns,cell,kind,pioneer"
+ARRIVALS_HEADER = "time_ns,from,to,outcome,rejecting_seq"
+
+
+# Plain slot records: a frozen dataclass's __init__ pays one
+# object.__setattr__ per field, which dominates building 10^5 records.
+# Nothing mutates or hashes a record.
+@dataclass(slots=True)
 class TriggerRecord:
     seq: int
     cell: int
@@ -35,7 +47,7 @@ class TriggerRecord:
     pioneer: int  # self for external triggers
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ArrivalRecord:
     frm: int
     to: int
@@ -83,11 +95,11 @@ def trace_to_text(trace: Trace) -> str:
     lines.append(f"#seed={json.dumps(trace.seed)}")
     lines.append(f"#meta={json.dumps(_meta_dict(trace), sort_keys=True)}")
     lines.append("[triggers]")
-    lines.append("seq,time_ns,cell,kind,pioneer")
+    lines.append(TRIGGERS_HEADER)
     for t in trace.triggers:
         lines.append(f"{t.seq},{t.time},{t.cell},{t.kind},{t.pioneer}")
     lines.append("[arrivals]")
-    lines.append("time_ns,from,to,outcome,rejecting_seq")
+    lines.append(ARRIVALS_HEADER)
     for a in trace.arrivals:
         rej = "" if a.rejecting_seq is None else a.rejecting_seq
         lines.append(f"{a.time},{a.frm},{a.to},{a.outcome},{rej}")
@@ -95,104 +107,212 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def read_trace(path) -> Trace:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#mepsim-trace="):
+    """Read a trace file, checking the whole trace contract.
+
+    Beyond the syntax, the contract holds that trigger seqs are row
+    indices; triggers are sorted by (time, cell) and arrivals by (time,
+    to, from); every time lies in [0, horizon]; cells, pioneers and
+    senders lie in [0, n); an external trigger's pioneer is its own cell
+    and an internal one's a neighbour; and only a rejection names a
+    rejecting trigger, which is no later than the arrival.  Any break
+    raises TraceParseError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _parse(enumerate(fh, 1))
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"not UTF-8 text: {exc}") from exc
+
+
+def _next_line(rows, lineno):
+    """(line number, line without its newline) of the next row, or
+    (lineno + 1, None) at the end of the file."""
+    for lineno, line in rows:
+        return lineno, line.rstrip("\n")
+    return lineno + 1, None
+
+
+def _parse(rows) -> Trace:
+    lineno, line = _next_line(rows, 0)
+    if line is None or not line.startswith("#mepsim-trace="):
         raise TraceParseError("missing schema header", line=1)
-    version = lines[0].split("=", 1)[1]
+    version = line.split("=", 1)[1]
     if version != str(SCHEMA_VERSION):
         raise TraceParseError(f"unsupported schema version {version}", line=1)
     header = {}
-    idx = 1
-    while idx < len(lines) and lines[idx].startswith("#"):
-        key, _, value = lines[idx][1:].partition("=")
+    lineno, line = _next_line(rows, lineno)
+    while line is not None and line.startswith("#"):
+        key, _, value = line[1:].partition("=")
         if key in ("seed", "meta"):
             try:
                 header[key] = json.loads(value)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TraceParseError(f"bad #{key} JSON: {exc}",
-                                      line=idx + 1) from exc
-        idx += 1
+                                      line=lineno) from exc
+        lineno, line = _next_line(rows, lineno)
     if "meta" not in header:
         raise TraceParseError("missing #meta header")
-    meta = header["meta"]
+    fields = _read_meta(header["meta"])
+    graph, horizon = fields["graph"], fields["horizon"]
+    if line != "[triggers]":
+        raise TraceParseError("missing [triggers] section", line=lineno)
+    lineno, line = _next_line(rows, lineno)
+    if line != TRIGGERS_HEADER:
+        raise TraceParseError("missing triggers header row", line=lineno)
+    triggers, lineno = _read_triggers(rows, graph, horizon)
+    lineno, line = _next_line(rows, lineno)
+    if line != ARRIVALS_HEADER:
+        raise TraceParseError("missing arrivals header row", line=lineno)
+    arrivals = _read_arrivals(rows, graph.node_count, horizon, triggers)
+    if arrivals and not fields["arrivals_recorded"]:
+        raise TraceParseError("arrival rows in a trace whose #meta says "
+                              "arrivals were not recorded")
+    return Trace(triggers=triggers, arrivals=arrivals,
+                 seed=header.get("seed"), **fields)
+
+
+def _read_meta(meta) -> dict:
+    """The Trace fields the #meta header holds, each checked."""
     try:
         gmeta = meta["graph"]
-        graph = from_edge_list(gmeta["n"], [tuple(e) for e in gmeta["edges"]])
-        params = SimParams.from_dict(meta["params"])
-        horizon = meta["horizon"]
+        n, edges, name = gmeta["n"], gmeta["edges"], gmeta.get("name")
+        raw_params, horizon = meta["params"], meta["horizon"]
     except (KeyError, TypeError) as exc:
         raise TraceParseError(f"#meta lacks or mistypes {exc}") from exc
-    if gmeta.get("name"):
-        graph = Graph(graph.node_count, graph.edges, graph.adjacency, gmeta["name"])
-    n = graph.node_count
-    if idx >= len(lines) or lines[idx] != "[triggers]":
-        raise TraceParseError("missing [triggers] section", line=idx + 1)
-    idx += 1
-    if idx >= len(lines) or lines[idx] != "seq,time_ns,cell,kind,pioneer":
-        raise TraceParseError("missing triggers header row", line=idx + 1)
-    idx += 1
-    triggers = []
-    while idx < len(lines) and lines[idx] != "[arrivals]":
-        parts = lines[idx].split(",")
-        if len(parts) != 5:
-            raise TraceParseError("malformed trigger row", line=idx + 1)
-        try:
-            rec = TriggerRecord(
-                seq=int(parts[0]), time=int(parts[1]), cell=int(parts[2]),
-                kind=parts[3], pioneer=int(parts[4]))
-        except ValueError as exc:
-            raise TraceParseError(str(exc), line=idx + 1) from exc
-        if rec.kind not in (KIND_EXTERNAL, KIND_INTERNAL):
-            raise TraceParseError(f"bad trigger kind {parts[3]!r}", line=idx + 1)
-        if rec.seq != len(triggers):
-            raise TraceParseError(f"trigger seq {rec.seq} is not its index "
-                                  f"{len(triggers)}", line=idx + 1)
-        if not (0 <= rec.cell < n and 0 <= rec.pioneer < n):
-            raise TraceParseError(f"cell or pioneer outside [0, {n})",
-                                  line=idx + 1)
-        if triggers and (rec.time, rec.cell) < (triggers[-1].time,
-                                                triggers[-1].cell):
-            raise TraceParseError("triggers not sorted by (time, cell)",
-                                  line=idx + 1)
-        triggers.append(rec)
-        idx += 1
-    if idx >= len(lines):
-        raise TraceParseError("missing [arrivals] section")
-    idx += 1
-    if idx >= len(lines) or lines[idx] != "time_ns,from,to,outcome,rejecting_seq":
-        raise TraceParseError("missing arrivals header row", line=idx + 1)
-    idx += 1
-    arrivals = []
-    while idx < len(lines) and lines[idx]:
-        parts = lines[idx].split(",")
-        if len(parts) != 5:
-            raise TraceParseError("malformed arrival row", line=idx + 1)
-        try:
-            t, frm, to = int(parts[0]), int(parts[1]), int(parts[2])
-            rej = None if parts[4] == "" else int(parts[4])
-        except ValueError as exc:
-            raise TraceParseError(str(exc), line=idx + 1) from exc
-        outcome = parts[3]
-        if outcome not in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_OMITTED):
-            raise TraceParseError(f"bad arrival outcome {outcome!r}", line=idx + 1)
-        if not (0 <= frm < n and 0 <= to < n):
-            raise TraceParseError(f"from or to outside [0, {n})", line=idx + 1)
-        if rej is not None and not 0 <= rej < len(triggers):
-            raise TraceParseError(f"rejecting_seq {rej} outside "
-                                  f"[0, {len(triggers)})", line=idx + 1)
-        arrivals.append(ArrivalRecord(frm=frm, to=to, time=t,
-                                      outcome=outcome, rejecting_seq=rej))
-        idx += 1
+    if type(horizon) is not int or horizon <= 0:
+        raise TraceParseError(f"#meta horizon {horizon!r} is not a positive "
+                              f"integer")
+    try:
+        graph = from_edge_list(n, [tuple(e) for e in edges])
+        params = SimParams.from_dict(raw_params)
+    except (KeyError, TypeError, ValueError, MepsimError) as exc:
+        raise TraceParseError(f"#meta lacks or mistypes {exc}") from exc
+    if name:
+        if not isinstance(name, str) or not _names_graph(name, graph):
+            raise TraceParseError(f"#meta graph name {name!r} does not "
+                                  f"build its edge list")
+        graph = Graph(graph.node_count, graph.edges, graph.adjacency, name)
+    warnings = meta.get("warnings", [])
+    if not isinstance(warnings, list) or \
+            not all(isinstance(w, str) for w in warnings):
+        raise TraceParseError(f"#meta warnings {warnings!r} is not a list "
+                              f"of strings")
+    models = meta.get("models", {})
+    arrivals_recorded = meta.get("arrivals_recorded", True)
+    if not isinstance(models, dict) or type(arrivals_recorded) is not bool:
+        raise TraceParseError("#meta models must be an object and "
+                              "arrivals_recorded a boolean")
+    return dict(graph=graph, params=params, horizon=horizon,
+                warnings=warnings, models=models,
+                arrivals_recorded=arrivals_recorded)
 
-    return Trace(
-        graph=graph,
-        params=params,
-        triggers=triggers,
-        arrivals=arrivals,
-        horizon=horizon,
-        seed=header.get("seed"),
-        warnings=list(meta.get("warnings", [])),
-        models=meta.get("models", {}),
-        arrivals_recorded=meta.get("arrivals_recorded", True),
-    )
+
+def _names_graph(name: str, graph: Graph) -> bool:
+    """Whether the constructor spec `name` builds exactly `graph`.  Only
+    specs sized for its node count are built, so a name cannot make the
+    reader build a huge graph."""
+    n = graph.node_count
+    specs = {f"ring:{n}", f"hypercube:{n.bit_length() - 1}"}
+    specs.update(f"grid:{r}x{n // r}" for r in range(1, n + 1) if n % r == 0)
+    try:
+        return name in specs and parse_topology(name).edges == graph.edges
+    except TopologyError:
+        return False
+
+
+def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:
+    """The trigger rows, and the line number of the [arrivals] line that
+    ends them."""
+    n = graph.node_count
+    adjacency = graph.adjacency
+    triggers = []
+    prev = (-1, -1)  # (time, cell) of the previous row
+    for lineno, line in rows:
+        try:
+            seq, t, cell, kind, pioneer = line.split(",")
+        except ValueError:
+            if line.rstrip("\n") == "[arrivals]":
+                return triggers, lineno
+            raise TraceParseError("malformed trigger row", line=lineno) from None
+        try:
+            seq, t, cell, pioneer = int(seq), int(t), int(cell), int(pioneer)
+        except ValueError as exc:
+            raise TraceParseError(str(exc), line=lineno) from exc
+        known = _KINDS.get(kind)
+        if known is None:
+            raise TraceParseError(f"bad trigger kind {kind!r}", line=lineno)
+        if seq != len(triggers):
+            raise TraceParseError(f"trigger seq {seq} is not its index "
+                                  f"{len(triggers)}", line=lineno)
+        if not (0 <= cell < n and 0 <= pioneer < n):
+            raise TraceParseError(f"cell or pioneer outside [0, {n})",
+                                  line=lineno)
+        if known is KIND_EXTERNAL:
+            if pioneer != cell:
+                raise TraceParseError(f"external trigger of cell {cell} has "
+                                      f"pioneer {pioneer}", line=lineno)
+        elif pioneer not in adjacency[cell]:
+            raise TraceParseError(f"internal trigger of cell {cell} has "
+                                  f"pioneer {pioneer}, not a neighbour",
+                                  line=lineno)
+        if not 0 <= t <= horizon:
+            raise TraceParseError(f"time {t} outside [0, {horizon}]",
+                                  line=lineno)
+        key = (t, cell)
+        if key < prev:
+            raise TraceParseError("triggers not sorted by (time, cell)",
+                                  line=lineno)
+        prev = key
+        triggers.append(TriggerRecord(seq, cell, t, known, pioneer))
+    raise TraceParseError("missing [arrivals] section")
+
+
+def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
+    """Arrival rows up to the end of the file.  A blank line ends the
+    section; only blank lines may follow it."""
+    arrivals = []
+    seqs = len(triggers)
+    prev = (-1, -1, -1)  # (time, to, from) of the previous row
+    for lineno, line in rows:
+        try:
+            t, frm, to, outcome, rej = line.split(",")
+        except ValueError:
+            if line.rstrip("\n"):
+                raise TraceParseError("malformed arrival row",
+                                      line=lineno) from None
+            break
+        try:
+            t, frm, to = int(t), int(frm), int(to)
+            rej = None if rej in ("", "\n") else int(rej)
+        except ValueError as exc:
+            raise TraceParseError(str(exc), line=lineno) from exc
+        known = _OUTCOMES.get(outcome)
+        if known is None:
+            raise TraceParseError(f"bad arrival outcome {outcome!r}",
+                                  line=lineno)
+        if not (0 <= frm < n and 0 <= to < n):
+            raise TraceParseError(f"from or to outside [0, {n})", line=lineno)
+        if not 0 <= t <= horizon:
+            raise TraceParseError(f"time {t} outside [0, {horizon}]",
+                                  line=lineno)
+        key = (t, to, frm)
+        if key < prev:
+            raise TraceParseError("arrivals not sorted by (time, to, from)",
+                                  line=lineno)
+        prev = key
+        if rej is not None:
+            if not 0 <= rej < seqs:
+                raise TraceParseError(f"rejecting_seq {rej} outside "
+                                      f"[0, {seqs})", line=lineno)
+            if known is not OUTCOME_REJECTED:
+                raise TraceParseError(f"rejecting_seq on an {known} arrival",
+                                      line=lineno)
+            if triggers[rej].time > t:
+                raise TraceParseError(f"rejecting_seq {rej} names a trigger "
+                                      f"after the arrival", line=lineno)
+        arrivals.append(ArrivalRecord(frm, to, t, known, rej))
+    for lineno, line in rows:
+        if line.rstrip("\n"):
+            raise TraceParseError("row after the blank line that ends the "
+                                  "arrivals section", line=lineno)
+    return arrivals

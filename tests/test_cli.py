@@ -3,10 +3,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mepsim.analysis
-from mepsim.cli import (EXIT_HORIZON, EXIT_INVALID, EXIT_NOT_STABILIZED,
-                        EXIT_OK, load_config, main, resolve_config)
+from mepsim.cli import (EXIT_CHECK_FAILURE, EXIT_HORIZON, EXIT_INVALID,
+                        EXIT_NOT_STABILIZED, EXIT_OK, load_config, main,
+                        resolve_config)
 from mepsim.errors import ConfigError
 
 FAST = ["--override", "topology=ring:4", "--override", "d_max=100",
@@ -45,6 +47,58 @@ def test_resolve_config_produces_runnable_objects():
     assert spec.params.tau0 > 0 and spec.horizon > spec.params.tau2
     assert spec.seed == cfg["seed"] and spec.record_arrivals is True
     assert spec.run().triggers
+
+
+@pytest.mark.parametrize("values", [
+    {"d_max": "abc"},
+    {"init.mode": "adversarial-explicit", "init.elapsed": ["a", 0, 0, 0]},
+    {"init.mode": "adversarial-explicit", "init.elapsed": [0.5, 0, 0, 0]},
+    {"init.signals": [[0, 1]]},
+    {"rho": "x"},
+    {"omission_p": []},
+    {"d_min": True},
+    {"tau0": 500.5, "tau1": 1800, "tau2": 1800},
+    {"topology": 5},
+    {"lg_override": "x"},
+    {"delay": 5},
+    {"delay.cycle": "yes"},
+    {"drift.values": ["x"]},
+    {"horizon_ns": 1e9},
+    {"record_arrivals": 1},
+], ids=lambda v: ",".join(f"{k}={json.dumps(x)}" for k, x in v.items()))
+def test_resolve_config_rejects_mistyped_values(tmp_path, values):
+    cfg = load_config(overrides=["topology=ring:4"])
+    for key, value in values.items():
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+    with pytest.raises(ConfigError):
+        resolve_config(cfg)
+    argv = ["--override", "topology=ring:4"]
+    for key, value in values.items():
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    assert main(["run", "--out", str(tmp_path / "o")] + argv) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("name, text, flags", [
+    ("cfg.json", "[1]", ["--config", "{path}"]),
+    ("cfg.json", "\udcff", ["--config", "{path}"]),
+    ("sched.txt", "0 1 x\n", ["--override", "delay.kind=adversarial-schedule",
+                               "--override", "delay.schedule_file={path}"]),
+    ("edges.txt", "4 x\n", ["--override", "topology_file={path}"]),
+    ("sched.txt", "0 1 5\n\udcff\n",
+     ["--override", "delay.kind=adversarial-schedule",
+      "--override", "delay.schedule_file={path}"]),
+    ("edges.txt", "4 4\n0 1\n\udcff\n", ["--override", "topology_file={path}"]),
+], ids=["config-not-object", "config-not-utf8", "schedule-not-int",
+        "edge-list-not-int", "schedule-not-utf8", "edge-list-not-utf8"])
+def test_malformed_input_files_exit_invalid(tmp_path, name, text, flags):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = [flag.format(path=path) for flag in flags]
+    assert main(["run", "--out", str(tmp_path / "o")] + argv) == EXIT_INVALID
 
 
 def test_run_success_and_artifacts(tmp_path):
@@ -144,6 +198,14 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
     first_arrival = lines.index("time_ns,from,to,outcome,rejecting_seq") + 1
     meta = next(k for k, line in enumerate(lines) if line.startswith("#meta="))
     seed = next(k for k, line in enumerate(lines) if line.startswith("#seed="))
+    internal = next(k for k, line in enumerate(lines) if ",internal," in line)
+    last_seq = lines.index("[arrivals]") - first_trigger - 1
+    horizon = json.loads(lines[meta].partition("=")[2])["horizon"]
+
+    def meta_set(key, value):
+        return lambda p: [f' "{key}": {value}' + "}" * q.endswith("}")
+                          if q.startswith(f' "{key}": ') else q for q in p]
+
     mutations = {
         "seq": (first_trigger, lambda p: ["5"] + p[1:]),
         "pioneer": (first_trigger, lambda p: p[:4] + ["77"]),
@@ -152,15 +214,69 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
         "meta_json": (meta, lambda p: [p[0].replace("{", "{{", 1)] + p[1:]),
         "seed_json": (seed, lambda p: [p[0] + "}"]),
         "meta_no_n": (meta, lambda p: [q for q in p if q != ' "n": 4']),
+        "pioneer_external": (first_trigger,
+                              lambda p: p[:4] + [str((int(p[2]) + 1) % 4)]),
+        "pioneer_internal": (internal, lambda p: p[:4] + [p[2]]),
+        "rejecting_seq_on_acceptance": (
+            rejection, lambda p: p[:3] + ["accepted", p[4]]),
+        "rejecting_seq_later": (rejection, lambda p: p[:4] + [str(last_seq)]),
+        "arrivals_unsorted": (first_arrival, lambda p: [str(horizon)] + p[1:]),
+        "time_after_horizon": (first_trigger,
+                               lambda p: p[:1] + [str(horizon + 1)] + p[2:]),
+        "meta_horizon_str": (meta, meta_set("horizon", '"x"')),
+        "meta_warnings_int": (meta, meta_set("warnings", 5)),
     }
     for name, (row, mutate) in mutations.items():
         doctored = list(lines)
         doctored[row] = ",".join(mutate(doctored[row].split(",")))
         path = tmp_path / f"{name}.csv"
         path.write_text("\n".join(doctored) + "\n")
+        assert doctored[row] != lines[row], name
         rc = main(["analyze", str(path), "--out", str(tmp_path / name),
                    "--override", f"association_checks={association}"] + FAST)
         assert rc == EXIT_INVALID, name
+
+
+@pytest.fixture(scope="module")
+def valid_trace_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("valid")
+    assert main(["run", "--out", str(out), "--seed", "2"] + FAST) == EXIT_OK
+    return (out / "trace.csv").read_text().splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), association=st.booleans())
+def test_analyze_survives_perturbed_traces(tmp_path_factory, valid_trace_lines,
+                                           data, association):
+    """Delete, duplicate or swap a row of a valid trace, or replace one of
+    its comma-separated fields with random text or a random integer:
+    analyze must answer with a documented exit code, never a traceback."""
+    lines = list(valid_trace_lines)
+    rows = st.integers(0, len(lines) - 1)
+    k = data.draw(rows)
+    action = data.draw(st.sampled_from(["delete", "duplicate", "swap",
+                                        "field"]))
+    if action == "delete":
+        del lines[k]
+    elif action == "duplicate":
+        lines.insert(k, lines[k])
+    elif action == "swap":
+        j = data.draw(rows)
+        lines[k], lines[j] = lines[j], lines[k]
+    else:
+        parts = lines[k].split(",")
+        field = data.draw(st.integers(0, len(parts) - 1))
+        parts[field] = data.draw(st.one_of(st.text(),
+                                           st.integers().map(str)))
+        lines[k] = ",".join(parts)
+    out = tmp_path_factory.mktemp("perturbed")
+    path = out / "trace.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["analyze", str(path), "--out", str(out / "an"),
+               "--override", f"association_checks={str(association).lower()}"]
+              + FAST)
+    assert rc in (EXIT_OK, EXIT_NOT_STABILIZED, EXIT_CHECK_FAILURE,
+                  EXIT_INVALID, EXIT_HORIZON)
 
 
 def test_sweep_aggregates(tmp_path):

@@ -41,6 +41,9 @@ def test_hypercube_structure():
 def test_from_edge_list_rejects_disconnected():
     with pytest.raises(ConnectivityError):
         from_edge_list(4, [(0, 1), (2, 3)])
+    # too few edges to connect n nodes: rejected before n sizes any table
+    with pytest.raises(ConnectivityError, match="cannot connect"):
+        from_edge_list(10**5, [(0, 1)])
 
 
 def test_from_edge_list_rejects_self_loop_and_range():

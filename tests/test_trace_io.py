@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mepsim import DelayModel, derive_params, simulate
+from mepsim import DelayModel, DriftAssignment, derive_params, simulate
+from mepsim.engine import InitState
 from mepsim.errors import TraceParseError
-from mepsim.topology import build_ring, topology_stats
+from mepsim.topology import build_ring, from_edge_list, topology_stats
 from mepsim.trace import read_trace, trace_to_text, write_trace
 
 
@@ -30,6 +32,51 @@ def test_roundtrip(tmp_path, small_trace):
     assert back.horizon == small_trace.horizon
     # serialization is a fixed point
     assert trace_to_text(back) == trace_to_text(small_trace)
+
+
+@st.composite
+def _small_run(draw):
+    n = draw(st.integers(2, 5))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    graph = from_edge_list(n, sorted(edges))
+    d_max = draw(st.integers(1, 100))
+    d_min = draw(st.integers(0, d_max))
+    rho = draw(st.sampled_from([0.0, 1e-4]))
+    params = derive_params(topology_stats(graph), d_max, rho, d_min=d_min,
+                           omission_p=draw(st.sampled_from([0.0, 0.2])),
+                           dmin_compensation=draw(st.booleans()))
+    signal = st.sampled_from(sorted(graph.edges)).flatmap(
+        lambda e: st.tuples(st.permutations(e), st.integers(0, d_max)))
+    signals = tuple((a, b, t) for (a, b), t in
+                    draw(st.lists(signal, max_size=4)))
+    return graph, params, dict(
+        delay_model=DelayModel(kind="uniform", d_min=d_min, d_max=d_max),
+        seed=draw(st.one_of(st.integers(0, 2**16), st.text(max_size=4))),
+        horizon=draw(st.integers(1, 4 * params.liveness_real_max)),
+        drift=DriftAssignment(mode="uniform" if rho else "zero", rho=rho),
+        init=InitState(signals=signals),
+        record_arrivals=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_run())
+def test_roundtrip_random_runs(tmp_path_factory, case):
+    """Every simulated trace reads back to equal records, and writing what
+    was read reproduces the file."""
+    graph, params, kw = case
+    trace = simulate(graph, params, **kw)
+    path = tmp_path_factory.mktemp("roundtrip") / "trace.csv"
+    write_trace(trace, path)
+    back = read_trace(path)
+    assert back.triggers == trace.triggers
+    assert back.arrivals == trace.arrivals
+    assert (back.graph, back.params, back.horizon, back.seed, back.warnings,
+            back.models, back.arrivals_recorded) == \
+        (trace.graph, trace.params, trace.horizon, trace.seed,
+         trace.warnings, trace.models, trace.arrivals_recorded)
+    assert trace_to_text(back) == path.read_text()
 
 
 def test_missing_header(tmp_path):
@@ -70,42 +117,104 @@ ARRIVALS = "time_ns,from,to,outcome,rejecting_seq"
 
 
 def _field(field, value):
-    def mutate(line):
+    """Set one field; value may be a function of (row fields, trace)."""
+    def mutate(line, trace):
         parts = line.split(",")
-        parts[field] = value
+        parts[field] = value(parts, trace) if callable(value) else value
         return ",".join(parts)
     return mutate
 
 
-def _meta_without(*keys):
-    def mutate(line):
+def _meta_edit(*keys, value=None, delete=False):
+    def mutate(line, trace):
         meta = json.loads(line.partition("=")[2])
         node = meta
         for key in keys[:-1]:
             node = node[key]
-        del node[keys[-1]]
+        if delete:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
         return "#meta=" + json.dumps(meta)
     return mutate
 
 
-@pytest.mark.parametrize("header, mutate", [
-    pytest.param(TRIGGERS, _field(3, "sideways"), id="kind"),
-    pytest.param(TRIGGERS, _field(0, "1"), id="seq-not-index"),
-    pytest.param(TRIGGERS, _field(2, "4"), id="cell-out-of-range"),
-    pytest.param(TRIGGERS, _field(4, "77"), id="pioneer-out-of-range"),
-    pytest.param(TRIGGERS, _field(1, "999999999"), id="unsorted"),
-    pytest.param(ARRIVALS, _field(4, "999"), id="rejecting-seq-out-of-range"),
-    pytest.param(ARRIVALS, _field(1, "77"), id="arrival-from-out-of-range"),
-    pytest.param(ARRIVALS, _field(2, "-1"), id="arrival-to-out-of-range"),
-    pytest.param("#meta=", lambda line: line.replace("{", "{{", 1),
-                 id="meta-json"),
-    pytest.param("#seed=", lambda line: line + "}", id="seed-json"),
-    pytest.param("#meta=", _meta_without("graph", "n"), id="meta-no-n"),
-    pytest.param("#meta=", _meta_without("graph", "edges"), id="meta-no-edges"),
-    pytest.param("#meta=", _meta_without("params"), id="meta-no-params"),
-    pytest.param("#meta=", _meta_without("horizon"), id="meta-no-horizon"),
+def _meta_without(*keys):
+    return _meta_edit(*keys, delete=True)
+
+
+def _neighbour(parts, trace):
+    return str(trace.graph.adjacency[int(parts[2])][0])
+
+
+def _last_seq(parts, trace):
+    return str(len(trace.triggers) - 1)
+
+
+def _past_horizon(parts, trace):
+    return str(trace.horizon + 1)
+
+
+@pytest.mark.parametrize("header, mutate, match", [
+    pytest.param(TRIGGERS, _field(3, "sideways"), "bad trigger kind",
+                 id="kind"),
+    pytest.param(TRIGGERS, _field(0, "1"), "not its index",
+                 id="seq-not-index"),
+    pytest.param(TRIGGERS, _field(2, "4"), "outside", id="cell-out-of-range"),
+    pytest.param(TRIGGERS, _field(4, "77"), "outside",
+                 id="pioneer-out-of-range"),
+    pytest.param(TRIGGERS, _field(1, lambda p, t: str(t.horizon)),
+                 "triggers not sorted", id="unsorted"),
+    pytest.param(TRIGGERS, _field(4, _neighbour), "external trigger",
+                 id="external-pioneer-not-cell"),
+    pytest.param(TRIGGERS, _field(3, "internal"), "not a neighbour",
+                 id="internal-pioneer-not-neighbour"),
+    pytest.param(TRIGGERS, _field(1, _past_horizon), "outside",
+                 id="trigger-after-horizon"),
+    pytest.param(TRIGGERS, _field(1, "-1"), "time -1 outside",
+                 id="trigger-negative-time"),
+    pytest.param(ARRIVALS, _field(4, "999"), "outside",
+                 id="rejecting-seq-out-of-range"),
+    pytest.param(ARRIVALS, _field(1, "77"), "outside",
+                 id="arrival-from-out-of-range"),
+    pytest.param(ARRIVALS, _field(2, "-1"), "outside",
+                 id="arrival-to-out-of-range"),
+    pytest.param(ARRIVALS, _field(3, "accepted"), "on an accepted arrival",
+                 id="rejecting-seq-on-acceptance"),
+    pytest.param(ARRIVALS, _field(4, _last_seq), "after the arrival",
+                 id="rejecting-seq-later"),
+    pytest.param(ARRIVALS, _field(0, lambda p, t: str(t.horizon)),
+                 "arrivals not sorted", id="arrivals-unsorted"),
+    pytest.param(ARRIVALS, _field(0, _past_horizon), "outside",
+                 id="arrival-after-horizon"),
+    pytest.param("#meta=", lambda line, trace: line.replace("{", "{{", 1),
+                 "bad #meta JSON", id="meta-json"),
+    pytest.param("#seed=", lambda line, trace: line + "}", "bad #seed JSON",
+                 id="seed-json"),
+    pytest.param("#meta=", _meta_without("graph", "n"), "lacks",
+                 id="meta-no-n"),
+    pytest.param("#meta=", _meta_without("graph", "edges"), "lacks",
+                 id="meta-no-edges"),
+    pytest.param("#meta=", _meta_without("params"), "lacks",
+                 id="meta-no-params"),
+    pytest.param("#meta=", _meta_without("horizon"), "lacks",
+                 id="meta-no-horizon"),
+    pytest.param("#meta=", _meta_edit("horizon", value="x"), "horizon",
+                 id="meta-horizon-not-int"),
+    pytest.param("#meta=", _meta_edit("warnings", value=5), "warnings",
+                 id="meta-warnings-not-list"),
+    pytest.param("#meta=", _meta_edit("warnings", value=[1]), "warnings",
+                 id="meta-warnings-not-strings"),
+    pytest.param("#meta=", _meta_edit("graph", "n", value=10**5),
+                 "cannot connect", id="meta-n-beyond-edges"),
+    pytest.param("#meta=", _meta_edit("graph", "name", value="grid:abc"),
+                 "name", id="meta-name-unparsable"),
+    pytest.param("#meta=", _meta_edit("graph", "name", value="grid:2x2"),
+                 "name", id="meta-name-other-graph"),
+    pytest.param("#meta=", _meta_edit("arrivals_recorded", value=False),
+                 "not recorded", id="meta-arrivals-not-recorded"),
 ])
-def test_bad_kind_rejected(tmp_path, small_trace, header, mutate):
+def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
     """Each mutation breaks the trace contract in one header line, or in
     the first row of its section that has every field set (arrival rows
     may omit rejecting_seq)."""
@@ -117,7 +226,26 @@ def test_bad_kind_rejected(tmp_path, small_trace, header, mutate):
         idx = lines.index(header) + 1
         while lines[idx].endswith(","):
             idx += 1
-    lines[idx] = mutate(lines[idx])
+    lines[idx] = mutate(lines[idx], small_trace)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceParseError):
+    with pytest.raises(TraceParseError, match=match):
+        read_trace(path)
+
+
+def test_blank_line_ends_the_trace(tmp_path, small_trace):
+    text = trace_to_text(small_trace)
+    path = tmp_path / "trace.csv"
+    path.write_text(text + "\n\n")
+    assert read_trace(path).arrivals == small_trace.arrivals
+    lines = text.splitlines()
+    path.write_text("\n".join(lines[:-1] + ["", lines[-1]]) + "\n")
+    with pytest.raises(TraceParseError, match="after the blank line") as exc:
+        read_trace(path)
+    assert exc.value.line == len(lines) + 1
+
+
+def test_non_utf8_rejected(tmp_path, small_trace):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(trace_to_text(small_trace).encode() + b"\xff\xfe\n")
+    with pytest.raises(TraceParseError, match="UTF-8"):
         read_trace(path)
