@@ -80,14 +80,6 @@ class Propagation:
     external_cells: frozenset  # cells holding an external trigger
     explicit_paths: dict | None = None  # fixture override: cell -> path tuple
 
-    @property
-    def cells(self) -> tuple:
-        return tuple(sorted(self.times))
-
-    @property
-    def sources(self) -> frozenset:
-        return frozenset(s for s in self.source.values() if s is not None)
-
     def path(self, i: int) -> tuple | None:
         if self.explicit_paths is not None:
             return self.explicit_paths.get(i)
@@ -261,11 +253,6 @@ def validate_omep(p: Propagation, g: Graph, n_s) -> OmepReport:
 
 # ---------------------------------------------------------------- patterns
 
-LABEL_PARENT = "parent"
-LABEL_CHILD = "child"
-LABEL_ALIEN = "alien"
-LABEL_FAMILY = "family"
-
 ROLE_SOURCE = "source"
 ROLE_SINK = "sink"
 ROLE_FLOW = "flow"
@@ -278,65 +265,48 @@ ROLE_FLAT = "flat"
 
 @dataclass
 class PatternReport:
-    neighbor_labels: dict  # (i, j) -> label, for every ordered adjacent pair
     flow_role: dict  # cell -> source|sink|flow|united
     border_role: dict  # cell -> bank|ridge|flat
-    counts: dict  # label -> count
-    flagged_invalid: bool = False  # propagation failed one-shot validation
+    counts: dict  # role -> count
 
 
 def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
-    """Label every adjacent pair and cell from pioneers and path sources.
+    """Give every cell a flow and a border role from its neighbours.
 
-    Ordered label priority per pair (i, j): j is i's parent if it is i's
-    pioneer, a child if i is j's pioneer, alien if their path sources
-    differ, family otherwise.  Cells missing from the propagation count
-    as alien to everything (their source is undefined).
+    Each neighbour j of i takes the first label that fits: i's parent if
+    it is i's pioneer, a child if i is its pioneer, alien if their path
+    sources differ, family otherwise.  Cells missing from the
+    propagation count as alien to everything (their source is
+    undefined).  Parents and children set the flow role, aliens and
+    family the border role.
     """
-    labels = {}
-    for i in range(g.node_count):
-        for j in g.adjacency[i]:
-            if p.pioneer.get(i, i) == j:
-                labels[(i, j)] = LABEL_PARENT
-            elif p.pioneer.get(j, j) == i:
-                labels[(i, j)] = LABEL_CHILD
-            elif i not in p.times or j not in p.times \
-                    or p.source.get(i) is None or p.source.get(j) is None \
-                    or p.source[i] != p.source[j]:
-                labels[(i, j)] = LABEL_ALIEN
-            else:
-                labels[(i, j)] = LABEL_FAMILY
-
+    n = g.node_count
+    pioneer = [p.pioneer.get(i, i) for i in range(n)]
+    source = [p.source.get(i) if i in p.times else None for i in range(n)]
     flow_role, border_role = {}, {}
-    for i in range(g.node_count):
-        mine = [labels[(i, j)] for j in g.adjacency[i]]
-        has_parent = LABEL_PARENT in mine
-        has_child = LABEL_CHILD in mine
-        if has_parent and has_child:
-            flow_role[i] = ROLE_FLOW
-        elif has_parent:
-            flow_role[i] = ROLE_SINK
-        elif has_child:
-            flow_role[i] = ROLE_SOURCE
+    for i in range(n):
+        parent = child = alien = family = False
+        for j in g.adjacency[i]:
+            if pioneer[i] == j:
+                parent = True
+            elif pioneer[j] == i:
+                child = True
+            elif source[i] is None or source[i] != source[j]:
+                alien = True
+            else:
+                family = True
+        if parent:
+            flow_role[i] = ROLE_FLOW if child else ROLE_SINK
         else:
-            flow_role[i] = ROLE_UNITED
-        if LABEL_ALIEN in mine:
-            border_role[i] = ROLE_BANK
-        elif LABEL_FAMILY in mine:
-            border_role[i] = ROLE_RIDGE
-        else:
-            border_role[i] = ROLE_FLAT
+            flow_role[i] = ROLE_SOURCE if child else ROLE_UNITED
+        border_role[i] = (ROLE_BANK if alien else
+                          ROLE_RIDGE if family else ROLE_FLAT)
 
     counts = {}
-    for role in list(flow_role.values()) + list(border_role.values()):
+    for role in (*flow_role.values(), *border_role.values()):
         counts[role] = counts.get(role, 0) + 1
-    for lab in labels.values():
-        counts[lab] = counts.get(lab, 0) + 1
-    flagged = bool(p.multi_triggered or p.cross_refs or p.loops
-                   or None in p.source.values())
-    return PatternReport(neighbor_labels=labels, flow_role=flow_role,
-                         border_role=border_role, counts=counts,
-                         flagged_invalid=flagged)
+    return PatternReport(flow_role=flow_role, border_role=border_role,
+                         counts=counts)
 
 
 def _regions(p: Propagation) -> dict:
@@ -492,7 +462,7 @@ def convergence_bound(params, stats: TopologyStats) -> int:
     return int(math.ceil(t2))
 
 
-def detect_stabilization(trace: Trace, params,
+def detect_stabilization(trace: Trace,
                          stats: TopologyStats) -> StabilizationReport:
     """Find the earliest suffix of all-valid rounds with bounded gaps.
 
@@ -503,7 +473,7 @@ def detect_stabilization(trace: Trace, params,
     horizon to cover the analytic bound plus a couple of liveness
     periods, else the verdict would be vacuous.
     """
-    graph = trace.graph
+    graph, params = trace.graph, trace.params
     bound = convergence_bound(params, stats)
     need = required_horizon(params, stats)
     if trace.horizon < need:
@@ -516,12 +486,10 @@ def detect_stabilization(trace: Trace, params,
     if segments:
         segments = segments[:-1]  # last cluster may be horizon-truncated
 
-    all_cells = set(range(graph.node_count))
     oneshot, valid_flags, e1s, fracs, t_mins, props = [], [], [], [], [], []
     for seg in segments:
         p = extract_propagation(trace, seg)
-        ok = (validate_omep(p, graph, p.external_cells).all_ok
-              and set(p.times) == all_cells)
+        ok = validate_omep(p, graph, p.external_cells).all_ok
         oneshot.append(ok)
         valid_flags.append(ok and seg.span <= tau_pi)
         props.append(p)
@@ -610,7 +578,7 @@ class _UnionFind:
         return sorted(tuple(sorted(v)) for v in out.values())
 
 
-def association_classes(trace: Trace, g: Graph, window,
+def association_classes(trace: Trace, window,
                         stats=None) -> AssociationClasses:
     """Partition the window's triggers by signal-exchange connectivity.
 
@@ -676,7 +644,8 @@ def association_classes(trace: Trace, g: Graph, window,
                 p_witness = tuple(sorted(roots))[:2]
                 break
 
-    lg = stats.longest_simple_path if stats is not None else g.node_count - 1
+    lg = (stats.longest_simple_path if stats is not None
+          else trace.graph.node_count - 1)
     bound = lg * d_max
     spans = tuple(max(times[s] for s in grp) - min(times[s] for s in grp)
                   for grp in classes)
@@ -694,34 +663,25 @@ def association_classes(trace: Trace, g: Graph, window,
 # ---------------------------------------------------------------- series
 
 
-def series_metrics(report: StabilizationReport, graph: Graph) -> dict:
-    """Per-round series shaped for plotting: offsets, sources, patterns.
+def series_metrics(report: StabilizationReport, graph: Graph) -> list:
+    """Per-round rows for metrics.json `per_k`: offsets, sources, patterns.
 
     A view of `report`: it reads the stored propagations and only adds
-    the pattern counts.  `per_k[k]["valid"]` is `report.oneshot_series[k]`,
-    which has no tau_pi span bound, unlike `report.valid_series[k]`.
-    `scatter` holds one (k, t_min_ns, cell, t_tilde_ns, is_source) tuple
-    per cell and round; tuples, not dicts, because the report's
-    propagations are alive while the scatter is built.
+    the pattern counts.  `valid` is `report.oneshot_series[k]`, which has
+    no tau_pi span bound, unlike `report.valid_series[k]`.
     """
-    all_cells = set(range(graph.node_count))
-    rows, per_k = [], []
+    per_k = []
     for k, p in enumerate(report.propagations):
-        sources = {i for i, s in p.source.items() if s == i}
-        t_min = report.t_min_series[k]
-        pattern = classify_patterns(p, graph)
-        counts = {r: pattern.counts.get(r, 0)
-                  for r in (ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED,
-                            ROLE_BANK, ROLE_RIDGE, ROLE_FLAT)}
+        counts = classify_patterns(p, graph).counts
         per_k.append({
             "k": k,
-            "t_min_ns": t_min,
+            "t_min_ns": report.t_min_series[k],
             "e1_ns": report.e1_series[k],
             "source_fraction": report.source_fraction_series[k],
-            "ideal": sources == all_cells,
+            "ideal": report.source_fraction_series[k] == 1.0,
             "valid": report.oneshot_series[k],
-            "pattern_counts": counts,
+            "pattern_counts": {r: counts.get(r, 0) for r in (
+                ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED,
+                ROLE_BANK, ROLE_RIDGE, ROLE_FLAT)},
         })
-        for i in sorted(p.times):
-            rows.append((k, t_min, i, p.times[i] - t_min, i in sources))
-    return {"per_k": per_k, "scatter": rows}
+    return per_k

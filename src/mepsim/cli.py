@@ -262,22 +262,23 @@ def _json_dump(obj, path) -> None:
 
 
 def _grid_dims(graph):
+    """(rows, cols) of the cell maps: a grid's shape, else one row."""
     if graph.name and graph.name.startswith("grid:"):
         rows, cols = graph.name.split(":")[1].split("x")
         return int(rows), int(cols)
-    return None
+    return 1, graph.node_count
 
 
 def build_metrics(trace, stats, association=False) -> tuple:
-    """(metrics document, per-round series); a pure function of (trace, stats).
+    """(metrics document, stabilization report); a pure function of
+    (trace, stats).
 
-    The series is returned so the plot data reuses it instead of
-    analyzing the rounds again.
+    The report is returned so the plot data reads its rounds instead of
+    analyzing them again.
     """
     params = trace.params
     graph = trace.graph
-    report = detect_stabilization(trace, params, stats)
-    series = series_metrics(report, graph)
+    report = detect_stabilization(trace, stats)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": params.as_dict(),
@@ -297,7 +298,7 @@ def build_metrics(trace, stats, association=False) -> tuple:
             "tau_nabla_measured": report.tau_nabla_measured,
             "first_violation": report.first_violation,
         },
-        "per_k": series["per_k"],
+        "per_k": series_metrics(report, graph),
         "checks": {},
     }
     checks_ok = True
@@ -310,7 +311,7 @@ def build_metrics(trace, stats, association=False) -> tuple:
             for c in props]
         checks_ok = all(c.passed for c in props)
         if association and trace.arrivals_recorded:
-            ac = association_classes(trace, graph, (report.t_stab, trace.horizon),
+            ac = association_classes(trace, (report.t_stab, trace.horizon),
                                      stats=stats)
             doc["checks"]["association"] = {
                 "partitions_coincide": ac.partitions_coincide,
@@ -320,70 +321,52 @@ def build_metrics(trace, stats, association=False) -> tuple:
             }
             checks_ok = checks_ok and ac.partitions_coincide and ac.spans_ok
     doc["checks"]["all_passed"] = checks_ok
-    return doc, series
+    return doc, report
 
 
-def _write_plotdata(outdir, trace, series) -> None:
+def _write_plotdata(outdir, graph, report) -> None:
+    """Write plotdata/ (every round's trigger offsets and source map) and
+    patterns/ (the source maps of the first and the last round)."""
     plotdir = os.path.join(outdir, "plotdata")
-    os.makedirs(plotdir, exist_ok=True)
-    with open(os.path.join(plotdir, "offsets.csv"), "w", newline="\n") as fh:
-        fh.write("k,t_min_ns,cell,t_tilde_ns,is_source\n")
-        for k, t_min, cell, t_tilde, is_source in series["scatter"]:
-            fh.write(f"{k},{t_min},{cell},{t_tilde},{int(is_source)}\n")
-    dims = _grid_dims(trace.graph)
-    with open(os.path.join(plotdir, "pattern_map.csv"), "w", newline="\n") as fh:
-        fh.write("k,row,col,is_source\n")
-        for k, _, cell, _, is_source in series["scatter"]:
-            if dims:
-                r, c = divmod(cell, dims[1])
-            else:
-                r, c = 0, cell
-            fh.write(f"{k},{r},{c},{int(is_source)}\n")
-    _write_patterns(outdir, trace, series)
-
-
-def _write_patterns(outdir, trace, series) -> None:
     patdir = os.path.join(outdir, "patterns")
+    os.makedirs(plotdir, exist_ok=True)
     os.makedirs(patdir, exist_ok=True)
-    per_k = series["per_k"]
-    if not per_k:
+    rows, cols = _grid_dims(graph)
+    props = report.propagations
+    offsets = os.path.join(plotdir, "offsets.csv")
+    pattern_map = os.path.join(plotdir, "pattern_map.csv")
+    with open(offsets, "w", newline="\n") as off, \
+            open(pattern_map, "w", newline="\n") as pmap:
+        off.write("k,t_min_ns,cell,t_tilde_ns,is_source\n")
+        pmap.write("k,row,col,is_source\n")
+        for k, p in enumerate(props):
+            t_min = report.t_min_series[k]
+            for i in sorted(p.times):
+                is_source = int(p.source[i] == i)
+                r, c = divmod(i, cols)
+                off.write(f"{k},{t_min},{i},{p.times[i] - t_min},"
+                          f"{is_source}\n")
+                pmap.write(f"{k},{r},{c},{is_source}\n")
+    if not props:
         return
-    sources_by_k = {}
-    for k, _, cell, _, is_source in series["scatter"]:
-        if is_source:
-            sources_by_k.setdefault(k, set()).add(cell)
-    dims = _grid_dims(trace.graph)
-    n = trace.graph.node_count
-    for k in {per_k[0]["k"], per_k[-1]["k"]}:
-        sources = sources_by_k.get(k, set())
-        lines = []
-        if dims:
-            rows, cols = dims
-            for r in range(rows):
-                lines.append("".join(
-                    "#" if r * cols + c in sources else "."
-                    for c in range(cols)))
-        else:
-            lines.append("".join("#" if i in sources else "." for i in range(n)))
+    for k in {0, len(props) - 1}:
+        source = props[k].source
         with open(os.path.join(patdir, f"k{k:05d}.txt"), "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    _write_svg(os.path.join(patdir, "final.svg"), trace, dims,
-               sources_by_k.get(per_k[-1]["k"], set()))
+            for r in range(rows):
+                fh.write("".join("#" if source.get(i) == i else "."
+                                 for i in range(r * cols, (r + 1) * cols)))
+                fh.write("\n")
+    _write_svg(os.path.join(patdir, "final.svg"), rows, cols, props[-1].source)
 
 
-def _write_svg(path, trace, dims, sources) -> None:
+def _write_svg(path, rows, cols, source) -> None:
     cell_px = 12
-    n = trace.graph.node_count
-    if dims:
-        rows, cols = dims
-    else:
-        rows, cols = 1, n
     width, height = cols * cell_px, rows * cell_px
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{width}" height="{height}">']
-    for i in range(n):
+    for i in range(rows * cols):
         r, c = divmod(i, cols)
-        color = "#d62728" if i in sources else "#dddddd"
+        color = "#d62728" if source.get(i) == i else "#dddddd"
         parts.append(f'<rect x="{c * cell_px}" y="{r * cell_px}" '
                      f'width="{cell_px - 1}" height="{cell_px - 1}" '
                      f'fill="{color}"/>')
@@ -436,9 +419,9 @@ def cmd_analyze(args) -> int:
 def _report(outdir, trace, stats, association, ok_line) -> int:
     """Write metrics.json and the plot data; print the verdict and return
     its exit code.  ok_line is formatted with the stabilization metrics."""
-    metrics, series = build_metrics(trace, stats, association=association)
+    metrics, report = build_metrics(trace, stats, association=association)
     _json_dump(metrics, os.path.join(outdir, "metrics.json"))
-    _write_plotdata(outdir, trace, series)
+    _write_plotdata(outdir, trace.graph, report)
     if not metrics["stabilization"]["stabilized"]:
         print("not-stabilized")
         return EXIT_NOT_STABILIZED
@@ -470,7 +453,7 @@ def _sweep_point_config(cfg: dict, axis: str, value) -> dict:
 def _sweep_worker(task):
     point_label, replica, cfg = task
     spec = resolve_config(cfg)
-    report = detect_stabilization(spec.run(), spec.params, spec.stats)
+    report = detect_stabilization(spec.run(), spec.stats)
     valid = [k for k, ok in enumerate(report.valid_series) if ok]
     final_e1 = report.e1_series[valid[-1]] if valid else None
     final_frac = report.source_fraction_series[valid[-1]] if valid else None

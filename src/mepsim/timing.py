@@ -209,13 +209,6 @@ class DelaySampler:
         return values[pos]
 
 
-def sample_delay(sampler: DelaySampler, src: int = 0, dst: int = 0) -> int:
-    """Draw one delay; asserts the bound invariant."""
-    value = sampler.sample(src, dst)
-    assert sampler.model.d_min <= value <= sampler.model.d_max
-    return value
-
-
 def read_schedule_file(path) -> dict:
     """Parse lines 'src dst delay_ns' into per-directed-edge lists."""
     schedule = {}

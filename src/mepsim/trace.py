@@ -86,24 +86,28 @@ def _meta_dict(trace: Trace) -> dict:
 
 def write_trace(trace: Trace, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(trace_to_text(trace))
+        fh.writelines(_trace_rows(trace))
 
 
 def trace_to_text(trace: Trace) -> str:
-    lines = []
-    lines.append(f"#mepsim-trace={SCHEMA_VERSION}")
-    lines.append(f"#seed={json.dumps(trace.seed)}")
-    lines.append(f"#meta={json.dumps(_meta_dict(trace), sort_keys=True)}")
-    lines.append("[triggers]")
-    lines.append(TRIGGERS_HEADER)
+    return "".join(_trace_rows(trace))
+
+
+def _trace_rows(trace: Trace):
+    """The lines of the trace file, each with its newline, one at a time,
+    so writing a trace never holds the whole file text."""
+    yield f"#mepsim-trace={SCHEMA_VERSION}\n"
+    yield f"#seed={json.dumps(trace.seed)}\n"
+    yield f"#meta={json.dumps(_meta_dict(trace), sort_keys=True)}\n"
+    yield "[triggers]\n"
+    yield TRIGGERS_HEADER + "\n"
     for t in trace.triggers:
-        lines.append(f"{t.seq},{t.time},{t.cell},{t.kind},{t.pioneer}")
-    lines.append("[arrivals]")
-    lines.append(ARRIVALS_HEADER)
+        yield f"{t.seq},{t.time},{t.cell},{t.kind},{t.pioneer}\n"
+    yield "[arrivals]\n"
+    yield ARRIVALS_HEADER + "\n"
     for a in trace.arrivals:
         rej = "" if a.rejecting_seq is None else a.rejecting_seq
-        lines.append(f"{a.time},{a.frm},{a.to},{a.outcome},{rej}")
-    return "\n".join(lines) + "\n"
+        yield f"{a.time},{a.frm},{a.to},{a.outcome},{rej}\n"
 
 
 def read_trace(path) -> Trace:
@@ -114,8 +118,8 @@ def read_trace(path) -> Trace:
     to, from); every time lies in [0, horizon]; cells, pioneers and
     senders lie in [0, n); an external trigger's pioneer is its own cell
     and an internal one's a neighbour; and only a rejection names a
-    rejecting trigger, which is no later than the arrival.  Any break
-    raises TraceParseError.
+    rejecting trigger, which is a trigger of the receiving cell no later
+    than the arrival.  Any break raises TraceParseError.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -307,9 +311,14 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
             if known is not OUTCOME_REJECTED:
                 raise TraceParseError(f"rejecting_seq on an {known} arrival",
                                       line=lineno)
-            if triggers[rej].time > t:
+            rejecting = triggers[rej]
+            if rejecting.time > t:
                 raise TraceParseError(f"rejecting_seq {rej} names a trigger "
                                       f"after the arrival", line=lineno)
+            if rejecting.cell != to:
+                raise TraceParseError(f"rejecting_seq {rej} names a trigger "
+                                      f"of cell {rejecting.cell}, not of the "
+                                      f"receiver {to}", line=lineno)
         arrivals.append(ArrivalRecord(frm, to, t, known, rej))
     for lineno, line in rows:
         if line.rstrip("\n"):

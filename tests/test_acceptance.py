@@ -115,7 +115,7 @@ def _adversarial_reports():
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=trial, init=init,
                              drift=DriftAssignment(mode="extremal", rho=1e-4))
-            report = detect_stabilization(trace, params, stats)
+            report = detect_stabilization(trace, stats)
             out.append((g, stats, params, report))
     return out
 
@@ -157,7 +157,7 @@ def test_criterion_03_precision_bound(adversarial_reports):
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=seed,
                              drift=DriftAssignment(mode="uniform", rho=1e-4))
-            report = detect_stabilization(trace, params, stats)
+            report = detect_stabilization(trace, stats)
             if report.stabilized:
                 checked += 1
                 if report.tau_pi_measured > stats.diameter * d \
@@ -183,7 +183,7 @@ def test_criterion_04_error_monotonicity():
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=seed, drift=DriftAssignment(mode="zero"),
                              record_arrivals=False)
-            report = detect_stabilization(trace, params, stats)
+            report = detect_stabilization(trace, stats)
             assert report.stabilized
             runs += 1
             k0 = next(k for k, s in enumerate(report.segments)
@@ -215,7 +215,7 @@ def test_criterion_05_final_offsets_small():
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=seed, drift=DriftAssignment(mode="zero"),
                              record_arrivals=False)
-            report = detect_stabilization(trace, params, stats)
+            report = detect_stabilization(trace, stats)
             assert report.stabilized and len(report.segments) > 500
             from mepsim.analysis import extract_propagation
             prop = extract_propagation(trace, report.segments[-1])
@@ -245,7 +245,7 @@ def test_criterion_06_source_fraction_growth():
         trace = simulate(g, params, delay_model=dm, horizon=horizon,
                          seed=seed, drift=DriftAssignment(mode="zero"),
                          record_arrivals=False)
-        report = detect_stabilization(trace, params, stats)
+        report = detect_stabilization(trace, stats)
         fr = report.source_fraction_series
         assert len(fr) > 1600
         if fr[1600] > fr[5]:
@@ -276,7 +276,7 @@ def test_criterion_07_hypercube_converges_faster():
                              seed=seed,
                              drift=DriftAssignment(mode="uniform", rho=1e-4),
                              record_arrivals=False)
-            report = detect_stabilization(trace, params, stats)
+            report = detect_stabilization(trace, stats)
             hit = next((k for k in range(len(report.e1_series))
                         if report.valid_series[k]
                         and report.e1_series[k] < threshold),
@@ -307,7 +307,7 @@ def test_criterion_08_omission_tolerance():
                              seed=seed,
                              drift=DriftAssignment(mode="uniform", rho=1e-4),
                              record_arrivals=False)
-            if detect_stabilization(trace, params, stats).stabilized:
+            if detect_stabilization(trace, stats).stabilized:
                 good += 1
         results[p_om] = good
     # heaviest loss rate: runs must complete with a recorded verdict
@@ -320,7 +320,7 @@ def test_criterion_08_omission_tolerance():
                          seed=seed,
                          drift=DriftAssignment(mode="uniform", rho=1e-4),
                          record_arrivals=False)
-        verdicts.append(detect_stabilization(trace, params, stats).stabilized)
+        verdicts.append(detect_stabilization(trace, stats).stabilized)
     ok = all(v >= 18 for v in results.values()) and len(verdicts) == 5
     _verdict(8, ok, f"(stabilized {results}, p=0.3 verdicts {verdicts})")
 
@@ -405,7 +405,7 @@ def _fixture_suite():
                   TriggerRecord(1, 1, 1080, KIND_INTERNAL, 0)],
         arrivals=[ArrivalRecord(frm=0, to=1, time=1080, outcome="accepted")],
         horizon=10**6, seed=0)
-    ac = association_classes(good, K2, (0, 10**6))
+    ac = association_classes(good, (0, 10**6))
     check("association-pair-pos",
           ac.classes == ((0, 1),) and ac.spans[0] <= 100
           and ac.partitions_coincide and ac.spans_ok)
@@ -416,7 +416,7 @@ def _fixture_suite():
         arrivals=[ArrivalRecord(frm=0, to=1, time=200,
                                 outcome=OUTCOME_REJECTED, rejecting_seq=0)],
         horizon=10**6, seed=0)
-    ac = association_classes(bad, K2, (0, 10**6))
+    ac = association_classes(bad, (0, 10**6))
     check("association-partition-neg", ac.partitions_coincide, False)
     check("association-span-neg", ac.spans_ok, False)
     return results

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.analysis import (Propagation, association_classes,
@@ -8,6 +9,7 @@ from mepsim.analysis import (Propagation, association_classes,
                              propagation_error, series_metrics,
                              validate_omep, ROLE_BANK, ROLE_FLAT, ROLE_FLOW,
                              ROLE_RIDGE, ROLE_SINK, ROLE_SOURCE, ROLE_UNITED)
+from mepsim.engine import InitState
 from mepsim.errors import InsufficientHorizonError
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
@@ -240,7 +242,7 @@ def test_k2_exchange_single_class():
     arr = ArrivalRecord(frm=0, to=1, time=1080, outcome="accepted")
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
                horizon=10**6, seed=0)
-    ac = association_classes(tr, K2, (0, 10**6))
+    ac = association_classes(tr, (0, 10**6))
     assert ac.classes == ((0, 1),)
     assert ac.spans == (80,) and ac.spans[0] <= D
     assert ac.partitions_coincide and ac.spans_ok
@@ -254,7 +256,7 @@ def test_distant_rejection_breaks_both_checks():
                         rejecting_seq=0)
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
                horizon=10**6, seed=0)
-    ac = association_classes(tr, K2, (0, 10**6))
+    ac = association_classes(tr, (0, 10**6))
     assert ac.classes == ((0, 1),)
     assert not ac.partitions_coincide and ac.partition_witness is not None
     assert not ac.spans_ok and ac.span_witness is not None
@@ -267,9 +269,9 @@ def test_association_on_stabilized_run():
     dm = DelayModel(kind="uniform", d_min=0, d_max=D)
     tr = simulate(g, params, delay_model=dm, horizon=60000, seed=3,
                   drift=DriftAssignment(mode="zero"))
-    rep = detect_stabilization(tr, params, stats)
+    rep = detect_stabilization(tr, stats)
     assert rep.stabilized
-    ac = association_classes(tr, g, (rep.t_stab, tr.horizon), stats=stats)
+    ac = association_classes(tr, (rep.t_stab, tr.horizon), stats=stats)
     assert ac.partitions_coincide and ac.spans_ok
     assert len(ac.classes) >= 2
 
@@ -284,7 +286,7 @@ def test_insufficient_horizon_raises():
     dm = DelayModel(kind="uniform", d_min=0, d_max=D)
     tr = simulate(g, params, delay_model=dm, horizon=2 * params.tau2, seed=0)
     with pytest.raises(InsufficientHorizonError):
-        detect_stabilization(tr, params, stats)
+        detect_stabilization(tr, stats)
 
 
 def test_ring4_stabilizes_within_bound():
@@ -295,7 +297,7 @@ def test_ring4_stabilizes_within_bound():
     for seed in range(5):
         tr = simulate(g, params, delay_model=dm, horizon=10**5, seed=seed,
                       drift=DriftAssignment(mode="zero"))
-        rep = detect_stabilization(tr, params, stats)
+        rep = detect_stabilization(tr, stats)
         assert rep.stabilized
         assert rep.t_stab <= convergence_bound(params, stats) + params.tau2
         assert rep.tau_pi_measured <= stats.diameter * D
@@ -313,14 +315,60 @@ def test_series_metrics_shapes():
     dm = DelayModel(kind="uniform", d_min=0, d_max=D)
     tr = simulate(g, params, delay_model=dm, horizon=10**5, seed=1,
                   drift=DriftAssignment(mode="zero"))
-    rep = detect_stabilization(tr, params, stats)
-    series = series_metrics(rep, g)
-    assert series["per_k"]
-    assert [r["valid"] for r in series["per_k"]] == rep.oneshot_series
-    for row in series["per_k"]:
+    rep = detect_stabilization(tr, stats)
+    per_k = series_metrics(rep, g)
+    assert per_k
+    assert [r["k"] for r in per_k] == list(range(len(rep.propagations)))
+    assert [r["valid"] for r in per_k] == rep.oneshot_series
+    for row, p in zip(per_k, rep.propagations):
         assert 0.0 <= row["source_fraction"] <= 1.0
         assert row["e1_ns"] >= 0
-        assert row["ideal"] == (row["source_fraction"] == 1.0)
-    ks = {k for k, _, _, _, _ in series["scatter"]}
-    assert ks == set(r["k"] for r in series["per_k"])
-    assert all(t_tilde >= 0 for _, _, _, t_tilde, _ in series["scatter"])
+        assert row["ideal"] == all(p.source.get(i) == i for i in range(4))
+        counts = row["pattern_counts"]
+        assert sum(counts[r] for r in (ROLE_SOURCE, ROLE_SINK, ROLE_FLOW,
+                                       ROLE_UNITED)) == 4
+        assert sum(counts[r] for r in (ROLE_BANK, ROLE_RIDGE, ROLE_FLAT)) == 4
+
+
+@st.composite
+def _small_run(draw):
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    graph = from_edge_list(n, sorted(edges))
+    d_max = draw(st.integers(1, 100))
+    params = derive_params(topology_stats(graph), d_max, 0.0,
+                           omission_p=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    init = None
+    if draw(st.booleans()):
+        readings = st.integers(0, 2 * params.tau2)
+        init = InitState(mode="adversarial-explicit", elapsed=tuple(
+            draw(st.lists(readings, min_size=n, max_size=n))))
+    trace = simulate(graph, params,
+                     delay_model=DelayModel(kind="uniform", d_min=0,
+                                            d_max=d_max),
+                     horizon=draw(st.integers(params.tau2, 6 * params.tau2)),
+                     seed=draw(st.integers(0, 2**16)),
+                     drift=DriftAssignment(mode="zero"), init=init)
+    return graph, trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_run())
+def test_fast_path_matches_definition_on_random_runs(case):
+    """validate_omep's pointer-forest fast path gives the verdicts of the
+    pairwise definition on every extracted round with no repeated
+    trigger whose pioneer chains all reach a source."""
+    graph, trace = case
+    tau_delta = trace.params.tau1 // 2
+    for seg in cluster_triggers(trace.triggers, tau_delta):
+        p = extract_propagation(trace, seg)
+        if p.multi_triggered or None in p.source.values():
+            continue
+        ref = Propagation.from_paths({i: p.path(i) for i in p.times}, p.times)
+        fast = validate_omep(p, graph, p.external_cells)
+        full = validate_omep(ref, graph, p.external_cells)
+        assert (fast.valid, fast.simple, fast.complete) == \
+            (full.valid, full.simple, full.complete)
+        assert full.exclusive and full.propagative

@@ -158,7 +158,8 @@ def test_analyze_flags_duplicate_trigger(tmp_path):
     lines = (run_dir / "trace.csv").read_text().splitlines()
     start = lines.index("seq,time_ns,cell,kind,pioneer") + 1
     end = lines.index("[arrivals]")
-    # duplicate every trigger so no round can be complete
+    # duplicate every trigger so no round can be complete: seq s becomes
+    # 2s and 2s + 1, and a rejection naming s now names 2s
     rows = []
     seq = 0
     for line in lines[start:end]:
@@ -166,10 +167,30 @@ def test_analyze_flags_duplicate_trigger(tmp_path):
         for _ in range(2):
             rows.append(f"{seq},{t},{cell},{kind},{pio}")
             seq += 1
+    arrivals = lines[end:end + 2]
+    for line in lines[end + 2:]:
+        t, frm, to, outcome, rej = line.split(",")
+        rej = str(2 * int(rej)) if rej else ""
+        arrivals.append(f"{t},{frm},{to},{outcome},{rej}")
     doctored = tmp_path / "doctored.csv"
-    doctored.write_text("\n".join(lines[:start] + rows + lines[end:]) + "\n")
+    doctored.write_text("\n".join(lines[:start] + rows + arrivals) + "\n")
     rc = main(["analyze", str(doctored), "--out", str(tmp_path / "an")] + FAST)
     assert rc == EXIT_NOT_STABILIZED
+
+
+def test_plotdata_offsets_match_per_k(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--out", str(out), "--seed", "1"] + FAST) == EXIT_OK
+    per_k = json.loads((out / "metrics.json").read_text())["per_k"]
+    lines = (out / "plotdata/offsets.csv").read_text().splitlines()
+    assert lines[0] == "k,t_min_ns,cell,t_tilde_ns,is_source"
+    rows = [tuple(int(x) for x in line.split(",")) for line in lines[1:]]
+    assert {r[0] for r in rows} == {row["k"] for row in per_k}
+    for row in per_k:
+        mine = [r for r in rows if r[0] == row["k"]]
+        assert [r[2] for r in mine] == [0, 1, 2, 3]
+        assert all(r[1] == row["t_min_ns"] and r[3] >= 0 for r in mine)
+        assert sum(r[4] for r in mine) == row["source_fraction"] * 4
 
 
 def test_run_extracts_each_round_once(tmp_path, monkeypatch):
@@ -199,8 +220,16 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
     meta = next(k for k, line in enumerate(lines) if line.startswith("#meta="))
     seed = next(k for k, line in enumerate(lines) if line.startswith("#seed="))
     internal = next(k for k, line in enumerate(lines) if ",internal," in line)
-    last_seq = lines.index("[arrivals]") - first_trigger - 1
+    triggers = [line.split(",")
+                for line in lines[first_trigger:lines.index("[arrivals]")]]
+    last_seq = len(triggers) - 1
     horizon = json.loads(lines[meta].partition("=")[2])["horizon"]
+
+    def other_cells_trigger(p):
+        """The seq of a trigger no later than the arrival, of a cell
+        other than its receiver."""
+        return next(seq for seq, t, cell, _, _ in triggers
+                    if cell != p[2] and int(t) <= int(p[0]))
 
     def meta_set(key, value):
         return lambda p: [f' "{key}": {value}' + "}" * q.endswith("}")
@@ -220,6 +249,8 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
         "rejecting_seq_on_acceptance": (
             rejection, lambda p: p[:3] + ["accepted", p[4]]),
         "rejecting_seq_later": (rejection, lambda p: p[:4] + [str(last_seq)]),
+        "rejecting_seq_other_cell": (
+            rejection, lambda p: p[:4] + [other_cells_trigger(p)]),
         "arrivals_unsorted": (first_arrival, lambda p: [str(horizon)] + p[1:]),
         "time_after_horizon": (first_trigger,
                                lambda p: p[:1] + [str(horizon + 1)] + p[2:]),

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from mepsim.errors import ParameterError, ScheduleUnderrunError
 from mepsim.timing import (DelayModel, DriftAssignment, SimParams,
                            check_strict_constraint, derive_params,
-                           local_to_real, read_schedule_file, sample_delay,
-                           stream)
+                           local_to_real, read_schedule_file, stream)
 from mepsim.topology import build_grid, build_ring, topology_stats
 
 
@@ -97,7 +96,7 @@ def test_liveness_real_max():
 def test_uniform_delay_bounds():
     model = DelayModel(kind="uniform", d_min=10, d_max=20)
     s = model.sampler(stream(0, "delays"))
-    values = {sample_delay(s, 0, 1) for _ in range(500)}
+    values = {s.sample(0, 1) for _ in range(500)}
     assert min(values) >= 10 and max(values) <= 20
     assert len(values) > 5
 

@@ -151,6 +151,12 @@ def _last_seq(parts, trace):
     return str(len(trace.triggers) - 1)
 
 
+def _other_cells_trigger(parts, trace):
+    t, to = int(parts[0]), int(parts[2])
+    return str(next(x.seq for x in trace.triggers
+                    if x.cell != to and x.time <= t))
+
+
 def _past_horizon(parts, trace):
     return str(trace.horizon + 1)
 
@@ -183,6 +189,8 @@ def _past_horizon(parts, trace):
                  id="rejecting-seq-on-acceptance"),
     pytest.param(ARRIVALS, _field(4, _last_seq), "after the arrival",
                  id="rejecting-seq-later"),
+    pytest.param(ARRIVALS, _field(4, _other_cells_trigger),
+                 "not of the receiver", id="rejecting-seq-other-cell"),
     pytest.param(ARRIVALS, _field(0, lambda p, t: str(t.horizon)),
                  "arrivals not sorted", id="arrivals-unsorted"),
     pytest.param(ARRIVALS, _field(0, _past_horizon), "outside",
