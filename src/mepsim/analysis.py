@@ -67,7 +67,7 @@ class Propagation:
 
     `source[i]` is the cell reached by following pioneer pointers from i;
     None marks a broken chain (pointer loop or a pioneer triggered outside
-    the segment).  `paths(i)` materializes the chain source -> ... -> i.
+    the segment).  `path(i)` materializes the chain source -> ... -> i.
     """
 
     segment: Segment

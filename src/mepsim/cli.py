@@ -14,7 +14,6 @@ stabilization verdict.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
 import logging
@@ -490,6 +489,7 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         rows = [_sweep_worker(t) for t in tasks]
     else:
+        import concurrent.futures  # only sweeps use it; keeps startup lean
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     os.makedirs(args.out, exist_ok=True)

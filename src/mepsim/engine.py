@@ -13,10 +13,17 @@ therefore still sees the excited state, and an arrival coinciding with
 an external deadline wins, producing an internal trigger.  Simultaneous
 arrivals at one cell collapse into a single acceptance whose pioneer is
 the smallest sender id.
+
+A cell fires only at instants t > rest_due[c] and firing sets rest_due[c]
+to at least t, so rest_due never decreases: a signal due at or before its
+receiver's rest_due at send time is sure to be rejected by the receiver's
+current last trigger.  simulate() records it then (or drops it, when
+arrivals are not recorded) and never queues it.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -70,7 +77,7 @@ class _Setup(NamedTuple):
     init: InitState
     rest_due: list  # cell i is excited at instant t iff t <= rest_due[i]
     first_ext: list  # each cell's first liveness deadline
-    sample: object  # (src, dst) -> delay
+    sampler: object  # DelaySampler on the "delays" stream
     omission_random: object
     rest_off: list  # per-cell real ns from a trigger to restoration
     ext_off: list  # ... and to the next liveness deadline
@@ -84,6 +91,8 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
     offset tables; shared by simulate() and the per-ns oracle."""
     if delay_model.d_min < params.d_min or delay_model.d_max > params.d_max:
         raise ParameterError("delay model bounds exceed the params delay bounds")
+    if drift is not None and drift.rho > params.rho:
+        raise ParameterError(f"drift bound {drift.rho} exceeds rho {params.rho}")
 
     n = graph.node_count
     tau0, tau2 = params.tau0, params.tau2
@@ -116,7 +125,7 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
     else:
         rest_off_c, ext_off_c = rest_off, ext_off
     return _Setup(drift, init, rest_due, first_ext,
-                  delay_model.sampler(stream(seed, "delays")).sample,
+                  delay_model.sampler(stream(seed, "delays")),
                   stream(seed, "omissions").random,
                   rest_off, ext_off, rest_off_c, ext_off_c)
 
@@ -128,13 +137,14 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     """Run one deterministic simulation up to the real-time horizon."""
     if horizon <= 0:
         raise ParameterError(f"need horizon > 0, got {horizon}")
-    (drift, init, rest_due, first_ext, sample, omission_random, rest_off,
+    (drift, init, rest_due, first_ext, sampler, omission_random, rest_off,
      ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model,
                                               seed, drift, init)
 
     n = graph.node_count
     adjacency = graph.adjacency
     p = params.omission_p
+    sample, rnd, lo, width = sampler.sample, sampler.rnd, sampler.lo, sampler.width
 
     generation = [0] * n
     last_seq = [-1] * n
@@ -149,53 +159,54 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
         heappush(heap, (arrival, _CLS_ARRIVAL, to, frm, counter))
         counter += 1
 
-    while heap and heap[0][0] <= horizon:
-        t, cls, cell, sender, aux = heappop(heap)
-        if cls == _CLS_ARRIVAL:
-            senders = [sender]
-            while heap and heap[0][0] == t and heap[0][1] == _CLS_ARRIVAL \
-                    and heap[0][2] == cell:
-                senders.append(heappop(heap)[3])
-            if t <= rest_due[cell]:
-                if record_arrivals:
-                    rej = last_seq[cell]
-                    for s in senders:
-                        raw_arrivals.append((t, s, cell, OUTCOME_REJECTED, rej))
-            elif p > 0.0 and omission_random() < p:
-                if record_arrivals:
-                    for s in senders:
-                        raw_arrivals.append((t, s, cell, OUTCOME_OMITTED, -1))
-            else:
-                pioneer = min(senders)
-                last_seq[cell] = len(raw_triggers)
-                raw_triggers.append((t, cell, KIND_INTERNAL, pioneer))
-                generation[cell] += 1
-                rest_due[cell] = t + rest_off_c[cell]
-                heappush(heap, (t + ext_off_c[cell], _CLS_EXTERNAL, cell, cell,
-                                generation[cell]))
-                for j in adjacency[cell]:
-                    heappush(heap, (t + sample(cell, j), _CLS_ARRIVAL, j, cell,
-                                    counter))
-                    counter += 1
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the run builds many records and no reference cycles
+    try:
+        while heap and heap[0][0] <= horizon:
+            t, cls, cell, sender, aux = heappop(heap)
+            if cls == _CLS_ARRIVAL:
+                senders = [sender]
+                while heap and heap[0][0] == t and heap[0][1] == _CLS_ARRIVAL \
+                        and heap[0][2] == cell:
+                    senders.append(heappop(heap)[3])
+                if t <= rest_due[cell]:
+                    if record_arrivals:
+                        rej = last_seq[cell]
+                        for s in senders:
+                            raw_arrivals.append((t, s, cell, OUTCOME_REJECTED, rej))
+                    continue
+                if p > 0.0 and omission_random() < p:
+                    if record_arrivals:
+                        for s in senders:
+                            raw_arrivals.append((t, s, cell, OUTCOME_OMITTED, -1))
+                    continue
                 if record_arrivals:
                     for s in senders:
                         raw_arrivals.append((t, s, cell, OUTCOME_ACCEPTED, -1))
-        else:  # external deadline
-            if aux != generation[cell]:
+                kind, pioneer, r_off, e_off = (KIND_INTERNAL, min(senders),
+                                               rest_off_c, ext_off_c)
+            elif aux != generation[cell]:
                 continue  # timer was reset since this deadline was scheduled
+            else:
+                kind, pioneer, r_off, e_off = KIND_EXTERNAL, cell, rest_off, ext_off
             last_seq[cell] = len(raw_triggers)
-            raw_triggers.append((t, cell, KIND_EXTERNAL, cell))
-            generation[cell] += 1
-            rest_due[cell] = t + rest_off[cell]
-            heappush(heap, (t + ext_off[cell], _CLS_EXTERNAL, cell, cell,
-                            generation[cell]))
+            raw_triggers.append((t, cell, kind, pioneer))
+            generation[cell] = gen = generation[cell] + 1
+            rest_due[cell] = t + r_off[cell]
+            heappush(heap, (t + e_off[cell], _CLS_EXTERNAL, cell, cell, gen))
             for j in adjacency[cell]:
-                heappush(heap, (t + sample(cell, j), _CLS_ARRIVAL, j, cell,
-                                counter))
-                counter += 1
-
-    return _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed,
-                     init, drift, delay_model, record_arrivals)
+                due = t + (lo + int(rnd() * width) if rnd else sample(cell, j))
+                if due > rest_due[j]:
+                    heappush(heap, (due, _CLS_ARRIVAL, j, cell, counter))
+                    counter += 1
+                elif record_arrivals and due <= horizon:  # doomed: rest_due only grows
+                    raw_arrivals.append((due, cell, j, OUTCOME_REJECTED,
+                                         last_seq[j]))
+        return _finalize(graph, params, raw_triggers, raw_arrivals, horizon,
+                         seed, init, drift, delay_model, record_arrivals)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed, init,

@@ -39,9 +39,10 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
     if not 0 < horizon <= MAX_ORACLE_HORIZON:
         raise ParameterError(
             f"oracle horizon must be in (0, {MAX_ORACLE_HORIZON}], got {horizon}")
-    (drift, init, rest_due, next_ext, sample, omission_random, rest_off,
+    (drift, init, rest_due, next_ext, sampler, omission_random, rest_off,
      ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model,
                                               seed, drift, init)
+    sample = sampler.sample
 
     n = graph.node_count
     adjacency = graph.adjacency

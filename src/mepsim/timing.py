@@ -177,15 +177,18 @@ class DelayModel:
 
 
 class DelaySampler:
-    """Stateful per-run delay source bound to one rng stream."""
+    """Stateful per-run delay source bound to one rng stream.  A uniform
+    sampler draws lo + int(rnd() * width) and exposes rnd, lo and width so a
+    hot loop can inline the draw; rnd is None for every other kind."""
 
     def __init__(self, model: DelayModel, rng: random.Random):
         self.model = model
         self._cursors = {}
         kind = model.kind
+        lo, width = model.d_min, model.d_max - model.d_min + 1
+        self.rnd = rnd = rng.random if kind == DELAY_UNIFORM else None
+        self.lo, self.width = lo, width
         if kind == DELAY_UNIFORM:
-            lo, width = model.d_min, model.d_max - model.d_min + 1
-            rnd = rng.random
             self.sample = lambda src, dst: lo + int(rnd() * width)
         elif kind in (DELAY_FIXED, DELAY_ADVERSARIAL_MAX):
             value = model.d_max

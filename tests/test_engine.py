@@ -1,8 +1,11 @@
+import gc
+
 import pytest
 
-from mepsim import DelayModel, derive_params, simulate
+from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.engine import InitState
-from mepsim.errors import ParameterError
+from mepsim.errors import ParameterError, ScheduleUnderrunError
+from mepsim.oracle import brute_force_simulate
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
 from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
@@ -170,3 +173,60 @@ def test_stale_liveness_deadline_is_cancelled():
     assert times1[1].time > 60
     gaps = [b.time - a.time for a, b in zip(times1, times1[1:])]
     assert all(g >= p.tau0 for g in gaps)
+
+
+def test_drift_beyond_params_rho_rejected():
+    g = build_ring(4)
+    p = _params(g, rho=0.0)
+    dm = DelayModel(kind="uniform", d_min=0, d_max=100)
+    with pytest.raises(ParameterError, match="drift bound"):
+        simulate(g, p, delay_model=dm, horizon=20000, seed=0,
+                 drift=DriftAssignment(mode="extremal", rho=0.2))
+
+
+def test_arrival_at_restoration_instant_is_rejected_one_ns_later_accepted():
+    # ring 0-1-2-3-0: cell 0 fires at 0, so it is excited through tau0.
+    # Cell 2 fires at tau0-150 and triggers cells 1 and 3, whose signals
+    # reach cell 0 exactly at tau0 (from 1) and at tau0+1 (from 3).
+    g = build_ring(4)
+    p = _params(g)
+    T = p.tau0
+    sched = {(0, 1): [10], (0, 3): [10], (2, 1): [50], (2, 3): [51],
+             (1, 0): [100], (3, 0): [100], (1, 2): [100], (3, 2): [100]}
+    dm = DelayModel(kind="adversarial-schedule", d_min=0, d_max=100,
+                    schedule=sched, cycle=True)
+    init = InitState(mode="adversarial-explicit",
+                     elapsed=(p.tau2, T - 100, p.tau2 - (T - 150), T - 100))
+    kw = dict(delay_model=dm, horizon=T + 200, seed=0, init=init)
+    tr = simulate(g, p, **kw)
+    first = tr.triggers[0]
+    assert (first.cell, first.time) == (0, 0)
+    at_0 = {(a.frm, a.time): a for a in tr.arrivals if a.to == 0}
+    assert at_0[(1, T)].outcome == OUTCOME_REJECTED
+    assert at_0[(1, T)].rejecting_seq == first.seq
+    assert at_0[(3, T + 1)].outcome == OUTCOME_ACCEPTED
+    fired = [(t.time, t.kind, t.pioneer) for t in tr.triggers if t.cell == 0]
+    assert fired == [(0, KIND_EXTERNAL, 0), (T + 1, KIND_INTERNAL, 3)]
+    for record in (True, False):
+        a = simulate(g, p, record_arrivals=record, **kw)
+        b = brute_force_simulate(g, p, record_arrivals=record, **kw)
+        assert trace_to_text(a) == trace_to_text(b)
+        assert a.triggers == tr.triggers
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_simulate_restores_gc_state(enabled):
+    p = _params(K2)
+    ok = DelayModel(kind="uniform", d_min=0, d_max=100)
+    short = DelayModel(kind="adversarial-schedule", d_min=0, d_max=100,
+                       schedule={(0, 1): [50], (1, 0): [50]})
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        simulate(K2, p, delay_model=ok, horizon=10 * p.tau2, seed=0)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ScheduleUnderrunError):  # raised mid-run
+            simulate(K2, p, delay_model=short, horizon=10 * p.tau2, seed=0)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()

@@ -120,7 +120,8 @@ def _differential_case(draw):
         delay_model=dm, seed=draw(st.integers(0, 2**16)),
         horizon=draw(st.integers(params.liveness_real_max,
                                  5 * params.liveness_real_max)),
-        drift=DriftAssignment(mode=drift_mode, rho=rho), init=init)
+        drift=DriftAssignment(mode=drift_mode, rho=rho), init=init,
+        record_arrivals=draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -130,3 +131,12 @@ def test_engine_matches_oracle_on_random_small_runs(case):
     a = simulate(graph, params, **kw)
     b = brute_force_simulate(graph, params, **kw)
     assert trace_to_text(a) == trace_to_text(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_differential_case())
+def test_recording_arrivals_does_not_change_triggers(case):
+    graph, params, kw = case
+    unrecorded = simulate(graph, params, **dict(kw, record_arrivals=False))
+    recorded = simulate(graph, params, **dict(kw, record_arrivals=True))
+    assert unrecorded.triggers == recorded.triggers
