@@ -269,11 +269,12 @@ def _grid_dims(graph):
 
 
 def build_metrics(trace, stats, association=False) -> tuple:
-    """(metrics document, stabilization report); a pure function of
-    (trace, stats).
+    """(metrics document, stabilization report, failed-check lines); a
+    pure function of (trace, stats).
 
     The report is returned so the plot data reads its rounds instead of
-    analyzing them again.
+    analyzing them again.  Each failed check gets one `check=<name> ...`
+    line, which names its witness; the lines stay out of the document.
     """
     params = trace.params
     graph = trace.graph
@@ -300,7 +301,7 @@ def build_metrics(trace, stats, association=False) -> tuple:
         "per_k": series_metrics(report, graph),
         "checks": {},
     }
-    checks_ok = True
+    failed = []
     if report.stabilized:
         prop = report.propagations[-1]
         pattern = classify_patterns(prop, graph)
@@ -308,7 +309,8 @@ def build_metrics(trace, stats, association=False) -> tuple:
         doc["checks"]["pattern_properties"] = [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in props]
-        checks_ok = all(c.passed for c in props)
+        failed = [f"check={c.name} detail={c.detail}"
+                  for c in props if not c.passed]
         if association and trace.arrivals_recorded:
             ac = association_classes(trace, (report.t_stab, trace.horizon),
                                      stats=stats)
@@ -318,9 +320,13 @@ def build_metrics(trace, stats, association=False) -> tuple:
                 "span_bound": ac.span_bound,
                 "class_count": len(ac.classes),
             }
-            checks_ok = checks_ok and ac.partitions_coincide and ac.spans_ok
-    doc["checks"]["all_passed"] = checks_ok
-    return doc, report
+            witnesses = [f"{name}={w}" for name, w in (
+                ("partition_witness", ac.partition_witness),
+                ("span_witness", ac.span_witness)) if w is not None]
+            if witnesses:
+                failed.append(" ".join(["check=association", *witnesses]))
+    doc["checks"]["all_passed"] = not failed
+    return doc, report, failed
 
 
 def _write_plotdata(outdir, graph, report) -> None:
@@ -418,14 +424,19 @@ def cmd_analyze(args) -> int:
 def _report(outdir, trace, stats, association, ok_line) -> int:
     """Write metrics.json and the plot data; print the verdict and return
     its exit code.  ok_line is formatted with the stabilization metrics."""
-    metrics, report = build_metrics(trace, stats, association=association)
+    metrics, report, failed = build_metrics(trace, stats,
+                                            association=association)
     _json_dump(metrics, os.path.join(outdir, "metrics.json"))
     _write_plotdata(outdir, trace.graph, report)
-    if not metrics["stabilization"]["stabilized"]:
+    if not report.stabilized:
         print("not-stabilized")
+        print(" ".join(f"{'violation' if k == 'kind' else k}={v}"
+                       for k, v in report.first_violation.items()),
+              file=sys.stderr)
         return EXIT_NOT_STABILIZED
-    if not metrics["checks"]["all_passed"]:
+    if failed:
         print("check-failure")
+        print("\n".join(failed), file=sys.stderr)
         return EXIT_CHECK_FAILURE
     print(ok_line.format(**metrics["stabilization"]))
     return EXIT_OK

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.analysis import (Propagation, association_classes,
@@ -13,8 +13,9 @@ from mepsim.engine import InitState
 from mepsim.errors import InsufficientHorizonError
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
-from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_REJECTED,
-                          ArrivalRecord, Trace, TriggerRecord)
+from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
+                          OUTCOME_REJECTED, ArrivalRecord, Trace,
+                          TriggerRecord)
 
 K2 = from_edge_list(2, [(0, 1)])
 P3 = from_edge_list(3, [(0, 1), (1, 2)])
@@ -257,9 +258,9 @@ def test_distant_rejection_breaks_both_checks():
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
                horizon=10**6, seed=0)
     ac = association_classes(tr, (0, 10**6))
-    assert ac.classes == ((0, 1),)
-    assert not ac.partitions_coincide and ac.partition_witness is not None
-    assert not ac.spans_ok and ac.span_witness is not None
+    assert ac.classes == ((0, 1),) and ac.strong_classes == ((0,), (1,))
+    assert not ac.partitions_coincide and ac.partition_witness == (0, 1)
+    assert not ac.spans_ok and ac.span_witness == (0, 1, 150)
 
 
 def test_association_on_stabilized_run():
@@ -274,6 +275,121 @@ def test_association_on_stabilized_run():
     ac = association_classes(tr, (rep.t_stab, tr.horizon), stats=stats)
     assert ac.partitions_coincide and ac.spans_ok
     assert len(ac.classes) >= 2
+
+
+@st.composite
+def _association_run(draw):
+    """A random connected 2-6-cell run with arrivals recorded.  Small
+    d_max and maximal delays make arrivals exactly d_max after their
+    emitter common."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    graph = from_edge_list(n, sorted(edges))
+    d_max = draw(st.integers(1, 30))
+    drift_mode = draw(st.sampled_from(["zero", "uniform"]))
+    rho = 0.0 if drift_mode == "zero" else 1e-3
+    params = derive_params(topology_stats(graph), d_max, rho,
+                           omission_p=draw(st.sampled_from([0.0, 0.2])))
+    dm = DelayModel(kind=draw(st.sampled_from(["uniform", "adversarial-max"])),
+                    d_min=0, d_max=d_max)
+    horizon = draw(st.integers(2, 4)) * params.liveness_real_max
+    return simulate(graph, params, delay_model=dm, horizon=horizon,
+                    seed=draw(st.integers(0, 2**16)),
+                    drift=DriftAssignment(mode=drift_mode, rho=rho))
+
+
+def _reference_association(tr, lo, hi, stats):
+    """(association_classes fields by definition, weak pair count): naive
+    pair enumeration, BFS components, witnesses read off the partitions."""
+    d_max = tr.params.d_max
+    weak = 0
+    window = [t for t in tr.triggers if lo <= t.time <= hi]
+    strong_adj = {t.seq: set() for t in window}
+    loose_adj = {t.seq: set() for t in window}
+    for a in tr.arrivals:
+        if not lo <= a.time <= hi:
+            continue
+        sent = [t for t in window if t.cell == a.frm and t.time <= a.time]
+        if not sent or sent[-1].time < a.time - d_max:
+            continue
+        emit = sent[-1]
+        if a.outcome == OUTCOME_ACCEPTED:
+            other = next((t for t in window
+                          if t.cell == a.to and t.time == a.time), None)
+        elif a.outcome == OUTCOME_REJECTED and a.rejecting_seq is not None:
+            other = next((t for t in window if t.seq == a.rejecting_seq), None)
+        else:
+            other = None
+        if other is None:
+            continue
+        near = abs(emit.time - other.time) <= d_max
+        weak += not near
+        for adj in (loose_adj, strong_adj)[:1 + near]:
+            adj[emit.seq].add(other.seq)
+            adj[other.seq].add(emit.seq)
+
+    def components(adj):
+        seen, out = set(), []
+        for s in adj:
+            if s in seen:
+                continue
+            comp, queue = [], [s]
+            seen.add(s)
+            while queue:
+                x = queue.pop()
+                comp.append(x)
+                for y in adj[x] - seen:
+                    seen.add(y)
+                    queue.append(y)
+            out.append(tuple(sorted(comp)))
+        return tuple(sorted(out))
+
+    classes, strong = components(loose_adj), components(strong_adj)
+    least = {s: grp[0] for grp in strong for s in grp}
+    p_witness = next((tuple(sorted({least[s] for s in grp}))[:2]
+                      for grp in classes if len({least[s] for s in grp}) > 1),
+                     None)
+    time = {t.seq: t.time for t in window}
+    spans = tuple(max(time[s] for s in g) - min(time[s] for s in g)
+                  for g in classes)
+    bound = d_max * (stats.longest_simple_path if stats is not None
+                     else tr.graph.node_count - 1)
+    s_witness = next(((g[0], g[-1], sp) for g, sp in zip(classes, spans)
+                      if sp > bound), None)
+    return dict(classes=classes, strong_classes=strong, spans=spans,
+                partitions_coincide=classes == strong,
+                partition_witness=p_witness, span_bound=bound,
+                spans_ok=s_witness is None, span_witness=s_witness), weak
+
+
+@settings(max_examples=150, deadline=None)
+@given(tr=_association_run(), data=st.data())
+def test_association_matches_reference(tr, data):
+    """Random windows (bounds often on trigger times, so emitters before
+    lo drop out), and some rejections re-pointed at an earlier trigger of
+    their receiver: still inside the trace contract, but a weak pair."""
+    rejections = [k for k, a in enumerate(tr.arrivals)
+                  if a.rejecting_seq is not None]
+    doctored = st.lists(st.sampled_from(rejections), min_size=1, max_size=4) \
+        if rejections else st.just([])
+    for k in data.draw(doctored):
+        a = tr.arrivals[k]
+        earlier = [t.seq for t in tr.triggers[:a.rejecting_seq]
+                   if t.cell == a.to]
+        if earlier:
+            rej = data.draw(st.sampled_from(earlier[-2:]))
+            tr.arrivals[k] = ArrivalRecord(a.frm, a.to, a.time, a.outcome, rej)
+    edge = st.one_of(st.sampled_from([t.time for t in tr.triggers]),
+                     st.integers(0, tr.horizon))
+    lo, hi = sorted((data.draw(edge),
+                     data.draw(st.one_of(st.just(tr.horizon), edge))))
+    stats = data.draw(st.sampled_from([None, topology_stats(tr.graph)]))
+    want, weak = _reference_association(tr, lo, hi, stats)
+    event(f"weak pairs: {'yes' if weak else 'none'}; partitions "
+          f"{'coincide' if want['partitions_coincide'] else 'differ'}")
+    assert vars(association_classes(tr, (lo, hi), stats=stats)) == want
 
 
 # ------------------------------------------------------------- stabilization

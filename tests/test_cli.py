@@ -152,7 +152,7 @@ def test_invalid_topology_exit_code(tmp_path):
     assert rc == EXIT_INVALID
 
 
-def test_analyze_flags_duplicate_trigger(tmp_path):
+def test_analyze_flags_duplicate_trigger(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["run", "--out", str(run_dir), "--seed", "1"] + FAST) == EXIT_OK
     lines = (run_dir / "trace.csv").read_text().splitlines()
@@ -174,8 +174,12 @@ def test_analyze_flags_duplicate_trigger(tmp_path):
         arrivals.append(f"{t},{frm},{to},{outcome},{rej}")
     doctored = tmp_path / "doctored.csv"
     doctored.write_text("\n".join(lines[:start] + rows + arrivals) + "\n")
+    capsys.readouterr()
     rc = main(["analyze", str(doctored), "--out", str(tmp_path / "an")] + FAST)
     assert rc == EXIT_NOT_STABILIZED
+    out, err = capsys.readouterr()
+    assert out == "not-stabilized\n"
+    assert err.startswith("violation=invalid-") and " k=" in err
 
 
 def test_plotdata_offsets_match_per_k(tmp_path):
@@ -266,6 +270,34 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
         rc = main(["analyze", str(path), "--out", str(tmp_path / name),
                    "--override", f"association_checks={association}"] + FAST)
         assert rc == EXIT_INVALID, name
+
+
+def test_failed_verdicts_name_the_failure(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--out", str(run_dir), "--seed", "2"] + FAST) == EXIT_OK
+    lines = (run_dir / "trace.csv").read_text().splitlines()
+    triggers = [line.split(",") for line in lines[
+        lines.index("seq,time_ns,cell,kind,pioneer") + 1:
+        lines.index("[arrivals]")]]
+    # point the last rejection at its receiver's previous trigger: a weak
+    # pair that joins two rounds' classes, inside the reader's contract
+    k = max(k for k, line in enumerate(lines)
+            if ",rejected," in line and not line.endswith(","))
+    t, frm, to, outcome, rej = lines[k].split(",")
+    prev = max(int(seq) for seq, _, cell, _, _ in triggers
+               if cell == to and int(seq) < int(rej))
+    lines[k] = ",".join([t, frm, to, outcome, str(prev)])
+    doctored = tmp_path / "doctored.csv"
+    doctored.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["analyze", str(doctored), "--out", str(tmp_path / "an")] + FAST
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rc = main(argv + ["--override", "association_checks=true"])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CHECK_FAILURE and out == "check-failure\n"
+    assert err.startswith("check=association partition_witness=(")
+    assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
