@@ -26,11 +26,12 @@ from .trace import (KIND_EXTERNAL, OUTCOME_ACCEPTED, OUTCOME_REJECTED, Trace)
 
 @dataclass(frozen=True)
 class Segment:
-    """One maximal trigger cluster: interval [t1, t2] and member seqs."""
+    """One maximal trigger cluster: interval [t1, t2] and member seqs;
+    t1 is the round's earliest trigger time, its propagation's t_min."""
 
     t1: int
     t2: int
-    trigger_seqs: tuple
+    trigger_seqs: range
 
     @property
     def span(self) -> int:
@@ -40,8 +41,9 @@ class Segment:
 def cluster_triggers(triggers, tau_delta: int) -> list:
     """Greedy clustering: a gap > tau_delta starts a new cluster.
 
-    Accepts any trigger list; imposes no intra-cluster span constraint,
-    so it is usable on unstabilized prefixes.
+    Imposes no intra-cluster span constraint, so it is usable on
+    unstabilized prefixes.  The triggers are a trace's, time-sorted with
+    seq equal to list index, so each cluster's seqs are one range.
     """
     segments = []
     if not triggers:
@@ -49,13 +51,11 @@ def cluster_triggers(triggers, tau_delta: int) -> list:
     start = 0
     for k in range(1, len(triggers)):
         if triggers[k].time - triggers[k - 1].time > tau_delta:
-            members = triggers[start:k]
-            segments.append(Segment(members[0].time, members[-1].time,
-                                    tuple(m.seq for m in members)))
+            segments.append(Segment(triggers[start].time,
+                                    triggers[k - 1].time, range(start, k)))
             start = k
-    members = triggers[start:]
-    segments.append(Segment(members[0].time, members[-1].time,
-                            tuple(m.seq for m in members)))
+    segments.append(Segment(triggers[start].time, triggers[-1].time,
+                            range(start, len(triggers))))
     return segments
 
 
@@ -71,7 +71,6 @@ class Propagation:
     the segment).  `path(i)` materializes the chain source -> ... -> i.
     """
 
-    segment: Segment
     times: dict  # cell -> first trigger time within the segment
     pioneer: dict  # cell -> pioneer cell (== cell for an external trigger)
     source: dict  # cell -> source cell or None
@@ -102,9 +101,7 @@ class Propagation:
         source = {i: (p[0] if p else None) for i, p in paths.items()}
         pioneer = {i: (p[-2] if len(p) > 1 else i) for i, p in paths.items()}
         externals = frozenset(i for i, p in paths.items() if len(p) == 1)
-        seg = Segment(min(times.values()), max(times.values()),
-                      tuple(range(len(paths))))
-        return cls(segment=seg, times=dict(times), pioneer=pioneer,
+        return cls(times=dict(times), pioneer=pioneer,
                    source=source, multi_triggered=(), cross_refs=(), loops=(),
                    external_cells=externals, explicit_paths=dict(paths))
 
@@ -149,7 +146,7 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
             cur = nxt
         for c in chain:
             source[c] = s
-    return Propagation(segment=seg, times=times, pioneer=pioneer, source=source,
+    return Propagation(times=times, pioneer=pioneer, source=source,
                        multi_triggered=tuple(sorted(set(multi))),
                        cross_refs=cross_refs, loops=tuple(sorted(loops)),
                        external_cells=frozenset(externals))
@@ -331,14 +328,15 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
     """Structural invariants every valid one-shot propagation must obey."""
     flow, border = report.flow_role, report.border_role
     regions = _regions(p)
+    sinks = {s: sum(1 for i in cells if flow[i] in (ROLE_SINK, ROLE_UNITED))
+             for s, cells in regions.items()}
     is_tree = g.edge_count == g.node_count - 1
     results = []
 
     def add(name, passed, detail=""):
         results.append(PropertyCheck(name, passed, detail))
 
-    bad = [s for s, cells in regions.items()
-           if not any(flow[i] in (ROLE_SINK, ROLE_UNITED) for i in cells)]
+    bad = [s for s in regions if not sinks[s]]
     add("sink-per-region", not bad, f"regions without sinks: {bad[:4]}")
 
     n_sink = sum(1 for r in flow.values() if r in (ROLE_SINK, ROLE_UNITED))
@@ -348,7 +346,7 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
 
     bad = []
     for s, cells in regions.items():
-        has_non_sink = any(flow[i] not in (ROLE_SINK, ROLE_UNITED) for i in cells)
+        has_non_sink = sinks[s] < len(cells)
         source_non_sink = any(
             flow[i] in (ROLE_SOURCE, ROLE_FLOW) and p.source[i] == i == s
             for i in cells)
@@ -367,11 +365,10 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
     add("flat-degree2-not-sink", not bad, f"cells: {bad[:4]}")
 
     bad = []
-    for s, cells in regions.items():
+    for s in regions:
         children = sum(1 for j in g.adjacency[s] if p.pioneer.get(j) == s)
-        sinks = sum(1 for i in cells if flow[i] in (ROLE_SINK, ROLE_UNITED))
-        if sinks < children:
-            bad.append((s, children, sinks))
+        if sinks[s] < children:
+            bad.append((s, children, sinks[s]))
     add("source-children-bounded-by-sinks", not bad, f"regions: {bad[:4]}")
 
     bad = []
@@ -380,9 +377,8 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
         if not flats:
             continue
         required = sum(g.degree(i) - 2 for i in flats) + 1
-        sinks = sum(1 for i in cells if flow[i] in (ROLE_SINK, ROLE_UNITED))
-        if sinks < required:
-            bad.append((s, required, sinks))
+        if sinks[s] < required:
+            bad.append((s, required, sinks[s]))
     add("flat-cells-force-sinks", not bad, f"regions: {bad[:4]}")
     return results
 
@@ -418,7 +414,6 @@ class StabilizationReport:
     tau_nabla: int
     tau_pi_measured: int | None
     tau_nabla_measured: int | None
-    t_min_series: list
     e1_series: list
     source_fraction_series: list
     valid_series: list
@@ -487,14 +482,13 @@ def detect_stabilization(trace: Trace,
     if segments:
         segments = segments[:-1]  # last cluster may be horizon-truncated
 
-    oneshot, valid_flags, e1s, fracs, t_mins, props = [], [], [], [], [], []
+    oneshot, valid_flags, e1s, fracs, props = [], [], [], [], []
     for seg in segments:
         p = extract_propagation(trace, seg)
         ok = validate_omep(p, graph, p.external_cells).all_ok
         oneshot.append(ok)
         valid_flags.append(ok and seg.span <= tau_pi)
         props.append(p)
-        t_mins.append(p.t_min)
         e1s.append(propagation_error(p))
         n_src = sum(1 for i, s in p.source.items() if s == i)
         fracs.append(n_src / graph.node_count)
@@ -534,7 +528,7 @@ def detect_stabilization(trace: Trace,
         bound_slack=params.tau2, tau_pi_used=tau_pi,
         tau_delta_used=tau_delta, tau_nabla=tau_nabla,
         tau_pi_measured=tau_pi_meas, tau_nabla_measured=tau_nab_meas,
-        t_min_series=t_mins, e1_series=e1s, source_fraction_series=fracs,
+        e1_series=e1s, source_fraction_series=fracs,
         valid_series=valid_flags, oneshot_series=oneshot, segments=segments,
         propagations=props, first_violation=violation)
 
@@ -675,7 +669,7 @@ def series_metrics(report: StabilizationReport, graph: Graph) -> list:
         counts = classify_patterns(p, graph).counts
         per_k.append({
             "k": k,
-            "t_min_ns": report.t_min_series[k],
+            "t_min_ns": report.segments[k].t1,
             "e1_ns": report.e1_series[k],
             "source_fraction": report.source_fraction_series[k],
             "ideal": report.source_fraction_series[k] == 1.0,

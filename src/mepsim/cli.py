@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import (association_classes, check_pattern_properties,
                        classify_patterns, detect_stabilization,
                        required_horizon, series_metrics)
-from .engine import INIT_ADVERSARIAL, INIT_RANDOM_UNIFORM, InitState, simulate
+from .engine import INIT_RANDOM_UNIFORM, InitState, simulate
 from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
                      TraceParseError)
 from .timing import (DelayModel, DriftAssignment, SimParams, derive_params,
@@ -42,29 +42,6 @@ EXIT_IO = 5
 EXIT_HORIZON = 6
 
 log = logging.getLogger("mepsim")
-
-_DEFAULT_CONFIG = {
-    "topology": "ring:16",
-    "topology_file": None,
-    "lg_override": None,
-    "d_min": 0,
-    "d_max": 1_000_000,
-    "rho": 1e-4,
-    "param_mode": "paper-sim",
-    "tau0": None,
-    "tau1": None,
-    "tau2": None,
-    "delay": {"kind": "uniform", "schedule_file": None, "cycle": False},
-    "omission_p": 0.0,
-    "drift": {"mode": "uniform", "values": None},
-    "init": {"mode": INIT_RANDOM_UNIFORM, "elapsed": None, "signals": []},
-    "dmin_compensation": False,
-    "horizon_ns": None,
-    "seed": 0,
-    "record_arrivals": True,
-    "association_checks": False,
-}
-
 
 def _is_int(v) -> bool:
     return type(v) is int  # bool is an int subclass but not a count
@@ -92,42 +69,69 @@ _STRING = (_is_str, "a string")
 _BOOL = (lambda v: type(v) is bool, "true or false")
 _INT_OR_NULL = (_or_null(_is_int), "an integer or null")
 _STRING_OR_NULL = (_or_null(_is_str), "a string or null")
+_ANY = (lambda v: True, "any JSON value")
 
-# The type of every config value but the seed, which may be any JSON value.
-_CONFIG_TYPES = {
-    "topology": _STRING,
-    "topology_file": _STRING_OR_NULL,
-    "lg_override": _INT_OR_NULL,
-    "d_min": _INT,
-    "d_max": _INT,
-    "rho": _NUMBER,
-    "param_mode": _STRING,
-    "tau0": _INT_OR_NULL,
-    "tau1": _INT_OR_NULL,
-    "tau2": _INT_OR_NULL,
-    "delay.kind": _STRING,
-    "delay.schedule_file": _STRING_OR_NULL,
-    "delay.cycle": _BOOL,
-    "omission_p": _NUMBER,
-    "drift.mode": _STRING,
-    "drift.values": (_or_null(_list_of(_is_number)),
-                     "a list of numbers or null"),
-    "init.mode": _STRING,
-    "init.elapsed": (_or_null(_list_of(_is_int)),
-                     "a list of integers or null"),
-    "init.signals": (_list_of(lambda s: isinstance(s, list) and len(s) == 3
-                              and all(_is_int(x) for x in s)),
-                     "a list of [from, to, arrival_ns] integer triples"),
-    "dmin_compensation": _BOOL,
-    "horizon_ns": _INT_OR_NULL,
-    "record_arrivals": _BOOL,
-    "association_checks": _BOOL,
+# The one list of config keys (dotted for a member of an object), each
+# with its default and its JSON type.
+_CONFIG = {
+    "topology": ("ring:16", _STRING),
+    "topology_file": (None, _STRING_OR_NULL),
+    "lg_override": (None, _INT_OR_NULL),
+    "d_min": (0, _INT),
+    "d_max": (1_000_000, _INT),
+    "rho": (1e-4, _NUMBER),
+    "param_mode": ("paper-sim", _STRING),
+    "tau0": (None, _INT_OR_NULL),
+    "tau1": (None, _INT_OR_NULL),
+    "tau2": (None, _INT_OR_NULL),
+    "delay.kind": ("uniform", _STRING),
+    "delay.schedule_file": (None, _STRING_OR_NULL),
+    "delay.cycle": (False, _BOOL),
+    "omission_p": (0.0, _NUMBER),
+    "drift.mode": ("uniform", _STRING),
+    "drift.values": (None, (_or_null(_list_of(_is_number)),
+                            "a list of numbers or null")),
+    "init.mode": (INIT_RANDOM_UNIFORM, _STRING),
+    "init.elapsed": (None, (_or_null(_list_of(_is_int)),
+                            "a list of integers or null")),
+    "init.signals": ([], (_list_of(lambda s: isinstance(s, list)
+                                   and len(s) == 3
+                                   and all(_is_int(x) for x in s)),
+                          "a list of [from, to, arrival_ns] integer triples")),
+    "dmin_compensation": (False, _BOOL),
+    "horizon_ns": (None, _INT_OR_NULL),
+    "seed": (0, _ANY),
+    "record_arrivals": (True, _BOOL),
+    "association_checks": (False, _BOOL),
 }
+
+# The keys that name objects: "" (the whole config), "delay", "drift", "init".
+_OBJECTS = {key.rpartition(".")[0] for key in _CONFIG}
+
+
+def _set(cfg: dict, key: str, value) -> None:
+    """Set the dotted config key `key` to `value`.  An object value for an
+    object key sets each of its members in turn, so an object override
+    merges the way a config file (the object at key "") does."""
+    if key in _CONFIG:
+        *parents, leaf = key.split(".")
+        for part in parents:
+            cfg = cfg.setdefault(part, {})
+        cfg[leaf] = value
+    elif key not in _OBJECTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    elif not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be an object")
+    else:
+        for member, item in value.items():
+            if "." in member:  # a member is one name, never a path
+                raise ConfigError(f"unknown config key {member!r}")
+            _set(cfg, f"{key}.{member}" if key else member, item)
 
 
 def _check_config_types(cfg: dict) -> None:
     """Raise ConfigError on a config value of the wrong JSON type."""
-    for key, (ok, what) in _CONFIG_TYPES.items():
+    for key, (_, (ok, what)) in _CONFIG.items():
         *parents, leaf = key.split(".")
         node = cfg
         for part in parents:
@@ -140,20 +144,10 @@ def _check_config_types(cfg: dict) -> None:
                               f"got {value!r}")
 
 
-def _deep_update(base: dict, extra: dict, path="") -> dict:
-    for key, value in extra.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            _deep_update(base[key], value, where)
-        else:
-            base[key] = value
-    return base
-
-
 def load_config(path=None, overrides=()) -> dict:
-    cfg = copy.deepcopy(_DEFAULT_CONFIG)
+    cfg = {}
+    for key, (default, _) in _CONFIG.items():
+        _set(cfg, key, copy.copy(default))
     if path is not None:
         try:
             with open(path) as fh:
@@ -162,7 +156,7 @@ def load_config(path=None, overrides=()) -> dict:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(extra, dict):
             raise ConfigError(f"{path}: the config is not a JSON object")
-        _deep_update(cfg, extra)
+        _set(cfg, "", extra)
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -171,15 +165,7 @@ def load_config(path=None, overrides=()) -> dict:
             value = json.loads(raw)
         except (ValueError, RecursionError):
             value = raw  # bare strings are convenient on the command line
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config key {key!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key {key!r}")
-        node[parts[-1]] = value
+        _set(cfg, key, value)
     _check_config_types(cfg)
     return cfg
 
@@ -228,24 +214,22 @@ def resolve_config(cfg: dict) -> RunSpec:
 
     dcfg = cfg["delay"]
     schedule = None
-    if dcfg.get("schedule_file"):
+    if dcfg["schedule_file"]:
         schedule = read_schedule_file(dcfg["schedule_file"])
     delay_model = DelayModel(kind=dcfg["kind"], d_min=cfg["d_min"],
                              d_max=cfg["d_max"], schedule=schedule,
-                             cycle=bool(dcfg.get("cycle", False)))
+                             cycle=dcfg["cycle"])
 
     drift_cfg = cfg["drift"]
-    values = drift_cfg.get("values")
+    values = drift_cfg["values"]
     drift = DriftAssignment(mode=drift_cfg["mode"], rho=cfg["rho"],
                             values=tuple(values) if values else None)
 
     icfg = cfg["init"]
     init = InitState(
         mode=icfg["mode"],
-        elapsed=tuple(icfg["elapsed"]) if icfg.get("elapsed") else None,
-        signals=tuple(tuple(s) for s in icfg.get("signals") or ()))
-    if init.mode not in (INIT_RANDOM_UNIFORM, INIT_ADVERSARIAL):
-        raise ConfigError(f"unknown init mode {init.mode!r}")
+        elapsed=tuple(icfg["elapsed"]) if icfg["elapsed"] else None,
+        signals=tuple(tuple(s) for s in icfg["signals"]))
 
     horizon = cfg["horizon_ns"]
     if horizon is None:
@@ -345,7 +329,7 @@ def _write_plotdata(outdir, graph, report) -> None:
         off.write("k,t_min_ns,cell,t_tilde_ns,is_source\n")
         pmap.write("k,row,col,is_source\n")
         for k, p in enumerate(props):
-            t_min = report.t_min_series[k]
+            t_min = report.segments[k].t1
             for i in sorted(p.times):
                 is_source = int(p.source[i] == i)
                 r, c = divmod(i, cols)
@@ -442,22 +426,13 @@ def _report(outdir, trace, stats, association, ok_line) -> int:
     return EXIT_OK
 
 
-def _sweep_point_config(cfg: dict, axis: str, value) -> dict:
-    point = copy.deepcopy(cfg)
-    try:
-        if axis == "topology":
-            point["topology"] = value
-        elif axis == "n":
-            point["topology"] = f"ring:{int(value)}"
-        elif axis == "p":
-            point["omission_p"] = float(value)
-        elif axis == "rho":
-            point["rho"] = float(value)
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-    except ValueError as exc:
-        raise ConfigError(f"bad {axis} sweep value {value!r}") from exc
-    return point
+# Each sweep axis: the config key it sets and how it parses one --values item.
+_SWEEP_AXES = {
+    "n": ("topology", lambda value: f"ring:{int(value)}"),
+    "p": ("omission_p", float),
+    "rho": ("rho", float),
+    "topology": ("topology", str),
+}
 
 
 def _sweep_worker(task):
@@ -488,11 +463,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a nonempty value list and replicas >= 1")
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    key, parse = _SWEEP_AXES[args.axis]
     tasks = []
     for value in values:
-        point = _sweep_point_config(cfg, args.axis, value)
+        try:
+            point = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad {args.axis} sweep value {value!r}") from exc
         for replica in range(args.replicas):
-            rcfg = copy.deepcopy(point)
+            rcfg = copy.deepcopy(cfg)
+            rcfg[key] = point
             rcfg["seed"] = f"{cfg['seed']}-{value}-{replica}"
             tasks.append((str(value), replica, rcfg))
     jobs = args.jobs or os.cpu_count() or 1
@@ -508,13 +488,11 @@ def cmd_sweep(args) -> int:
         "sweep": {"axis": args.axis, "values": values,
                   "replicas": args.replicas}})
     path = os.path.join(args.out, "sweep.csv")
-    cols = ["point", "replica", "seed", "stabilized", "t_stab_ns",
-            "final_e1_ns", "final_source_fraction", "mean_tau_pi_ns"]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(rows[0]) + "\n")  # the columns: every row's keys
         for row in rows:
-            fh.write(",".join("" if row[c] is None else str(row[c])
-                              for c in cols) + "\n")
+            fh.write(",".join("" if v is None else str(v)
+                              for v in row.values()) + "\n")
     print(f"sweep complete: {len(rows)} runs -> {path}")
     return EXIT_OK
 
@@ -550,15 +528,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon-ns", type=int, default=None)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("analyze", help="re-analyze a persisted trace file")
+    p = sub.add_parser("analyze", help="re-analyze a persisted trace file",
+                       description="Of its config, analyze reads only "
+                       "lg_override and association_checks; the trace's "
+                       "#meta fixes the graph, the timing and the horizon.")
     common(p)
     p.add_argument("trace", help="trace.csv produced by run")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     common(p)
-    p.add_argument("--axis", required=True,
-                   choices=["n", "p", "rho", "topology"])
+    p.add_argument("--axis", required=True, choices=_SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated axis values")
     p.add_argument("--replicas", type=int, default=1)

@@ -60,14 +60,16 @@ class InitState:
     elapsed: tuple | None = None
     signals: tuple = ()  # (from_cell, to_cell, arrival_ns)
 
+    def __post_init__(self):
+        if self.mode not in (INIT_RANDOM_UNIFORM, INIT_ADVERSARIAL):
+            raise ParameterError(f"unknown init mode {self.mode!r}")
+
     def resolve_elapsed(self, n: int, tau2: int, rng) -> list:
         if self.mode == INIT_RANDOM_UNIFORM:
             return [rng.randint(0, tau2) for _ in range(n)]
-        if self.mode == INIT_ADVERSARIAL:
-            if self.elapsed is None or len(self.elapsed) != n:
-                raise ParameterError("adversarial init needs one elapsed reading per cell")
-            return list(self.elapsed)
-        raise ParameterError(f"unknown init mode {self.mode!r}")
+        if self.elapsed is None or len(self.elapsed) != n:
+            raise ParameterError("adversarial init needs one elapsed reading per cell")
+        return list(self.elapsed)
 
 
 class _Setup(NamedTuple):
@@ -91,7 +93,7 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
     offset tables; shared by simulate() and the per-ns oracle."""
     if delay_model.d_min < params.d_min or delay_model.d_max > params.d_max:
         raise ParameterError("delay model bounds exceed the params delay bounds")
-    if drift is not None and drift.rho > params.rho:
+    if drift is not None and not drift.rho <= params.rho:  # NaN fails too
         raise ParameterError(f"drift bound {drift.rho} exceeds rho {params.rho}")
 
     n = graph.node_count

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .errors import ParameterError, ScheduleUnderrunError
@@ -70,22 +70,11 @@ class SimParams:
         return int(math.ceil(Fraction(self.tau2) / (1 - Fraction(self.rho))))
 
     def as_dict(self) -> dict:
-        return {
-            "d_min": self.d_min,
-            "d_max": self.d_max,
-            "rho": self.rho,
-            "tau0": self.tau0,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "omission_p": self.omission_p,
-            "dmin_compensation": self.dmin_compensation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimParams":
-        return cls(**{k: d[k] for k in (
-            "d_min", "d_max", "rho", "tau0", "tau1", "tau2",
-            "omission_p", "dmin_compensation")})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def check_strict_constraint(tau0: int, tau1: int, stats: TopologyStats,
@@ -257,7 +246,7 @@ class DriftAssignment:
             if self.values is None or len(self.values) != n:
                 raise ParameterError("explicit drift assignment needs one value per cell")
             for v in self.values:
-                if abs(v) > self.rho:
+                if not abs(v) <= self.rho:  # NaN fails this test too
                     raise ParameterError(f"drift {v} exceeds bound {self.rho}")
             return list(self.values)
         raise ParameterError(f"unknown drift mode {self.mode!r}")

@@ -185,14 +185,13 @@ def _closed_form_lg(g: Graph) -> int | None:
     return None
 
 
-def topology_stats(g: Graph, lg_override: int | None = None,
-                   exact_cap: int = DEFAULT_EXACT_SEARCH_CAP) -> TopologyStats:
+def topology_stats(g: Graph, lg_override: int | None = None) -> TopologyStats:
     """Diameter (always exact) and longest simple path (exact when feasible).
 
     Closed forms short-circuit the exhaustive search for constructor-built
-    rings/grids/hypercubes; otherwise the search runs when n <= exact_cap.
-    Above the cap the override is used if given, else the bound n-1 with
-    lg_is_exact=False.
+    rings/grids/hypercubes; otherwise it runs up to DEFAULT_EXACT_SEARCH_CAP
+    cells.  Above the cap the override is used if given, else the bound n-1
+    with lg_is_exact=False.
     """
     d = diameter(g)
     if lg_override is not None and lg_override < d:
@@ -201,7 +200,7 @@ def topology_stats(g: Graph, lg_override: int | None = None,
     closed = _closed_form_lg(g)
     if closed is not None:
         return TopologyStats(diameter=d, longest_simple_path=closed, lg_is_exact=True)
-    if g.node_count <= exact_cap:
+    if g.node_count <= DEFAULT_EXACT_SEARCH_CAP:
         return TopologyStats(diameter=d, longest_simple_path=longest_simple_path_exact(g),
                              lg_is_exact=True)
     if lg_override is not None:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mepsim.analysis
-from mepsim.cli import (EXIT_CHECK_FAILURE, EXIT_HORIZON, EXIT_INVALID,
-                        EXIT_NOT_STABILIZED, EXIT_OK, load_config, main,
-                        resolve_config)
+from mepsim.cli import (_CONFIG, EXIT_CHECK_FAILURE, EXIT_HORIZON,
+                        EXIT_INVALID, EXIT_NOT_STABILIZED, EXIT_OK,
+                        load_config, main, resolve_config)
 from mepsim.errors import ConfigError
 
 FAST = ["--override", "topology=ring:4", "--override", "d_max=100",
@@ -37,6 +37,39 @@ def test_config_file_precedence(tmp_path):
     path.write_text(json.dumps({"topology": "ring:6", "seed": 9}))
     cfg = load_config(path, overrides=["seed=11"])
     assert cfg["topology"] == "ring:6" and cfg["seed"] == 11
+
+
+def test_object_override_merges_like_a_config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"delay": {"kind": "fixed"}}')
+    cfg = load_config(overrides=['delay={"kind": "fixed"}'])
+    assert cfg["delay"] == {"kind": "fixed", "schedule_file": None,
+                            "cycle": False}
+    assert cfg == load_config(path)
+
+
+@pytest.mark.parametrize("text", ['{"delay.kind": "fixed"}',
+                                  '{"delay": {"kind.x": "fixed"}}'])
+def test_config_file_rejects_dotted_keys(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(path)
+    argv = ["run", "--out", str(tmp_path / "o"), "--config", str(path)]
+    assert main(argv + FAST) == EXIT_INVALID
+
+
+def test_unknown_init_mode_exits_invalid(tmp_path):
+    argv = ["run", "--out", str(tmp_path / "o"), "--override", "init.mode=bogus"]
+    assert main(argv + FAST) == EXIT_INVALID
+
+
+def test_nan_drift_exits_invalid(tmp_path):
+    argv = ["run", "--out", str(tmp_path / "o"),
+            "--override", "topology=ring:4", "--override", "d_max=100",
+            "--override", "drift.mode=explicit",
+            "--override", "drift.values=[NaN,0,0,0]"]
+    assert main(argv) == EXIT_INVALID
 
 
 def test_resolve_config_produces_runnable_objects():
@@ -342,17 +375,50 @@ def test_analyze_survives_perturbed_traces(tmp_path_factory, valid_trace_lines,
                   EXIT_INVALID, EXIT_HORIZON)
 
 
-def test_sweep_aggregates(tmp_path):
+@pytest.mark.parametrize("axis, values", [
+    ("n", "4,6"), ("p", "0,0.1"), ("rho", "0,0.0001"),
+    ("topology", "ring:4,grid:2x2")], ids=["n", "p", "rho", "topology"])
+def test_sweep_aggregates(tmp_path, axis, values):
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--axis", "n", "--values", "4,6", "--replicas", "2",
-               "--jobs", "1", "--out", str(out),
-               "--override", "d_max=100", "--override", "rho=0.0",
-               "--override", "drift.mode=zero"])
+    rc = main(["sweep", "--axis", axis, "--values", values, "--replicas", "2",
+               "--jobs", "1", "--out", str(out)] + FAST)
     assert rc == EXIT_OK
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0].startswith("point,replica,seed,stabilized")
-    assert len(rows) == 5
+    assert [r.split(",")[0] for r in rows[1:]] == \
+        [v for v in values.split(",") for _ in range(2)]
     assert all("True" in r for r in rows[1:])
+
+
+# Every config key but those naming files and the topology (the run stays
+# on FAST's ring:4) and the horizon (pinned below, so no run is long).
+_FUZZED_KEYS = sorted(set(_CONFIG) - {"topology", "topology_file",
+                                      "delay.schedule_file", "horizon_ns"})
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.sampled_from(["explicit", "extremal", "zero", "fixed",
+                     "adversarial-max", "adversarial-explicit",
+                     "strict-constraint"]))
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=5),
+    st.lists(st.lists(st.integers(-1, 200), min_size=3, max_size=3),
+             max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides=st.lists(st.tuples(st.sampled_from(_FUZZED_KEYS),
+                                    _JSON_VALUES), max_size=4))
+def test_run_survives_random_config_overrides(tmp_path_factory, overrides):
+    """Random JSON values, NaN and the infinities included, for up to four
+    config keys: run must answer with a documented exit code, never a
+    traceback."""
+    argv = ["run", "--out", str(tmp_path_factory.mktemp("fuzzed")),
+            "--horizon-ns", "20000"] + FAST
+    for key, value in overrides:
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    assert main(argv) in (EXIT_OK, EXIT_NOT_STABILIZED, EXIT_CHECK_FAILURE,
+                          EXIT_INVALID, EXIT_HORIZON)
 
 
 @pytest.mark.parametrize("argv", [

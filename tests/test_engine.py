@@ -182,6 +182,9 @@ def test_drift_beyond_params_rho_rejected():
     with pytest.raises(ParameterError, match="drift bound"):
         simulate(g, p, delay_model=dm, horizon=20000, seed=0,
                  drift=DriftAssignment(mode="extremal", rho=0.2))
+    with pytest.raises(ParameterError, match="drift bound"):
+        simulate(g, p, delay_model=dm, horizon=20000, seed=0,
+                 drift=DriftAssignment(mode="uniform", rho=float("nan")))
 
 
 def test_arrival_at_restoration_instant_is_rejected_one_ns_later_accepted():

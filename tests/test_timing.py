@@ -156,6 +156,9 @@ def test_drift_assignments():
     assert exp.assign(2, rng) == [0.05, -0.1]
     with pytest.raises(ParameterError):
         DriftAssignment(mode="explicit", rho=0.01, values=(0.05,)).assign(1, rng)
+    with pytest.raises(ParameterError):
+        DriftAssignment(mode="explicit", rho=0.01,
+                        values=(float("nan"),)).assign(1, rng)
 
 
 def test_streams_are_independent_and_reproducible():

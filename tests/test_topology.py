@@ -78,11 +78,13 @@ def test_stats_override_and_fallback():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     custom = topology_stats(g)
     assert custom.longest_simple_path == 3 and custom.lg_is_exact
-    big = topology_stats(g, exact_cap=2)
-    assert big.longest_simple_path == 3 and not big.lg_is_exact
-    assert topology_stats(g, lg_override=3, exact_cap=2).longest_simple_path == 3
+    # a 65-cell star: above the exhaustive-search cap, diameter 2
+    star = from_edge_list(65, [(0, i) for i in range(1, 65)])
+    big = topology_stats(star)
+    assert big.longest_simple_path == 64 and not big.lg_is_exact
+    assert topology_stats(star, lg_override=2).longest_simple_path == 2
     with pytest.raises(ParameterError):
-        topology_stats(g, lg_override=1, exact_cap=2)  # below the diameter
+        topology_stats(star, lg_override=1)  # below the diameter
 
 
 def test_parse_topology():
