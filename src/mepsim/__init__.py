@@ -18,4 +18,4 @@ from .timing import DelayModel, DriftAssignment, SimParams, derive_params
 from .topology import (Graph, TopologyStats, build_grid, build_hypercube,
                        build_ring, from_edge_list, parse_topology,
                        topology_stats)
-from .trace import ArrivalRecord, Trace, TriggerRecord, read_trace, write_trace
+from .trace import ArrivalRecord, Trace, read_trace, write_trace

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import InsufficientHorizonError, ParameterError
 from .topology import Graph, TopologyStats
@@ -45,17 +45,16 @@ def cluster_triggers(triggers, tau_delta: int) -> list:
     unstabilized prefixes.  The triggers are a trace's, time-sorted with
     seq equal to list index, so each cluster's seqs are one range.
     """
-    segments = []
     if not triggers:
-        return segments
-    start = 0
-    for k in range(1, len(triggers)):
-        if triggers[k].time - triggers[k - 1].time > tau_delta:
-            segments.append(Segment(triggers[start].time,
-                                    triggers[k - 1].time, range(start, k)))
-            start = k
-    segments.append(Segment(triggers[start].time, triggers[-1].time,
-                            range(start, len(triggers))))
+        return []
+    segments, start = [], 0
+    first = prev = triggers[0][0]
+    for k, (t, _, _, _) in enumerate(triggers):
+        if t - prev > tau_delta:
+            segments.append(Segment(first, prev, range(start, k)))
+            start, first = k, t
+        prev = t
+    segments.append(Segment(first, prev, range(start, len(triggers))))
     return segments
 
 
@@ -108,15 +107,15 @@ class Propagation:
 
 def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
     times, pioneer, multi, externals = {}, {}, [], set()
-    for s in seg.trigger_seqs:
-        rec = trace.triggers[s]
-        if rec.cell in times:
-            multi.append(rec.cell)
+    seqs = seg.trigger_seqs
+    for t, cell, kind, h in trace.triggers[seqs.start:seqs.stop]:
+        if cell in times:
+            multi.append(cell)
             continue  # keep the first trigger of the cell
-        times[rec.cell] = rec.time
-        pioneer[rec.cell] = rec.pioneer
-        if rec.kind == KIND_EXTERNAL:
-            externals.add(rec.cell)
+        times[cell] = t
+        pioneer[cell] = h
+        if kind == KIND_EXTERNAL:
+            externals.add(cell)
 
     cross_refs = tuple(sorted(
         i for i, h in pioneer.items() if h != i and h not in times))
@@ -591,15 +590,16 @@ def association_classes(trace: Trace, window,
     after the strong read.  Finds halve paths (Tarjan, JACM 1975).
     """
     lo, hi = window
-    d_max, time = trace.params.d_max, attrgetter("time")
+    d_max, time, trigger_time = (trace.params.d_max, attrgetter("time"),
+                                 itemgetter(0))
     triggers, arrivals = trace.triggers, trace.arrivals
-    s0 = bisect_left(triggers, lo, key=time)
-    n = max(0, bisect_right(triggers, hi, key=time) - s0)
+    s0 = bisect_left(triggers, lo, key=trigger_time)
+    n = max(0, bisect_right(triggers, hi, key=trigger_time) - s0)
     cell_times = [[] for _ in range(trace.graph.node_count)]
     cell_xs = [[] for _ in cell_times]
-    for x, t in enumerate(triggers[s0:s0 + n]):
-        cell_times[t.cell].append(t.time)
-        cell_xs[t.cell].append(x)
+    for x, (t, cell, _, _) in enumerate(triggers[s0:s0 + n]):
+        cell_times[cell].append(t)
+        cell_xs[cell].append(x)
 
     parent, weak = list(range(n)), []
     for a in arrivals[bisect_left(arrivals, lo, key=time):
@@ -620,7 +620,7 @@ def association_classes(trace: Trace, window,
         if k == 0 or ts[k - 1] < t - d_max:
             continue
         e = cell_xs[a.frm][k - 1]
-        if abs(ts[k - 1] - triggers[o + s0].time) > d_max:
+        if abs(ts[k - 1] - triggers[o + s0][0]) > d_max:
             weak.append((e, o))
             continue
         # _union, inlined: collecting the pairs for it measured 30 % slower
@@ -644,7 +644,7 @@ def association_classes(trace: Trace, window,
     bound = d_max * (stats.longest_simple_path if stats is not None
                      else trace.graph.node_count - 1)
     # seqs ascend in time, so a class spans its last time minus its first
-    spans = tuple(triggers[g[-1]].time - triggers[g[0]].time for g in classes)
+    spans = tuple(triggers[g[-1]][0] - triggers[g[0]][0] for g in classes)
     s_witness = next(((g[0], g[-1], span) for g, span in zip(classes, spans)
                       if span > bound), None)
     return AssociationClasses(

@@ -33,8 +33,7 @@ from .errors import ParameterError
 from .timing import DriftAssignment, SimParams, local_to_real, stream
 from .topology import Graph
 from .trace import (ArrivalRecord, KIND_EXTERNAL, KIND_INTERNAL,
-                    OUTCOME_ACCEPTED, OUTCOME_OMITTED, OUTCOME_REJECTED,
-                    Trace, TriggerRecord)
+                    OUTCOME_ACCEPTED, OUTCOME_OMITTED, OUTCOME_REJECTED, Trace)
 
 INIT_RANDOM_UNIFORM = "random-uniform"
 INIT_ADVERSARIAL = "adversarial-explicit"
@@ -51,9 +50,9 @@ class InitState:
 
     random-uniform draws each cell's initially elapsed local time from
     the integer-uniform U[0, tau2].  adversarial-explicit takes the
-    per-cell readings verbatim (readings beyond tau2 are clamped, which
-    makes the cell fire immediately at t=0) and may inject pending
-    signals with arrival instants within [0, d_max].
+    per-cell readings, which must be >= 0 (readings beyond tau2 are
+    clamped, which makes the cell fire immediately at t=0), and may
+    inject pending signals with arrival instants within [0, d_max].
     """
 
     mode: str = INIT_RANDOM_UNIFORM
@@ -63,6 +62,8 @@ class InitState:
     def __post_init__(self):
         if self.mode not in (INIT_RANDOM_UNIFORM, INIT_ADVERSARIAL):
             raise ParameterError(f"unknown init mode {self.mode!r}")
+        if self.elapsed is not None and min(self.elapsed, default=0) < 0:
+            raise ParameterError(f"negative elapsed reading in {self.elapsed}")
 
     def resolve_elapsed(self, n: int, tau2: int, rng) -> list:
         if self.mode == INIT_RANDOM_UNIFORM:
@@ -216,17 +217,15 @@ def _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed, init,
     """Sort the raw (time, cell, kind, pioneer) triggers and (time, frm, to,
     outcome, provisional_rejecting_seq) arrivals into a Trace.
 
-    Both sorts are stable and keyed by C-level itemgetters; only rejections
-    carry a provisional seq, every other arrival -1."""
-    # the (time, cell) keys die with the sort, before the records exist
-    order = sorted(range(len(raw_triggers)),
-                   key=list(map(itemgetter(0, 1), raw_triggers)).__getitem__)
+    The trigger tuples become the trace's triggers.  No two share a (time,
+    cell) pair (a cell fires only at t > rest_due, and firing sets rest_due
+    >= t), so sorting whole tuples orders them by (time, cell) and never
+    compares a kind.  Only rejections carry a provisional seq, all else -1."""
+    order = sorted(range(len(raw_triggers)), key=raw_triggers.__getitem__)
+    triggers = [raw_triggers[k] for k in order]
     remap = [0] * len(raw_triggers)
-    triggers = []
     for final_seq, k in enumerate(order):
         remap[k] = final_seq
-        t, cell, kind, pioneer = raw_triggers[k]
-        triggers.append(TriggerRecord(final_seq, cell, t, kind, pioneer))
     arrivals = [ArrivalRecord(frm, to, t, outcome,
                               remap[rej] if rej >= 0 else None)
                 for t, frm, to, outcome, rej in sorted(raw_arrivals,

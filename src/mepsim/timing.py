@@ -51,6 +51,11 @@ class SimParams:
     dmin_compensation: bool = False
 
     def __post_init__(self):
+        admits = {"int": (int,), "float": (int, float), "bool": (bool,)}
+        for f in fields(self):  # a bool is no count, an int a valid float
+            v = getattr(self, f.name)
+            if type(v) not in admits[f.type]:
+                raise ParameterError(f"{f.name} must be {f.type}, got {v!r}")
         if not 0 <= self.d_min <= self.d_max:
             raise ParameterError(f"need 0 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if not 0.0 <= self.rho < 1.0:

@@ -35,18 +35,9 @@ TRIGGERS_HEADER = "seq,time_ns,cell,kind,pioneer"
 ARRIVALS_HEADER = "time_ns,from,to,outcome,rejecting_seq"
 
 
-# Plain slot records: a frozen dataclass's __init__ pays one
+# A plain slot record: a frozen dataclass's __init__ pays one
 # object.__setattr__ per field, which dominates building 10^5 records.
 # Nothing mutates or hashes a record.
-@dataclass(slots=True)
-class TriggerRecord:
-    seq: int
-    cell: int
-    time: int  # real ns
-    kind: str  # external | internal
-    pioneer: int  # self for external triggers
-
-
 @dataclass(slots=True)
 class ArrivalRecord:
     frm: int
@@ -60,6 +51,8 @@ class ArrivalRecord:
 class Trace:
     graph: Graph
     params: SimParams
+    # (time_ns, cell, kind, pioneer) tuples sorted by (time, cell); a
+    # trigger's seq is its index, and an external one's pioneer its cell
     triggers: list
     arrivals: list
     horizon: int
@@ -101,8 +94,8 @@ def _trace_rows(trace: Trace):
     yield f"#meta={json.dumps(_meta_dict(trace), sort_keys=True)}\n"
     yield "[triggers]\n"
     yield TRIGGERS_HEADER + "\n"
-    for t in trace.triggers:
-        yield f"{t.seq},{t.time},{t.cell},{t.kind},{t.pioneer}\n"
+    for seq, (t, cell, kind, pioneer) in enumerate(trace.triggers):
+        yield f"{seq},{t},{cell},{kind},{pioneer}\n"
     yield "[arrivals]\n"
     yield ARRIVALS_HEADER + "\n"
     for a in trace.arrivals:
@@ -267,7 +260,7 @@ def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:
             raise TraceParseError("triggers not sorted by (time, cell)",
                                   line=lineno)
         prev = key
-        triggers.append(TriggerRecord(seq, cell, t, known, pioneer))
+        triggers.append((t, cell, known, pioneer))
     raise TraceParseError("missing [arrivals] section")
 
 
@@ -311,13 +304,13 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
             if known is not OUTCOME_REJECTED:
                 raise TraceParseError(f"rejecting_seq on an {known} arrival",
                                       line=lineno)
-            rejecting = triggers[rej]
-            if rejecting.time > t:
+            rej_t, rej_cell, _, _ = triggers[rej]
+            if rej_t > t:
                 raise TraceParseError(f"rejecting_seq {rej} names a trigger "
                                       f"after the arrival", line=lineno)
-            if rejecting.cell != to:
+            if rej_cell != to:
                 raise TraceParseError(f"rejecting_seq {rej} names a trigger "
-                                      f"of cell {rejecting.cell}, not of the "
+                                      f"of cell {rej_cell}, not of the "
                                       f"receiver {to}", line=lineno)
         arrivals.append(ArrivalRecord(frm, to, t, known, rej))
     for lineno, line in rows:

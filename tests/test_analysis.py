@@ -14,8 +14,7 @@ from mepsim.errors import InsufficientHorizonError
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
 from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
-                          OUTCOME_REJECTED, ArrivalRecord, Trace,
-                          TriggerRecord)
+                          OUTCOME_REJECTED, ArrivalRecord, Trace)
 
 K2 = from_edge_list(2, [(0, 1)])
 P3 = from_edge_list(3, [(0, 1), (1, 2)])
@@ -29,8 +28,7 @@ def _trace(times, cells=None, kinds=None, pioneers=None, graph=K2,
     cells = cells or [0] * len(times)
     kinds = kinds or [KIND_EXTERNAL] * len(times)
     pioneers = pioneers if pioneers is not None else list(cells)
-    trig = [TriggerRecord(seq=i, cell=c, time=t, kind=k, pioneer=h)
-            for i, (t, c, k, h) in enumerate(zip(times, cells, kinds, pioneers))]
+    trig = list(zip(times, cells, kinds, pioneers))
     return Trace(graph=graph, params=PARAMS, triggers=trig,
                  arrivals=list(arrivals), horizon=horizon, seed=0)
 
@@ -238,8 +236,8 @@ def test_propagation_error_sums_offsets():
 
 
 def test_k2_exchange_single_class():
-    t0 = TriggerRecord(seq=0, cell=0, time=1000, kind=KIND_EXTERNAL, pioneer=0)
-    t1 = TriggerRecord(seq=1, cell=1, time=1080, kind=KIND_INTERNAL, pioneer=0)
+    t0 = (1000, 0, KIND_EXTERNAL, 0)
+    t1 = (1080, 1, KIND_INTERNAL, 0)
     arr = ArrivalRecord(frm=0, to=1, time=1080, outcome="accepted")
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
                horizon=10**6, seed=0)
@@ -251,8 +249,8 @@ def test_k2_exchange_single_class():
 
 def test_distant_rejection_breaks_both_checks():
     # rejection referencing a trigger older than the delay bound
-    t0 = TriggerRecord(seq=0, cell=1, time=0, kind=KIND_EXTERNAL, pioneer=1)
-    t1 = TriggerRecord(seq=1, cell=0, time=150, kind=KIND_EXTERNAL, pioneer=0)
+    t0 = (0, 1, KIND_EXTERNAL, 1)
+    t1 = (150, 0, KIND_EXTERNAL, 0)
     arr = ArrivalRecord(frm=0, to=1, time=200, outcome=OUTCOME_REJECTED,
                         rejecting_seq=0)
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
@@ -305,30 +303,34 @@ def _reference_association(tr, lo, hi, stats):
     pair enumeration, BFS components, witnesses read off the partitions."""
     d_max = tr.params.d_max
     weak = 0
-    window = [t for t in tr.triggers if lo <= t.time <= hi]
-    strong_adj = {t.seq: set() for t in window}
-    loose_adj = {t.seq: set() for t in window}
+    window = [(seq, t, cell) for seq, (t, cell, _, _) in enumerate(tr.triggers)
+              if lo <= t <= hi]
+    strong_adj = {seq: set() for seq, _, _ in window}
+    loose_adj = {seq: set() for seq, _, _ in window}
     for a in tr.arrivals:
         if not lo <= a.time <= hi:
             continue
-        sent = [t for t in window if t.cell == a.frm and t.time <= a.time]
-        if not sent or sent[-1].time < a.time - d_max:
+        sent = [(seq, t) for seq, t, cell in window
+                if cell == a.frm and t <= a.time]
+        if not sent or sent[-1][1] < a.time - d_max:
             continue
-        emit = sent[-1]
+        emit_seq, emit_time = sent[-1]
         if a.outcome == OUTCOME_ACCEPTED:
-            other = next((t for t in window
-                          if t.cell == a.to and t.time == a.time), None)
+            other = next(((seq, t) for seq, t, cell in window
+                          if cell == a.to and t == a.time), None)
         elif a.outcome == OUTCOME_REJECTED and a.rejecting_seq is not None:
-            other = next((t for t in window if t.seq == a.rejecting_seq), None)
+            other = next(((seq, t) for seq, t, _ in window
+                          if seq == a.rejecting_seq), None)
         else:
             other = None
         if other is None:
             continue
-        near = abs(emit.time - other.time) <= d_max
+        other_seq, other_time = other
+        near = abs(emit_time - other_time) <= d_max
         weak += not near
         for adj in (loose_adj, strong_adj)[:1 + near]:
-            adj[emit.seq].add(other.seq)
-            adj[other.seq].add(emit.seq)
+            adj[emit_seq].add(other_seq)
+            adj[other_seq].add(emit_seq)
 
     def components(adj):
         seen, out = set(), []
@@ -351,7 +353,7 @@ def _reference_association(tr, lo, hi, stats):
     p_witness = next((tuple(sorted({least[s] for s in grp}))[:2]
                       for grp in classes if len({least[s] for s in grp}) > 1),
                      None)
-    time = {t.seq: t.time for t in window}
+    time = {seq: t for seq, t, _ in window}
     spans = tuple(max(time[s] for s in g) - min(time[s] for s in g)
                   for g in classes)
     bound = d_max * (stats.longest_simple_path if stats is not None
@@ -376,12 +378,12 @@ def test_association_matches_reference(tr, data):
         if rejections else st.just([])
     for k in data.draw(doctored):
         a = tr.arrivals[k]
-        earlier = [t.seq for t in tr.triggers[:a.rejecting_seq]
-                   if t.cell == a.to]
+        earlier = [seq for seq, (_, cell, _, _)
+                   in enumerate(tr.triggers[:a.rejecting_seq]) if cell == a.to]
         if earlier:
             rej = data.draw(st.sampled_from(earlier[-2:]))
             tr.arrivals[k] = ArrivalRecord(a.frm, a.to, a.time, a.outcome, rej)
-    edge = st.one_of(st.sampled_from([t.time for t in tr.triggers]),
+    edge = st.one_of(st.sampled_from([t for t, _, _, _ in tr.triggers]),
                      st.integers(0, tr.horizon))
     lo, hi = sorted((data.draw(edge),
                      data.draw(st.one_of(st.just(tr.horizon), edge))))

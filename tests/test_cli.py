@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,13 @@ def test_nan_drift_exits_invalid(tmp_path):
             "--override", "drift.mode=explicit",
             "--override", "drift.values=[NaN,0,0,0]"]
     assert main(argv) == EXIT_INVALID
+
+
+def test_negative_elapsed_exits_invalid(tmp_path):
+    argv = ["run", "--out", str(tmp_path / "o"),
+            "--override", "init.mode=adversarial-explicit",
+            "--override", "init.elapsed=[-1000000000,0,0,0]"]
+    assert main(argv + FAST) == EXIT_INVALID
 
 
 def test_resolve_config_produces_runnable_objects():
@@ -269,8 +277,10 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
                     if cell != p[2] and int(t) <= int(p[0]))
 
     def meta_set(key, value):
-        return lambda p: [f' "{key}": {value}' + "}" * q.endswith("}")
-                          if q.startswith(f' "{key}": ') else q for q in p]
+        """Set the scalar (or empty list) at #meta member `key`, wherever
+        it sits in its comma-separated part."""
+        return lambda p: [re.sub(f'"{key}": [^,}}]*', f'"{key}": {value}', q)
+                          for q in p]
 
     mutations = {
         "seq": (first_trigger, lambda p: ["5"] + p[1:]),
@@ -293,6 +303,11 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
                                lambda p: p[:1] + [str(horizon + 1)] + p[2:]),
         "meta_horizon_str": (meta, meta_set("horizon", '"x"')),
         "meta_warnings_int": (meta, meta_set("warnings", 5)),
+        "meta_d_max_infinite": (meta, meta_set("d_max", "1e400")),
+        "meta_d_max_fraction": (meta, meta_set("d_max", "100.5")),
+        "meta_d_max_bool": (meta, meta_set("d_max", "true")),
+        "meta_tau0_fraction": (meta, meta_set("tau0", "501.5")),
+        "meta_compensation_int": (meta, meta_set("dmin_compensation", "7")),
     }
     for name, (row, mutate) in mutations.items():
         doctored = list(lines)

@@ -36,9 +36,9 @@ def test_all_omitted_runs_purely_external():
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau2))
     tr = simulate(K2, p, delay_model=dm, horizon=10 * p.tau2, seed=0,
                   init=init)
-    assert all(t.kind == KIND_EXTERNAL for t in tr.triggers)
+    assert all(kind == KIND_EXTERNAL for _, _, kind, _ in tr.triggers)
     for cell in (0, 1):
-        times = [t.time for t in tr.triggers if t.cell == cell]
+        times = [t for t, c, _, _ in tr.triggers if c == cell]
         assert times[0] == 0
         assert all(b - a == p.tau2 for a, b in zip(times, times[1:]))
 
@@ -48,7 +48,13 @@ def test_elapsed_beyond_period_clamps_to_immediate_fire():
     dm = DelayModel(kind="fixed", d_min=100, d_max=100)
     init = InitState(mode="adversarial-explicit", elapsed=(10 * p.tau2, 0))
     tr = simulate(K2, p, delay_model=dm, horizon=p.tau2, seed=0, init=init)
-    assert tr.triggers[0].cell == 0 and tr.triggers[0].time == 0
+    assert tr.triggers[0][:2] == (0, 0)
+
+
+def test_negative_elapsed_rejected():
+    for elapsed in ((-1_000_000_000, 0), (0, -1)):
+        with pytest.raises(ParameterError, match="negative elapsed"):
+            InitState(mode="adversarial-explicit", elapsed=elapsed)
 
 
 def test_compensated_fixed_delay_becomes_simultaneous():
@@ -59,8 +65,8 @@ def test_compensated_fixed_delay_becomes_simultaneous():
     dm = DelayModel(kind="fixed", d_min=d, d_max=d)
     tr = simulate(K2, p, delay_model=dm, horizon=20 * p.tau2, seed=5)
     by_cell = {0: [], 1: []}
-    for t in tr.triggers:
-        by_cell[t.cell].append(t.time)
+    for t, cell, _, _ in tr.triggers:
+        by_cell[cell].append(t)
     tail0, tail1 = by_cell[0][-5:], by_cell[1][-5:]
     assert tail0 == tail1
     assert all(b - a == p.tau2 for a, b in zip(tail0, tail0[1:]))
@@ -73,8 +79,8 @@ def test_zero_delay_cascade_same_instant():
                     schedule=sched, cycle=True)
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau0, p.tau0))
     tr = simulate(P3, p, delay_model=dm, horizon=p.tau0, seed=0, init=init)
-    first = [t for t in tr.triggers if t.time == 0]
-    assert [(t.cell, t.kind, t.pioneer) for t in first] == [
+    first = [(cell, kind, h) for t, cell, kind, h in tr.triggers if t == 0]
+    assert first == [
         (0, KIND_EXTERNAL, 0), (1, KIND_INTERNAL, 0), (2, KIND_INTERNAL, 1)]
 
 
@@ -84,8 +90,8 @@ def test_simultaneous_arrivals_pick_smallest_pioneer():
     dm = DelayModel(kind="fixed", d_min=60, d_max=60)
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau0, p.tau2))
     tr = simulate(tri, p, delay_model=dm, horizon=100, seed=0, init=init)
-    trig1 = [t for t in tr.triggers if t.cell == 1]
-    assert trig1[0].time == 60 and trig1[0].pioneer == 0
+    trig1 = [trig for trig in tr.triggers if trig[1] == 1]
+    assert trig1[0][0] == 60 and trig1[0][3] == 0
     accepted = [a for a in tr.arrivals if a.to == 1 and a.time == 60]
     assert {a.frm for a in accepted} == {0, 2}
     assert all(a.outcome == OUTCOME_ACCEPTED for a in accepted)
@@ -100,8 +106,8 @@ def test_rejection_references_latest_trigger():
     rejected = [a for a in tr.arrivals if a.outcome == OUTCOME_REJECTED]
     assert len(rejected) == 2
     for a in rejected:
-        ref = tr.triggers[a.rejecting_seq]
-        assert ref.cell == a.to and ref.time == 0
+        ref_time, ref_cell, _, _ = tr.triggers[a.rejecting_seq]
+        assert ref_cell == a.to and ref_time == 0
 
 
 def test_injected_signal_validation():
@@ -125,8 +131,7 @@ def test_injected_signal_can_trigger():
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau0, p.tau0),
                      signals=((0, 1, 5),))
     tr = simulate(K2, p, delay_model=dm, horizon=p.tau0, seed=0, init=init)
-    assert tr.triggers[0].cell == 1 and tr.triggers[0].time == 5
-    assert tr.triggers[0].kind == KIND_INTERNAL and tr.triggers[0].pioneer == 0
+    assert tr.triggers[0] == (5, 1, KIND_INTERNAL, 0)
 
 
 def test_delay_model_must_fit_params():
@@ -168,10 +173,10 @@ def test_stale_liveness_deadline_is_cancelled():
     dm = DelayModel(kind="fixed", d_min=60, d_max=60)
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau2 - 60))
     tr = simulate(K2, p, delay_model=dm, horizon=3 * p.tau2, seed=0, init=init)
-    times1 = [t for t in tr.triggers if t.cell == 1]
-    assert times1[0].time == 60 and times1[0].kind == KIND_INTERNAL
-    assert times1[1].time > 60
-    gaps = [b.time - a.time for a, b in zip(times1, times1[1:])]
+    trig1 = [trig for trig in tr.triggers if trig[1] == 1]
+    assert trig1[0][0] == 60 and trig1[0][2] == KIND_INTERNAL
+    assert trig1[1][0] > 60
+    gaps = [b[0] - a[0] for a, b in zip(trig1, trig1[1:])]
     assert all(g >= p.tau0 for g in gaps)
 
 
@@ -202,13 +207,12 @@ def test_arrival_at_restoration_instant_is_rejected_one_ns_later_accepted():
                      elapsed=(p.tau2, T - 100, p.tau2 - (T - 150), T - 100))
     kw = dict(delay_model=dm, horizon=T + 200, seed=0, init=init)
     tr = simulate(g, p, **kw)
-    first = tr.triggers[0]
-    assert (first.cell, first.time) == (0, 0)
+    assert tr.triggers[0][:2] == (0, 0)
     at_0 = {(a.frm, a.time): a for a in tr.arrivals if a.to == 0}
     assert at_0[(1, T)].outcome == OUTCOME_REJECTED
-    assert at_0[(1, T)].rejecting_seq == first.seq
+    assert at_0[(1, T)].rejecting_seq == 0
     assert at_0[(3, T + 1)].outcome == OUTCOME_ACCEPTED
-    fired = [(t.time, t.kind, t.pioneer) for t in tr.triggers if t.cell == 0]
+    fired = [(t, kind, h) for t, cell, kind, h in tr.triggers if cell == 0]
     assert fired == [(0, KIND_EXTERNAL, 0), (T + 1, KIND_INTERNAL, 3)]
     for record in (True, False):
         a = simulate(g, p, record_arrivals=record, **kw)

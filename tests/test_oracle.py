@@ -48,10 +48,10 @@ def test_all_omitted_is_periodic():
     tr = brute_force_simulate(K2, p, delay_model=dm, horizon=6 * p.tau2,
                               seed=0, init=init)
     for cell in (0, 1):
-        times = [t.time for t in tr.triggers if t.cell == cell]
+        times = [t for t, c, _, _ in tr.triggers if c == cell]
         assert all(b - a == p.tau2 for a, b in zip(times, times[1:]))
-        assert all(t.kind == KIND_EXTERNAL
-                   for t in tr.triggers if t.cell == cell)
+        assert all(kind == KIND_EXTERNAL
+                   for _, c, kind, _ in tr.triggers if c == cell)
 
 
 def test_path3_scheduled_delays_match_engine():
@@ -131,6 +131,10 @@ def test_engine_matches_oracle_on_random_small_runs(case):
     a = simulate(graph, params, **kw)
     b = brute_force_simulate(graph, params, **kw)
     assert trace_to_text(a) == trace_to_text(b)
+    # _finalize sorts whole trigger tuples, relying on no (time, cell)
+    # pair repeating: the keys must ascend strictly
+    keys = [trig[:2] for trig in a.triggers]
+    assert all(k < k2 for k, k2 in zip(keys, keys[1:]))
 
 
 @settings(max_examples=300, deadline=None)

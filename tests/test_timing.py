@@ -79,6 +79,17 @@ def test_simparams_validation():
     with pytest.raises(ParameterError):
         SimParams(d_min=0, d_max=1, rho=0.0, tau0=10, tau1=100, tau2=100,
                   omission_p=1.5)
+    # a trace's #meta params reach SimParams unchecked by the config types
+    valid = dict(d_min=0, d_max=100, rho=0.0, tau0=500, tau1=2000, tau2=2000)
+    SimParams(**valid)
+    SimParams(**dict(valid, rho=0, omission_p=1))  # an int is a number
+    for field, value in [("d_max", 1e400), ("d_max", 100.5), ("d_max", True),
+                         ("d_min", 0.0), ("tau0", 501.5), ("tau1", "2000"),
+                         ("tau2", None), ("rho", True), ("rho", "0"),
+                         ("omission_p", False), ("dmin_compensation", 7),
+                         ("dmin_compensation", 0)]:
+        with pytest.raises(ParameterError, match=f"{field} must be"):
+            SimParams(**dict(valid, **{field: value}))
 
 
 def test_simparams_dict_roundtrip():

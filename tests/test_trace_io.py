@@ -153,8 +153,8 @@ def _last_seq(parts, trace):
 
 def _other_cells_trigger(parts, trace):
     t, to = int(parts[0]), int(parts[2])
-    return str(next(x.seq for x in trace.triggers
-                    if x.cell != to and x.time <= t))
+    return str(next(seq for seq, (time, cell, _, _) in enumerate(trace.triggers)
+                    if cell != to and time <= t))
 
 
 def _past_horizon(parts, trace):
@@ -221,6 +221,19 @@ def _past_horizon(parts, trace):
                  "name", id="meta-name-other-graph"),
     pytest.param("#meta=", _meta_edit("arrivals_recorded", value=False),
                  "not recorded", id="meta-arrivals-not-recorded"),
+    pytest.param("#meta=", _meta_edit("params", "d_max", value=1e400),
+                 "d_max must be int", id="meta-d-max-infinite"),
+    pytest.param("#meta=", _meta_edit("params", "d_max", value=100.5),
+                 "d_max must be int", id="meta-d-max-fraction"),
+    pytest.param("#meta=", _meta_edit("params", "d_max", value=True),
+                 "d_max must be int", id="meta-d-max-bool"),
+    pytest.param("#meta=", _meta_edit("params", "tau0", value=501.5),
+                 "tau0 must be int", id="meta-tau0-fraction"),
+    pytest.param("#meta=", _meta_edit("params", "rho", value=False),
+                 "rho must be float", id="meta-rho-bool"),
+    pytest.param("#meta=", _meta_edit("params", "dmin_compensation", value=7),
+                 "dmin_compensation must be bool",
+                 id="meta-compensation-int"),
 ])
 def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
     """Each mutation breaks the trace contract in one header line, or in
