@@ -447,10 +447,11 @@ def segmentation_params(params, stats: TopologyStats) -> tuple:
 
 def required_horizon(params, stats: TopologyStats) -> int:
     """Minimum horizon for a meaningful stabilization verdict."""
-    return convergence_bound(params, stats) + params.tau2 + 2 * params.liveness_real_max
+    # stats is unread but kept: perfbench/child.py calls this with two arguments
+    return convergence_bound(params) + params.tau2 + 2 * params.liveness_real_max
 
 
-def convergence_bound(params, stats: TopologyStats) -> int:
+def convergence_bound(params) -> int:
     r = Fraction(params.rho)
     t2 = (Fraction(params.tau2 + params.tau0) / (1 - r)
           + params.d_max + params.tau1)
@@ -469,7 +470,7 @@ def detect_stabilization(trace: Trace,
     periods, else the verdict would be vacuous.
     """
     graph, params = trace.graph, trace.params
-    bound = convergence_bound(params, stats)
+    bound = convergence_bound(params)
     need = required_horizon(params, stats)
     if trace.horizon < need:
         raise InsufficientHorizonError(
@@ -657,16 +658,15 @@ def association_classes(trace: Trace, window,
 # ---------------------------------------------------------------- series
 
 
-def series_metrics(report: StabilizationReport, graph: Graph) -> list:
+def series_metrics(report: StabilizationReport, pattern_counts: list) -> list:
     """Per-round rows for metrics.json `per_k`: offsets, sources, patterns.
 
-    A view of `report`: it reads the stored propagations and only adds
-    the pattern counts.  `valid` is `report.oneshot_series[k]`, which has
-    no tau_pi span bound, unlike `report.valid_series[k]`.
+    A view of `report` and of `pattern_counts`, the PatternReport.counts
+    of each of its rounds.  `valid` is `report.oneshot_series[k]`, which
+    has no tau_pi span bound, unlike `report.valid_series[k]`.
     """
     per_k = []
-    for k, p in enumerate(report.propagations):
-        counts = classify_patterns(p, graph).counts
+    for k, counts in enumerate(pattern_counts):
         per_k.append({
             "k": k,
             "t_min_ns": report.segments[k].t1,

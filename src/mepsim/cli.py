@@ -80,7 +80,6 @@ _CONFIG = {
     "d_min": (0, _INT),
     "d_max": (1_000_000, _INT),
     "rho": (1e-4, _NUMBER),
-    "param_mode": ("paper-sim", _STRING),
     "tau0": (None, _INT_OR_NULL),
     "tau1": (None, _INT_OR_NULL),
     "tau2": (None, _INT_OR_NULL),
@@ -144,6 +143,14 @@ def _check_config_types(cfg: dict) -> None:
                               f"got {value!r}")
 
 
+def _parse_value(raw: str):
+    """A command-line config value: JSON, else the bare string."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError):
+        return raw  # bare strings are convenient on the command line
+
+
 def load_config(path=None, overrides=()) -> dict:
     cfg = {}
     for key, (default, _) in _CONFIG.items():
@@ -161,11 +168,7 @@ def load_config(path=None, overrides=()) -> dict:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"override {item!r} is not KEY=VAL")
-        try:
-            value = json.loads(raw)
-        except (ValueError, RecursionError):
-            value = raw  # bare strings are convenient on the command line
-        _set(cfg, key, value)
+        _set(cfg, key, _parse_value(raw))
     _check_config_types(cfg)
     return cfg
 
@@ -208,7 +211,7 @@ def resolve_config(cfg: dict) -> RunSpec:
                            dmin_compensation=cfg["dmin_compensation"])
     else:
         params = derive_params(stats, cfg["d_max"], cfg["rho"],
-                               cfg["param_mode"], d_min=cfg["d_min"],
+                               d_min=cfg["d_min"],
                                omission_p=cfg["omission_p"],
                                dmin_compensation=cfg["dmin_compensation"])
 
@@ -260,12 +263,15 @@ def build_metrics(trace, stats, association=False) -> tuple:
     analyzing them again.  Each failed check gets one `check=<name> ...`
     line, which names its witness; the lines stay out of the document.
     """
-    params = trace.params
     graph = trace.graph
     report = detect_stabilization(trace, stats)
+    counts = []  # classify each round once, keeping only the last one's roles
+    for prop in report.propagations:
+        pattern = classify_patterns(prop, graph)
+        counts.append(pattern.counts)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "params": params.as_dict(),
+        "params": trace.params.as_dict(),
         "graph": {"n": graph.node_count, "edges": graph.edge_count,
                   "name": graph.name, "diameter": stats.diameter,
                   "longest_simple_path": stats.longest_simple_path},
@@ -282,13 +288,11 @@ def build_metrics(trace, stats, association=False) -> tuple:
             "tau_nabla_measured": report.tau_nabla_measured,
             "first_violation": report.first_violation,
         },
-        "per_k": series_metrics(report, graph),
+        "per_k": series_metrics(report, counts),
         "checks": {},
     }
     failed = []
-    if report.stabilized:
-        prop = report.propagations[-1]
-        pattern = classify_patterns(prop, graph)
+    if report.stabilized:  # so rounds exist; prop and pattern are the last
         props = check_pattern_properties(pattern, prop, graph)
         doc["checks"]["pattern_properties"] = [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -379,7 +383,7 @@ def _write_manifest(outdir, cfg, extra=None) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.override)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg["seed"] = _parse_value(args.seed)  # as --override seed=... does
     if args.horizon_ns is not None:
         cfg["horizon_ns"] = args.horizon_ns
     spec = resolve_config(cfg)

@@ -30,7 +30,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .timing import DriftAssignment, SimParams, local_to_real, stream
+from .timing import (DELAY_UNIFORM, DriftAssignment, SimParams, local_to_real,
+                     stream)
 from .topology import Graph
 from .trace import (ArrivalRecord, KIND_EXTERNAL, KIND_INTERNAL,
                     OUTCOME_ACCEPTED, OUTCOME_OMITTED, OUTCOME_REJECTED, Trace)
@@ -76,11 +77,12 @@ class InitState:
 class _Setup(NamedTuple):
     """Everything a simulator derives from its inputs before time starts."""
 
-    drift: DriftAssignment
+    trace: Trace  # the header, without records; _finalize sorts them in
     init: InitState
     rest_due: list  # cell i is excited at instant t iff t <= rest_due[i]
     first_ext: list  # each cell's first liveness deadline
-    sampler: object  # DelaySampler on the "delays" stream
+    sample: object  # delay_model.sampler on the "delays" stream
+    uniform_random: object  # its random if uniform, for an inlined draw
     omission_random: object
     rest_off: list  # per-cell real ns from a trigger to restoration
     ext_off: list  # ... and to the next liveness deadline
@@ -89,9 +91,11 @@ class _Setup(NamedTuple):
 
 
 def _setup(graph: Graph, params: SimParams, delay_model, seed,
-           drift: DriftAssignment | None, init: InitState | None) -> _Setup:
-    """Validate the inputs and derive drifts, initial timers, rng streams and
-    offset tables; shared by simulate() and the per-ns oracle."""
+           drift: DriftAssignment | None, init: InitState | None, horizon: int,
+           record_arrivals: bool) -> _Setup:
+    """Validate the inputs and derive the trace header, drifts, initial
+    timers, rng streams and offset tables; shared by simulate() and the
+    per-ns oracle."""
     if delay_model.d_min < params.d_min or delay_model.d_max > params.d_max:
         raise ParameterError("delay model bounds exceed the params delay bounds")
     if drift is not None and not drift.rho <= params.rho:  # NaN fails too
@@ -127,8 +131,17 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
         ext_off_c = [local_to_real(tau2 - d_min, dv) for dv in drifts]
     else:
         rest_off_c, ext_off_c = rest_off, ext_off
-    return _Setup(drift, init, rest_due, first_ext,
-                  delay_model.sampler(stream(seed, "delays")),
+
+    trace = Trace(graph=graph, params=params, triggers=[], arrivals=[],
+                  horizon=horizon, seed=seed, arrivals_recorded=record_arrivals,
+                  warnings=(["horizon shorter than one liveness period"]
+                            if horizon < params.liveness_real_max else []),
+                  models={"delay_model": delay_model.kind,
+                          "omission_p": params.omission_p,
+                          "drift_mode": drift.mode, "init_mode": init.mode})
+    delays = stream(seed, "delays")
+    return _Setup(trace, init, rest_due, first_ext, delay_model.sampler(delays),
+                  delays.random if delay_model.kind == DELAY_UNIFORM else None,
                   stream(seed, "omissions").random,
                   rest_off, ext_off, rest_off_c, ext_off_c)
 
@@ -140,14 +153,15 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     """Run one deterministic simulation up to the real-time horizon."""
     if horizon <= 0:
         raise ParameterError(f"need horizon > 0, got {horizon}")
-    (drift, init, rest_due, first_ext, sampler, omission_random, rest_off,
-     ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model,
-                                              seed, drift, init)
+    (trace, init, rest_due, first_ext, sample, rnd, omission_random, rest_off,
+     ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model, seed,
+                                              drift, init, horizon,
+                                              record_arrivals)
 
     n = graph.node_count
     adjacency = graph.adjacency
     p = params.omission_p
-    sample, rnd, lo, width = sampler.sample, sampler.rnd, sampler.lo, sampler.width
+    lo, width = delay_model.d_min, delay_model.d_max - delay_model.d_min + 1
 
     generation = [0] * n
     last_seq = [-1] * n
@@ -173,19 +187,16 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                         and heap[0][2] == cell:
                     senders.append(heappop(heap)[3])
                 if t <= rest_due[cell]:
-                    if record_arrivals:
-                        rej = last_seq[cell]
-                        for s in senders:
-                            raw_arrivals.append((t, s, cell, OUTCOME_REJECTED, rej))
-                    continue
-                if p > 0.0 and omission_random() < p:
-                    if record_arrivals:
-                        for s in senders:
-                            raw_arrivals.append((t, s, cell, OUTCOME_OMITTED, -1))
-                    continue
+                    outcome, rej = OUTCOME_REJECTED, last_seq[cell]
+                elif p > 0.0 and omission_random() < p:
+                    outcome, rej = OUTCOME_OMITTED, -1
+                else:
+                    outcome, rej = OUTCOME_ACCEPTED, -1
                 if record_arrivals:
                     for s in senders:
-                        raw_arrivals.append((t, s, cell, OUTCOME_ACCEPTED, -1))
+                        raw_arrivals.append((t, s, cell, outcome, rej))
+                if outcome != OUTCOME_ACCEPTED:
+                    continue
                 kind, pioneer, r_off, e_off = (KIND_INTERNAL, min(senders),
                                                rest_off_c, ext_off_c)
             elif aux != generation[cell]:
@@ -205,42 +216,27 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                 elif record_arrivals and due <= horizon:  # doomed: rest_due only grows
                     raw_arrivals.append((due, cell, j, OUTCOME_REJECTED,
                                          last_seq[j]))
-        return _finalize(graph, params, raw_triggers, raw_arrivals, horizon,
-                         seed, init, drift, delay_model, record_arrivals)
+        return _finalize(trace, raw_triggers, raw_arrivals)
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
-def _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed, init,
-              drift, delay_model, record_arrivals) -> Trace:
+def _finalize(trace: Trace, raw_triggers, raw_arrivals) -> Trace:
     """Sort the raw (time, cell, kind, pioneer) triggers and (time, frm, to,
-    outcome, provisional_rejecting_seq) arrivals into a Trace.
+    outcome, provisional_rejecting_seq) arrivals into the header `trace`.
 
     The trigger tuples become the trace's triggers.  No two share a (time,
     cell) pair (a cell fires only at t > rest_due, and firing sets rest_due
     >= t), so sorting whole tuples orders them by (time, cell) and never
     compares a kind.  Only rejections carry a provisional seq, all else -1."""
     order = sorted(range(len(raw_triggers)), key=raw_triggers.__getitem__)
-    triggers = [raw_triggers[k] for k in order]
+    trace.triggers = [raw_triggers[k] for k in order]
     remap = [0] * len(raw_triggers)
     for final_seq, k in enumerate(order):
         remap[k] = final_seq
-    arrivals = [ArrivalRecord(frm, to, t, outcome,
-                              remap[rej] if rej >= 0 else None)
-                for t, frm, to, outcome, rej in sorted(raw_arrivals,
-                                                       key=itemgetter(0, 2, 1))]
-
-    warnings = []
-    if horizon < params.liveness_real_max:
-        warnings.append("horizon shorter than one liveness period")
-    models = {
-        "delay_model": delay_model.kind,
-        "omission_p": params.omission_p,
-        "drift_mode": drift.mode,
-        "init_mode": init.mode,
-    }
-    return Trace(graph=graph, params=params, triggers=triggers,
-                 arrivals=arrivals, horizon=horizon, seed=seed,
-                 warnings=warnings, models=models,
-                 arrivals_recorded=record_arrivals)
+    trace.arrivals = [ArrivalRecord(frm, to, t, outcome,
+                                    remap[rej] if rej >= 0 else None)
+                      for t, frm, to, outcome, rej in sorted(
+                          raw_arrivals, key=itemgetter(0, 2, 1))]
+    return trace

@@ -39,10 +39,10 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
     if not 0 < horizon <= MAX_ORACLE_HORIZON:
         raise ParameterError(
             f"oracle horizon must be in (0, {MAX_ORACLE_HORIZON}], got {horizon}")
-    (drift, init, rest_due, next_ext, sampler, omission_random, rest_off,
+    (trace, init, rest_due, next_ext, sample, _, omission_random, rest_off,
      ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model,
-                                              seed, drift, init)
-    sample = sampler.sample
+                                              seed, drift, init, horizon,
+                                              record_arrivals)
 
     n = graph.node_count
     adjacency = graph.adjacency
@@ -107,5 +107,4 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
                     continue  # deadline superseded earlier this instant
                 fire(cell, t, KIND_EXTERNAL, cell, micro)
 
-    return _finalize(graph, params, raw_triggers, raw_arrivals, horizon, seed,
-                     init, drift, delay_model, record_arrivals)
+    return _finalize(trace, raw_triggers, raw_arrivals)

@@ -17,8 +17,9 @@ from fractions import Fraction
 from .errors import ParameterError, ScheduleUnderrunError
 from .topology import TopologyStats
 
-PARAM_MODE_PAPER_SIM = "paper-sim"
-PARAM_MODE_STRICT = "strict-constraint"
+# the largest integer a float holds exactly; SimParams does float math on
+# its integer fields, so none may exceed it
+_MAX_NS = 2**53
 
 
 def stream(seed, name: str) -> random.Random:
@@ -56,6 +57,8 @@ class SimParams:
             v = getattr(self, f.name)
             if type(v) not in admits[f.type]:
                 raise ParameterError(f"{f.name} must be {f.type}, got {v!r}")
+            if f.type == "int" and abs(v) > _MAX_NS:  # not echoed: v may be huge
+                raise ParameterError(f"{f.name} is outside [-2**53, 2**53] ns")
         if not 0 <= self.d_min <= self.d_max:
             raise ParameterError(f"need 0 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if not 0.0 <= self.rho < 1.0:
@@ -97,29 +100,24 @@ def check_strict_constraint(tau0: int, tau1: int, stats: TopologyStats,
             f"(1+rho)*(L_G+1)*d_max = {float(rhs):.1f}")
 
 
-def derive_params(stats: TopologyStats, d: int, rho: float,
-                  mode: str = PARAM_MODE_PAPER_SIM, *, d_min: int = 0,
+def derive_params(stats: TopologyStats, d: int, rho: float, *, d_min: int = 0,
                   omission_p: float = 0.0,
                   dmin_compensation: bool = False) -> SimParams:
     """Derive tau0/tau1/tau2 from the topology stats and the delay bound.
 
     tau0 = (1+rho)*(L_G+2)*d, tau2 = 3*(1+rho)*(tau0/(1-rho)+d), and
-    tau1 = tau2/(1+rho), each rounded up to integer nanoseconds.  Strict
-    mode additionally verifies the constraint chain on the rounded values.
+    tau1 = tau2/(1+rho), each rounded up to integer nanoseconds.  The
+    rounded values always satisfy check_strict_constraint's chain.
     """
     if d <= 0:
         raise ParameterError(f"need d > 0, got {d}")
     if not 0.0 <= rho < 1.0:
         raise ParameterError(f"need 0 <= rho < 1, got {rho}")
-    if mode not in (PARAM_MODE_PAPER_SIM, PARAM_MODE_STRICT):
-        raise ParameterError(f"unknown parameter mode {mode!r}")
     r = Fraction(rho)
     lg = stats.longest_simple_path
     tau0 = int(math.ceil((1 + r) * (lg + 2) * d))
     tau2 = int(math.ceil(3 * (1 + r) * (Fraction(tau0) / (1 - r) + d)))
     tau1 = int(math.ceil(Fraction(tau2) / (1 + r)))
-    if mode == PARAM_MODE_STRICT:
-        check_strict_constraint(tau0, tau1, stats, d, rho)
     return SimParams(d_min=d_min, d_max=d, rho=rho, tau0=tau0, tau1=tau1,
                      tau2=tau2, omission_p=omission_p,
                      dmin_compensation=dmin_compensation)
@@ -166,44 +164,31 @@ class DelayModel:
                             f"schedule delay {v} for edge ({src},{dst}) outside "
                             f"[{self.d_min}, {self.d_max}]")
 
-    def sampler(self, rng: random.Random) -> "DelaySampler":
-        return DelaySampler(self, rng)
+    def sampler(self, rng: random.Random):
+        """This run's `sample(src, dst)` function; a uniform draw reads
+        `rng.random`, a schedule keeps one cursor per directed edge."""
+        lo, hi = self.d_min, self.d_max
+        if self.kind == DELAY_UNIFORM:
+            rnd, width = rng.random, hi - lo + 1
+            return lambda src, dst: lo + int(rnd() * width)
+        if self.kind != DELAY_ADVERSARIAL_SCHEDULE:
+            return lambda src, dst: hi
+        schedule, cycle, cursors = self.schedule, self.cycle, {}
 
-
-class DelaySampler:
-    """Stateful per-run delay source bound to one rng stream.  A uniform
-    sampler draws lo + int(rnd() * width) and exposes rnd, lo and width so a
-    hot loop can inline the draw; rnd is None for every other kind."""
-
-    def __init__(self, model: DelayModel, rng: random.Random):
-        self.model = model
-        self._cursors = {}
-        kind = model.kind
-        lo, width = model.d_min, model.d_max - model.d_min + 1
-        self.rnd = rnd = rng.random if kind == DELAY_UNIFORM else None
-        self.lo, self.width = lo, width
-        if kind == DELAY_UNIFORM:
-            self.sample = lambda src, dst: lo + int(rnd() * width)
-        elif kind in (DELAY_FIXED, DELAY_ADVERSARIAL_MAX):
-            value = model.d_max
-            self.sample = lambda src, dst: value
-        else:
-            self.sample = self._sample_schedule
-
-    def _sample_schedule(self, src, dst):
-        model = self.model
-        key = (src, dst)
-        values = model.schedule.get(key)
-        if values is None:
-            raise ScheduleUnderrunError(f"no schedule for directed edge ({src},{dst})")
-        pos = self._cursors.get(key, 0)
-        if pos >= len(values):
-            if not model.cycle:
-                raise ScheduleUnderrunError(
-                    f"schedule exhausted for directed edge ({src},{dst})")
-            pos = 0
-        self._cursors[key] = pos + 1
-        return values[pos]
+        def sample(src, dst):
+            key = (src, dst)
+            values = schedule.get(key)
+            if values is None:
+                raise ScheduleUnderrunError(f"no schedule for directed edge ({src},{dst})")
+            pos = cursors.get(key, 0)
+            if pos >= len(values):
+                if not cycle:
+                    raise ScheduleUnderrunError(
+                        f"schedule exhausted for directed edge ({src},{dst})")
+                pos = 0
+            cursors[key] = pos + 1
+            return values[pos]
+        return sample
 
 
 def read_schedule_file(path) -> dict:

@@ -58,19 +58,8 @@ def _make_graph(n: int, edge_pairs, name=None) -> Graph:
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * n
-    queue = deque([0])
-    seen[0] = True
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    if count != n:
-        missing = [i for i in range(n) if not seen[i]]
+    missing = [i for i, d in enumerate(_distances(adj, 0)) if d < 0]
+    if missing:
         raise ConnectivityError(f"graph is disconnected; unreachable nodes {missing[:8]}")
     return Graph(
         node_count=n,
@@ -128,21 +117,23 @@ def from_edge_list(n: int, edges) -> Graph:
     return _make_graph(n, edges)
 
 
+def _distances(adjacency, src: int) -> list:
+    """BFS hop counts from src; -1 marks a node src cannot reach."""
+    dist = [-1] * len(adjacency)
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def diameter(g: Graph) -> int:
     """Exact diameter via BFS from every node."""
-    best = 0
-    for src in range(g.node_count):
-        dist = [-1] * g.node_count
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        best = max(best, max(dist))
-    return best
+    return max(max(_distances(g.adjacency, src)) for src in range(g.node_count))
 
 
 def longest_simple_path_exact(g: Graph) -> int:

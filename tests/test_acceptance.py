@@ -94,7 +94,7 @@ def _adversarial_reports():
     out = []
     for g in (build_ring(8), build_grid(4, 4)):
         stats = topology_stats(g)
-        params = derive_params(stats, d, 1e-4, mode="strict-constraint")
+        params = derive_params(stats, d, 1e-4)
         horizon = required_horizon(params, stats) + 3 * params.liveness_real_max
         dm = DelayModel(kind="adversarial-max", d_min=0, d_max=d)
         edges = sorted(g.edges)
@@ -129,7 +129,7 @@ def test_criterion_02_stabilization_bound(adversarial_reports):
     t0 = time.time()
     bad = 0
     for g, stats, params, report in adversarial_reports:
-        bound = convergence_bound(params, stats) + params.tau2
+        bound = convergence_bound(params) + params.tau2
         if not (report.stabilized and report.t_stab <= bound):
             bad += 1
     elapsed = time.time() - t0

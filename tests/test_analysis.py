@@ -417,7 +417,7 @@ def test_ring4_stabilizes_within_bound():
                       drift=DriftAssignment(mode="zero"))
         rep = detect_stabilization(tr, stats)
         assert rep.stabilized
-        assert rep.t_stab <= convergence_bound(params, stats) + params.tau2
+        assert rep.t_stab <= convergence_bound(params) + params.tau2
         assert rep.tau_pi_measured <= stats.diameter * D
         assert rep.tau_nabla_measured <= params.liveness_real_max
         # validity flags hold on the whole suffix
@@ -434,7 +434,8 @@ def test_series_metrics_shapes():
     tr = simulate(g, params, delay_model=dm, horizon=10**5, seed=1,
                   drift=DriftAssignment(mode="zero"))
     rep = detect_stabilization(tr, stats)
-    per_k = series_metrics(rep, g)
+    per_k = series_metrics(rep, [classify_patterns(p, g).counts
+                                  for p in rep.propagations])
     assert per_k
     assert [r["k"] for r in per_k] == list(range(len(rep.propagations)))
     assert [r["valid"] for r in per_k] == rep.oneshot_series

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mepsim.analysis
+import mepsim.cli
 from mepsim.cli import (_CONFIG, EXIT_CHECK_FAILURE, EXIT_HORIZON,
                         EXIT_INVALID, EXIT_NOT_STABILIZED, EXIT_OK,
                         load_config, main, resolve_config)
@@ -154,6 +155,25 @@ def test_run_success_and_artifacts(tmp_path):
     assert metrics["checks"]["all_passed"] is True
 
 
+def test_seed_flag_and_seed_override_write_the_same_trace(tmp_path):
+    a, b = tmp_path / "flag", tmp_path / "override"
+    assert main(["run", "--out", str(a), "--seed", "7"] + FAST) == EXIT_OK
+    assert main(["run", "--out", str(b), "--override", "seed=7"] + FAST) \
+        == EXIT_OK
+    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+    assert "#seed=7\n" in (a / "trace.csv").read_text()
+
+
+@pytest.mark.parametrize("overrides", [
+    [f"d_max={10**400}"],
+    ["tau0=500", "tau2=2000", f"tau1={10**400}"]])
+def test_run_rejects_huge_integer_params(tmp_path, capsys, overrides):
+    argv = [a for o in overrides for a in ("--override", o)]
+    assert main(["run", "--out", str(tmp_path / "o"), "--override",
+                 "topology=ring:4"] + argv) == EXIT_INVALID
+    assert "0" * 400 not in capsys.readouterr().err
+
+
 def test_run_repeats_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--out", str(a), "--seed", "7"] + FAST) == EXIT_OK
@@ -239,18 +259,25 @@ def test_plotdata_offsets_match_per_k(tmp_path):
 
 
 def test_run_extracts_each_round_once(tmp_path, monkeypatch):
-    calls = []
-    original = mepsim.analysis.extract_propagation
+    calls = {"extract_propagation": [], "classify_patterns": []}
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counter(name, original):
+        def counted(*args):
+            calls[name].append(args)
+            return original(*args)
+        return counted
 
-    monkeypatch.setattr(mepsim.analysis, "extract_propagation", counted)
+    for name in calls:  # cli holds its own reference to classify_patterns
+        counted = counter(name, getattr(mepsim.analysis, name))
+        for module in (mepsim.analysis, mepsim.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     out = tmp_path / "run"
     assert main(["run", "--out", str(out), "--seed", "5"] + FAST) == EXIT_OK
     metrics = json.loads((out / "metrics.json").read_text())
-    assert len(calls) == len(metrics["per_k"])
+    assert metrics["stabilization"]["stabilized"]
+    assert len(calls["extract_propagation"]) == len(metrics["per_k"])
+    assert len(calls["classify_patterns"]) == len(metrics["per_k"])
 
 
 @pytest.mark.parametrize("association", ["false", "true"])
@@ -307,6 +334,7 @@ def test_analyze_rejects_contract_breaks(tmp_path, association):
         "meta_d_max_fraction": (meta, meta_set("d_max", "100.5")),
         "meta_d_max_bool": (meta, meta_set("d_max", "true")),
         "meta_tau0_fraction": (meta, meta_set("tau0", "501.5")),
+        "meta_tau1_huge": (meta, meta_set("tau1", "1" + "0" * 400)),
         "meta_compensation_int": (meta, meta_set("dmin_compensation", "7")),
     }
     for name, (row, mutate) in mutations.items():
@@ -413,8 +441,7 @@ _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10**6),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
     st.sampled_from(["explicit", "extremal", "zero", "fixed",
-                     "adversarial-max", "adversarial-explicit",
-                     "strict-constraint"]))
+                     "adversarial-max", "adversarial-explicit"]))
 _JSON_VALUES = st.one_of(
     _JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=5),
     st.lists(st.lists(st.integers(-1, 200), min_size=3, max_size=3),

@@ -54,7 +54,7 @@ def test_derive_params_rounds_up():
        st.integers(min_value=1, max_value=10**6))
 def test_derived_params_always_satisfy_strict_chain(rho, d):
     stats = topology_stats(build_ring(8))
-    p = derive_params(stats, d, rho, mode="strict-constraint")
+    p = derive_params(stats, d, rho)
     check_strict_constraint(p.tau0, p.tau1, stats, d, rho)  # must not raise
 
 
@@ -90,6 +90,14 @@ def test_simparams_validation():
                          ("dmin_compensation", 0)]:
         with pytest.raises(ParameterError, match=f"{field} must be"):
             SimParams(**dict(valid, **{field: value}))
+    # an integer beyond 2**53 would overflow the float checks; the error
+    # names the field without echoing all of its digits
+    for field, value in [("d_max", 10**400), ("tau1", 10**400),
+                         ("tau1", -10**400), ("tau2", 2**53 + 1)]:
+        with pytest.raises(ParameterError, match=f"^{field} is outside") as exc:
+            SimParams(**dict(valid, **{field: value}))
+        assert len(str(exc.value)) < 80
+    SimParams(**dict(valid, d_max=2**53))
 
 
 def test_simparams_dict_roundtrip():
@@ -107,7 +115,7 @@ def test_liveness_real_max():
 def test_uniform_delay_bounds():
     model = DelayModel(kind="uniform", d_min=10, d_max=20)
     s = model.sampler(stream(0, "delays"))
-    values = {s.sample(0, 1) for _ in range(500)}
+    values = {s(0, 1) for _ in range(500)}
     assert min(values) >= 10 and max(values) <= 20
     assert len(values) > 5
 
@@ -116,31 +124,31 @@ def test_fixed_delay_requires_degenerate_interval():
     with pytest.raises(ParameterError):
         DelayModel(kind="fixed", d_min=1, d_max=2)
     s = DelayModel(kind="fixed", d_min=7, d_max=7).sampler(stream(0, "delays"))
-    assert s.sample(0, 1) == 7
+    assert s(0, 1) == 7
 
 
 def test_adversarial_max_delay():
     s = DelayModel(kind="adversarial-max", d_min=0, d_max=9).sampler(
         stream(0, "delays"))
-    assert all(s.sample(0, 1) == 9 for _ in range(10))
+    assert all(s(0, 1) == 9 for _ in range(10))
 
 
 def test_schedule_delays_and_underrun():
     model = DelayModel(kind="adversarial-schedule", d_min=0, d_max=10,
                        schedule={(0, 1): [3, 4]})
     s = model.sampler(stream(0, "delays"))
-    assert s.sample(0, 1) == 3 and s.sample(0, 1) == 4
+    assert s(0, 1) == 3 and s(0, 1) == 4
     with pytest.raises(ScheduleUnderrunError):
-        s.sample(0, 1)
+        s(0, 1)
     with pytest.raises(ScheduleUnderrunError):
-        s.sample(1, 0)  # no entry for this direction
+        s(1, 0)  # no entry for this direction
 
 
 def test_schedule_cycling():
     model = DelayModel(kind="adversarial-schedule", d_min=0, d_max=10,
                        schedule={(0, 1): [3, 4]}, cycle=True)
     s = model.sampler(stream(0, "delays"))
-    assert [s.sample(0, 1) for _ in range(5)] == [3, 4, 3, 4, 3]
+    assert [s(0, 1) for _ in range(5)] == [3, 4, 3, 4, 3]
 
 
 def test_schedule_rejects_out_of_bounds():
