@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, itemgetter, sub
 
 from .errors import InsufficientHorizonError, ParameterError
 from .topology import Graph, TopologyStats
@@ -65,14 +65,18 @@ def cluster_triggers(triggers, tau_delta: int) -> list:
 class Propagation:
     """One extracted propagation: per-cell trigger instant and pioneer.
 
-    `source[i]` is the cell reached by following pioneer pointers from i;
-    None marks a broken chain (pointer loop or a pioneer triggered outside
-    the segment).  `path(i)` materializes the chain source -> ... -> i.
+    Each list is indexed by cell.  `times[i]` is i's first trigger time
+    within the segment, None if i did not fire; `pioneer[i]` is i itself
+    for an external trigger or a cell that did not fire.  `source[i]` is
+    the cell reached by following pioneer pointers from i; None marks a
+    cell that did not fire or a broken chain (pointer loop or a pioneer
+    triggered outside the segment).  `path(i)` materializes the chain
+    source -> ... -> i.
     """
 
-    times: dict  # cell -> first trigger time within the segment
-    pioneer: dict  # cell -> pioneer cell (== cell for an external trigger)
-    source: dict  # cell -> source cell or None
+    times: list
+    pioneer: list
+    source: list
     multi_triggered: tuple  # cells triggered more than once in the segment
     cross_refs: tuple  # cells whose pioneer has no trigger in the segment
     loops: tuple  # cells on a pioneer-pointer cycle
@@ -82,7 +86,7 @@ class Propagation:
     def path(self, i: int) -> tuple | None:
         if self.explicit_paths is not None:
             return self.explicit_paths.get(i)
-        if self.source.get(i) is None:
+        if self.source[i] is None:
             return None
         chain = [i]
         while self.pioneer[chain[-1]] != chain[-1]:
@@ -91,58 +95,65 @@ class Propagation:
 
     @property
     def t_min(self) -> int:
-        return min(self.times.values())
+        return min(t for t in self.times if t is not None)
 
     @classmethod
     def from_paths(cls, paths: dict, times: dict | None = None) -> "Propagation":
         """Hand-built propagation from explicit per-cell paths (fixtures)."""
-        times = times or {i: 0 for i in paths}
-        source = {i: (p[0] if p else None) for i, p in paths.items()}
-        pioneer = {i: (p[-2] if len(p) > 1 else i) for i, p in paths.items()}
+        n = max(paths, default=-1) + 1
+        at, pioneer, source = [None] * n, list(range(n)), [None] * n
+        for i, p in paths.items():
+            at[i] = times[i] if times else 0
+            pioneer[i] = p[-2] if len(p) > 1 else i
+            source[i] = p[0] if p else None
         externals = frozenset(i for i, p in paths.items() if len(p) == 1)
-        return cls(times=dict(times), pioneer=pioneer,
-                   source=source, multi_triggered=(), cross_refs=(), loops=(),
+        return cls(times=at, pioneer=pioneer, source=source,
+                   multi_triggered=(), cross_refs=(), loops=(),
                    external_cells=externals, explicit_paths=dict(paths))
 
 
 def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
-    times, pioneer, multi, externals = {}, {}, [], set()
+    """The segment's propagation, in one forward pass over its triggers.
+
+    In time order a pioneer's trigger normally precedes its child's, so
+    `source[cell] = source[pioneer]` settles the cell.  A cell stays
+    pending (source None) when its pioneer has not fired yet (a
+    zero-delay signal from a later seq, or a pioneer outside the
+    segment) or is pending itself.  Only pending cells take the chain
+    walk, in time order, which finds the same loops as walking every
+    cell: a chain through a settled cell ends there.
+    """
+    n = trace.graph.node_count
+    times, pioneer, source = [None] * n, list(range(n)), [None] * n
+    pending, multi, externals = [], [], []
     seqs = seg.trigger_seqs
     for t, cell, kind, h in trace.triggers[seqs.start:seqs.stop]:
-        if cell in times:
+        if times[cell] is not None:
             multi.append(cell)
             continue  # keep the first trigger of the cell
         times[cell] = t
-        pioneer[cell] = h
         if kind == KIND_EXTERNAL:
-            externals.add(cell)
+            externals.append(cell)
+        if h == cell:
+            source[cell] = cell
+        else:
+            pioneer[cell] = h
+            if source[h] is None:
+                pending.append(cell)
+            else:
+                source[cell] = source[h]
 
-    cross_refs = tuple(sorted(
-        i for i, h in pioneer.items() if h != i and h not in times))
-    source, loops = {}, set()
-    for start in times:
-        if start in source:
-            continue
-        chain, on_path = [], set()
-        cur = start
-        while True:
-            if cur in source:
-                s = source[cur]
-                break
-            if cur in on_path:
-                s = None
-                loops.update(chain)
-                break
-            on_path.add(cur)
+    cross_refs = tuple(sorted(i for i in pending if times[pioneer[i]] is None))
+    unsettled, loops = set(pending), []
+    for start in pending:  # a start settled by an earlier chain walks none
+        chain, cur = [], start
+        while cur in unsettled:
+            unsettled.remove(cur)
             chain.append(cur)
-            nxt = pioneer[cur]
-            if nxt == cur:
-                s = cur
-                break
-            if nxt not in times:
-                s = None  # chain leaves the segment
-                break
-            cur = nxt
+            cur = pioneer[cur]
+        s = source[cur]  # settled, outside the segment, or on this chain
+        if s is None and cur in chain:
+            loops.extend(chain)
         for c in chain:
             source[c] = s
     return Propagation(times=times, pioneer=pioneer, source=source,
@@ -190,15 +201,15 @@ def validate_omep(p: Propagation, g: Graph, n_s) -> OmepReport:
     witnesses = {}
 
     if p.explicit_paths is None:
-        bad_source = sorted(i for i, s in p.source.items()
-                            if s is None or s not in n_s)
+        bad_source = [i for i, s in enumerate(p.source)
+                      if s not in n_s and p.times[i] is not None]
         valid = not bad_source
         if bad_source:
             witnesses["valid"] = bad_source[:4]
         simple = not p.loops
         if p.loops:
             witnesses["simple"] = list(p.loops[:4])
-        missing = sorted(set(range(g.node_count)) - set(p.times))
+        missing = [i for i, t in enumerate(p.times) if t is None]
         complete = not missing and not p.multi_triggered
         if not complete:
             witnesses["complete"] = {"missing": missing[:4],
@@ -277,11 +288,9 @@ def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
     undefined).  Parents and children set the flow role, aliens and
     family the border role.
     """
-    n = g.node_count
-    pioneer = [p.pioneer.get(i, i) for i in range(n)]
-    source = [p.source.get(i) if i in p.times else None for i in range(n)]
+    pioneer, source = p.pioneer, p.source
     flow_role, border_role = {}, {}
-    for i in range(n):
+    for i in range(g.node_count):
         parent = child = alien = family = False
         for j in g.adjacency[i]:
             if pioneer[i] == j:
@@ -309,7 +318,7 @@ def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
 def _regions(p: Propagation) -> dict:
     """source cell -> set of cells whose path starts there."""
     regions = {}
-    for i, s in p.source.items():
+    for i, s in enumerate(p.source):
         if s is not None:
             regions.setdefault(s, set()).add(i)
     return regions
@@ -365,7 +374,7 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
 
     bad = []
     for s in regions:
-        children = sum(1 for j in g.adjacency[s] if p.pioneer.get(j) == s)
+        children = sum(1 for j in g.adjacency[s] if p.pioneer[j] == s)
         if sinks[s] < children:
             bad.append((s, children, sinks[s]))
     add("source-children-bounded-by-sinks", not bad, f"regions: {bad[:4]}")
@@ -387,8 +396,8 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
 
 def propagation_error(p: Propagation) -> int:
     """Sum of per-cell trigger offsets from the earliest trigger."""
-    t_min = p.t_min
-    return sum(t - t_min for t in p.times.values())
+    times = [t for t in p.times if t is not None]
+    return sum(times) - len(times) * min(times)
 
 
 # ---------------------------------------------------------------- stabilization
@@ -430,14 +439,16 @@ class StabilizationReport:
 def segmentation_params(params, stats: TopologyStats) -> tuple:
     """(tau_pi, tau_delta) used to cut a trace into rounds.
 
-    tau_pi starts from the analytic span bound diameter*d_max; tau_delta
-    is tau1/2, comfortably below the inter-round gap while far above any
-    intra-round span.  If the strict ordering tau_delta > 3*tau_pi fails
-    on a large-diameter graph, tau_pi falls back to tau_delta/3 - 1.
+    tau_pi is the analytic span bound diameter*d_max; tau_delta is
+    tau1/2, comfortably below the inter-round gap.  Clustering cuts only
+    at a gap above tau_delta, and every gap inside a round is at most the
+    round's span, so tau_delta > tau_pi keeps any round that meets the
+    span bound in one cluster.  Only if tau_delta <= tau_pi does tau_pi
+    fall back to tau_delta/3 - 1.
     """
     tau_pi = stats.diameter * params.d_max
     tau_delta = params.tau1 // 2
-    if tau_delta <= 3 * tau_pi:
+    if tau_delta <= tau_pi:
         tau_pi = tau_delta // 3 - 1
         if tau_pi <= 0:
             raise ParameterError("cannot choose a separation window: "
@@ -483,6 +494,7 @@ def detect_stabilization(trace: Trace,
         segments = segments[:-1]  # last cluster may be horizon-truncated
 
     oneshot, valid_flags, e1s, fracs, props = [], [], [], [], []
+    cells = range(graph.node_count)
     for seg in segments:
         p = extract_propagation(trace, seg)
         ok = validate_omep(p, graph, p.external_cells).all_ok
@@ -490,8 +502,7 @@ def detect_stabilization(trace: Trace,
         valid_flags.append(ok and seg.span <= tau_pi)
         props.append(p)
         e1s.append(propagation_error(p))
-        n_src = sum(1 for i, s in p.source.items() if s == i)
-        fracs.append(n_src / graph.node_count)
+        fracs.append(sum(map(eq, p.source, cells)) / len(cells))
 
     # earliest index with every later cluster valid
     k0 = len(segments)
@@ -506,20 +517,21 @@ def detect_stabilization(trace: Trace,
     violation = None
     if stabilized:
         tau_pi_meas = max(seg.span for seg in segments[k0:])
-        gaps = []
-        for a, b in zip(props[k0:], props[k0 + 1:]):
-            gaps.extend(b.times[i] - a.times[i] for i in a.times if i in b.times)
-        tau_nab_meas = max(gaps) if gaps else 0
+        # valid rounds are complete: every cell has a time in each
+        tau_nab_meas = max((max(map(sub, b.times, a.times)) for a, b
+                            in zip(props[k0:], props[k0 + 1:])), default=0)
         if tau_nab_meas > tau_nabla:
             stabilized = False
             t_stab = None
             violation = {"kind": "inter-trigger-gap",
                          "gap": tau_nab_meas, "bound": tau_nabla}
     elif segments:
-        bad = next(k for k in range(len(segments)) if not valid_flags[k])
-        violation = {"kind": "invalid-final-cluster", "k": len(segments) - 1} \
-            if all(valid_flags[:-1]) and not valid_flags[-1] else \
+        bad = valid_flags.index(False)
+        violation = {"kind": "invalid-final-cluster", "k": bad} \
+            if bad == len(segments) - 1 else \
             {"kind": "invalid-cluster", "k": bad, "t1": segments[bad].t1}
+        if oneshot[bad]:  # one-shot valid, so only the span bound failed
+            violation.update(span=segments[bad].span, bound=tau_pi)
     else:
         violation = {"kind": "no-complete-clusters"}
 

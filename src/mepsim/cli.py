@@ -328,25 +328,31 @@ def _write_plotdata(outdir, graph, report) -> None:
     props = report.propagations
     offsets = os.path.join(plotdir, "offsets.csv")
     pattern_map = os.path.join(plotdir, "pattern_map.csv")
+    cells = range(graph.node_count)
+    row_col = ["%d,%d" % divmod(i, cols) for i in cells]
+    is_source = ("0\n", "1\n")  # the last column, by s == i
     with open(offsets, "w", newline="\n") as off, \
             open(pattern_map, "w", newline="\n") as pmap:
         off.write("k,t_min_ns,cell,t_tilde_ns,is_source\n")
         pmap.write("k,row,col,is_source\n")
         for k, p in enumerate(props):
             t_min = report.segments[k].t1
-            for i in sorted(p.times):
-                is_source = int(p.source[i] == i)
-                r, c = divmod(i, cols)
-                off.write(f"{k},{t_min},{i},{p.times[i] - t_min},"
-                          f"{is_source}\n")
-                pmap.write(f"{k},{r},{c},{is_source}\n")
+            off_head, map_head = f"{k},{t_min},", f"{k},"
+            off_rows, map_rows = [], []
+            for i, t, s in zip(cells, p.times, p.source):
+                if t is not None:
+                    end = is_source[s == i]
+                    off_rows.append(f"{off_head}{i},{t - t_min},{end}")
+                    map_rows.append(f"{map_head}{row_col[i]},{end}")
+            off.write("".join(off_rows))
+            pmap.write("".join(map_rows))
     if not props:
         return
     for k in {0, len(props) - 1}:
         source = props[k].source
         with open(os.path.join(patdir, f"k{k:05d}.txt"), "w", newline="\n") as fh:
             for r in range(rows):
-                fh.write("".join("#" if source.get(i) == i else "."
+                fh.write("".join("#" if source[i] == i else "."
                                  for i in range(r * cols, (r + 1) * cols)))
                 fh.write("\n")
     _write_svg(os.path.join(patdir, "final.svg"), rows, cols, props[-1].source)
@@ -359,7 +365,7 @@ def _write_svg(path, rows, cols, source) -> None:
              f'width="{width}" height="{height}">']
     for i in range(rows * cols):
         r, c = divmod(i, cols)
-        color = "#d62728" if source.get(i) == i else "#dddddd"
+        color = "#d62728" if source[i] == i else "#dddddd"
         parts.append(f'<rect x="{c * cell_px}" y="{r * cell_px}" '
                      f'width="{cell_px - 1}" height="{cell_px - 1}" '
                      f'fill="{color}"/>')

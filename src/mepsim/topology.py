@@ -232,11 +232,3 @@ def read_edge_list(path) -> Graph:
         except ValueError as exc:  # a non-integer field or bad encoding
             raise TopologyError(f"{path}: {exc}") from exc
     return from_edge_list(n, edges)
-
-
-def write_edge_list(g: Graph, path) -> None:
-    edges = sorted(g.edges)
-    with open(path, "w") as fh:
-        fh.write(f"{g.node_count} {len(edges)}\n")
-        for i, j in edges:
-            fh.write(f"{i} {j}\n")

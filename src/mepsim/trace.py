@@ -182,8 +182,11 @@ def _read_meta(meta) -> dict:
     try:
         graph = from_edge_list(n, [tuple(e) for e in edges])
         params = SimParams.from_dict(raw_params)
-    except (KeyError, TypeError, ValueError, MepsimError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceParseError(f"#meta lacks or mistypes {exc}") from exc
+    except MepsimError as exc:  # present members that break a rule
+        part = "graph" if isinstance(exc, TopologyError) else "params"
+        raise TraceParseError(f"#meta {part} invalid: {exc}") from exc
     if name:
         if not isinstance(name, str) or not _names_graph(name, graph):
             raise TraceParseError(f"#meta graph name {name!r} does not "

@@ -220,7 +220,7 @@ def test_criterion_05_final_offsets_small():
             from mepsim.analysis import extract_propagation
             prop = extract_propagation(trace, report.segments[-1])
             t_min = prop.t_min
-            offsets.extend(t - t_min for t in prop.times.values())
+            offsets.extend(t - t_min for t in prop.times if t is not None)
         med = statistics.median(offsets)
         details.append(f"{g.name} median={med:.1f}")
         ok = ok and med < 0.2 * d

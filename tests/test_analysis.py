@@ -2,7 +2,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
-from mepsim.analysis import (Propagation, association_classes,
+from mepsim.analysis import (Propagation, Segment, association_classes,
                              check_pattern_properties, classify_patterns,
                              cluster_triggers, detect_stabilization,
                              extract_propagation, convergence_bound,
@@ -49,7 +49,7 @@ def test_extract_all_external():
     tr = _trace([0, 5], cells=[0, 1])
     seg = cluster_triggers(tr.triggers, 1000)[0]
     p = extract_propagation(tr, seg)
-    assert p.source == {0: 0, 1: 1}
+    assert p.source == [0, 1]
     assert p.path(0) == (0,) and p.path(1) == (1,)
     assert p.external_cells == {0, 1}
 
@@ -77,6 +77,101 @@ def test_extract_flags_repeats():
     p = extract_propagation(tr, seg)
     assert p.multi_triggered == (0,)
     assert not validate_omep(p, K2, p.external_cells).complete
+
+
+def _walk_reference(trace, seg):
+    """The chain walk extraction used before its forward pass: dicts over
+    the fired cells, every cell walked in first-trigger order."""
+    times, pioneer, multi, externals = {}, {}, [], set()
+    for t, cell, kind, h in trace.triggers[seg.trigger_seqs.start:
+                                           seg.trigger_seqs.stop]:
+        if cell in times:
+            multi.append(cell)
+            continue
+        times[cell], pioneer[cell] = t, h
+        if kind == KIND_EXTERNAL:
+            externals.add(cell)
+    cross_refs = tuple(sorted(
+        i for i, h in pioneer.items() if h != i and h not in times))
+    source, loops = {}, set()
+    for start in times:
+        if start in source:
+            continue
+        chain, on_path = [], set()
+        cur = start
+        while True:
+            if cur in source:
+                s = source[cur]
+                break
+            if cur in on_path:
+                s = None
+                loops.update(chain)
+                break
+            on_path.add(cur)
+            chain.append(cur)
+            nxt = pioneer[cur]
+            if nxt == cur:
+                s = cur
+                break
+            if nxt not in times:
+                s = None  # chain leaves the segment
+                break
+            cur = nxt
+        for c in chain:
+            source[c] = s
+    return (times, pioneer, source, tuple(sorted(loops)), cross_refs,
+            tuple(sorted(set(multi))), frozenset(externals))
+
+
+@st.composite
+def _pointer_trace(draw):
+    """A hand-built trace on n cells whose pioneers follow a random
+    pointer map (cycles, tails into them, self-pointing sources), with
+    few distinct times so that ties are common, and a random segment."""
+    n = draw(st.integers(2, 7))
+    ptr = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    trig = []
+    for _ in range(draw(st.integers(1, 3 * n))):
+        cell = draw(st.integers(0, n - 1))
+        h = ptr[cell] if draw(st.booleans()) else draw(st.integers(0, n - 1))
+        trig.append((draw(st.integers(0, 3)), cell,
+                     KIND_EXTERNAL if h == cell else KIND_INTERNAL, h))
+    trig.sort(key=lambda r: r[:2])  # the (time, cell) order of a trace
+    start = draw(st.integers(0, len(trig) - 1))
+    stop = draw(st.integers(start + 1, len(trig)))
+    graph = from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    trace = Trace(graph=graph, params=PARAMS, triggers=trig, arrivals=[],
+                  horizon=10**6, seed=0)
+    return trace, Segment(trig[start][0], trig[stop - 1][0],
+                          range(start, stop))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pointer_trace())
+def test_forward_pass_matches_chain_walk(case):
+    trace, seg = case
+    times, pioneer, source, *rest = _walk_reference(trace, seg)
+    p = extract_propagation(trace, seg)
+    n = trace.graph.node_count
+    assert p.times == [times.get(i) for i in range(n)]
+    assert p.pioneer == [pioneer.get(i, i) for i in range(n)]
+    assert p.source == [source.get(i) for i in range(n)]
+    assert (p.loops, p.cross_refs, p.multi_triggered, p.external_cells) == \
+        tuple(rest)
+    for i, t in times.items():  # name the cases drawn
+        h = pioneer[i]
+        if h > i and times.get(h) == t:
+            event("zero-delay signal from a higher id")
+        seen = [i]
+        while pioneer.get(seen[-1], seen[-1]) not in (seen[-1], *seen):
+            seen.append(pioneer[seen[-1]])
+        if pioneer.get(seen[-1]) in seen[:-1]:
+            k = seen.index(pioneer[seen[-1]])
+            event(f"{len(seen) - k}-cycle" + (" with a tail" if k else ""))
+    if p.cross_refs:
+        event("pioneer outside the segment")
+    if p.multi_triggered:
+        event("repeated trigger")
 
 
 # ------------------------------------------------------------- five properties
@@ -442,7 +537,7 @@ def test_series_metrics_shapes():
     for row, p in zip(per_k, rep.propagations):
         assert 0.0 <= row["source_fraction"] <= 1.0
         assert row["e1_ns"] >= 0
-        assert row["ideal"] == all(p.source.get(i) == i for i in range(4))
+        assert row["ideal"] == all(p.source[i] == i for i in range(4))
         counts = row["pattern_counts"]
         assert sum(counts[r] for r in (ROLE_SOURCE, ROLE_SINK, ROLE_FLOW,
                                        ROLE_UNITED)) == 4
@@ -483,9 +578,10 @@ def test_fast_path_matches_definition_on_random_runs(case):
     tau_delta = trace.params.tau1 // 2
     for seg in cluster_triggers(trace.triggers, tau_delta):
         p = extract_propagation(trace, seg)
-        if p.multi_triggered or None in p.source.values():
+        fired = {i: t for i, t in enumerate(p.times) if t is not None}
+        if p.multi_triggered or any(p.source[i] is None for i in fired):
             continue
-        ref = Propagation.from_paths({i: p.path(i) for i in p.times}, p.times)
+        ref = Propagation.from_paths({i: p.path(i) for i in fired}, fired)
         fast = validate_omep(p, graph, p.external_cells)
         full = validate_omep(ref, graph, p.external_cells)
         assert (fast.valid, fast.simple, fast.complete) == \

@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import mepsim.analysis
 import mepsim.cli
+from mepsim.analysis import required_horizon
 from mepsim.cli import (_CONFIG, EXIT_CHECK_FAILURE, EXIT_HORIZON,
                         EXIT_INVALID, EXIT_NOT_STABILIZED, EXIT_OK,
                         load_config, main, resolve_config)
 from mepsim.errors import ConfigError
+from mepsim.timing import SimParams
+from mepsim.topology import from_edge_list, topology_stats
+from mepsim.trace import KIND_EXTERNAL, Trace, write_trace
 
 FAST = ["--override", "topology=ring:4", "--override", "d_max=100",
         "--override", "rho=0.0", "--override", "drift.mode=zero"]
@@ -374,6 +378,43 @@ def test_failed_verdicts_name_the_failure(tmp_path, capsys):
     assert rc == EXIT_CHECK_FAILURE and out == "check-failure\n"
     assert err.startswith("check=association partition_witness=(")
     assert err.count("\n") == 1
+
+
+def test_paths_stabilize(tmp_path):
+    """A 7-cell path's rounds may span diameter * d_max = 600 ns, so its
+    span bound must not fall to tau_delta // 3 - 1 = 449 ns (seed 2's
+    rounds span 500 ns)."""
+    edges = tmp_path / "path7.txt"
+    edges.write_text("7 6\n" + "".join(f"{i} {i + 1}\n" for i in range(6)))
+    argv = ["--override", f"topology_file={edges}", "--override", "d_min=100",
+            "--override", "d_max=100", "--override", "delay.kind=fixed",
+            "--override", "rho=0.0"]
+    failed = [seed for seed in range(8) if main(
+        ["run", "--out", str(tmp_path / str(seed)), "--seed", str(seed)]
+        + argv) != EXIT_OK]
+    assert failed == []
+
+
+def test_span_only_violation_names_span_and_bound(tmp_path, capsys):
+    # every round is one-shot valid but spans 150 ns > diameter * d_max
+    g = from_edge_list(2, [(0, 1)])
+    params = SimParams(d_min=0, d_max=100, rho=0.0, tau0=1000, tau1=4000,
+                       tau2=4000)
+    horizon = required_horizon(params, topology_stats(g)) + 4000
+    triggers = [row for t in range(0, horizon - 150, 4000) for row in
+                ((t, 0, KIND_EXTERNAL, 0), (t + 150, 1, KIND_EXTERNAL, 1))]
+    path = tmp_path / "trace.csv"
+    write_trace(Trace(graph=g, params=params, triggers=triggers, arrivals=[],
+                      horizon=horizon, seed=0), path)
+    capsys.readouterr()
+    out = tmp_path / "an"
+    assert main(["analyze", str(path), "--out", str(out)]) == \
+        EXIT_NOT_STABILIZED
+    assert capsys.readouterr().err == \
+        "violation=invalid-cluster k=0 t1=0 span=150 bound=100\n"
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert all(row["valid"] for row in metrics["per_k"])
+    assert metrics["stabilization"]["first_violation"]["span"] == 150
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,16 @@ from hypothesis import given, strategies as st
 from mepsim.errors import ConnectivityError, ParameterError, TopologyError
 from mepsim.topology import (build_grid, build_hypercube, build_ring, diameter,
                              from_edge_list, longest_simple_path_exact,
-                             parse_topology, read_edge_list, topology_stats,
-                             write_edge_list)
+                             parse_topology, read_edge_list, topology_stats)
+
+
+def write_edge_list(g, path) -> None:
+    """The edge-list file read_edge_list reads: "n m", then one edge a line."""
+    edges = sorted(g.edges)
+    with open(path, "w") as fh:
+        fh.write(f"{g.node_count} {len(edges)}\n")
+        for i, j in edges:
+            fh.write(f"{i} {j}\n")
 
 
 def test_ring_basic():

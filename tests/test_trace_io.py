@@ -253,6 +253,25 @@ def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
         read_trace(path)
 
 
+@pytest.mark.parametrize("key, value, detail", [
+    ("tau0", 0, "#meta params invalid: need 0 < tau0 < tau2, got 0, "),
+    ("tau1", 10**400,
+     "#meta params invalid: tau1 is outside [-2**53, 2**53] ns"),
+    ("tau2", None, "#meta lacks or mistypes 'tau2'"),
+])
+def test_meta_errors_name_their_fault(tmp_path, small_trace, key, value,
+                                      detail):
+    lines = trace_to_text(small_trace).splitlines()
+    idx = next(k for k, line in enumerate(lines) if line.startswith("#meta="))
+    lines[idx] = _meta_edit("params", key, value=value,
+                            delete=value is None)(lines[idx], small_trace)
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(path)
+    assert str(exc.value).startswith(detail)
+
+
 def test_blank_line_ends_the_trace(tmp_path, small_trace):
     text = trace_to_text(small_trace)
     path = tmp_path / "trace.csv"
