@@ -2,10 +2,13 @@
 
 Graphs are immutable after construction: dense integer node ids 0..n-1,
 sorted adjacency lists, connectivity enforced.  The two statistics that
-drive timer parameterization are the diameter (always exact, via BFS)
-and the longest-simple-path length (exact by exhaustive search on small
-graphs or by closed form for the constructor topologies, otherwise the
-conservative upper bound n-1).
+drive timer parameterization are the diameter and the longest-simple-path
+length.  The diameter is always exact: one breadth-first sweep from every
+cell at once, carrying one bit per source.  The longest simple path is
+exact by closed form for the constructor topologies, or by an exhaustive
+search on graphs of up to DEFAULT_EXACT_SEARCH_CAP cells that settles it
+within EXACT_SEARCH_BUDGET expansions; otherwise it is lg_override when
+given, else the conservative upper bound n-1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ from dataclasses import dataclass
 from .errors import ConnectivityError, ParameterError, TopologyError
 
 DEFAULT_EXACT_SEARCH_CAP = 64
+# DFS expansions the exact longest-path search may make before it gives up;
+# a count, not a clock, so the outcome is a pure function of the graph.
+EXACT_SEARCH_BUDGET = 1_000_000
+# Sources per diameter sweep: masks of 4096 bits keep memory at n * 512 B.
+DIAMETER_BLOCK_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -132,12 +140,55 @@ def _distances(adjacency, src: int) -> list:
 
 
 def diameter(g: Graph) -> int:
-    """Exact diameter via BFS from every node."""
-    return max(max(_distances(g.adjacency, src)) for src in range(g.node_count))
+    """Exact diameter: a BFS from every cell at once, one bit per source.
+
+    After sweep k, reach[v] holds the bit of every source within k hops of
+    v.  Sweep 1 is each source's closed neighbourhood; from sweep 2 on,
+    reach[v] is just the union of its neighbours' masks, because a source
+    k hops from v is k-1 hops from the next cell on a shortest path.  The
+    diameter is the number of sweeps until every mask is full; a cell
+    whose mask is full leaves the active list.  Sources go in blocks of
+    DIAMETER_BLOCK_BITS, so the masks take O(n * 512 B) for any n.
+    """
+    n = g.node_count
+    adjacency = g.adjacency
+    lonely = [v for v in range(n) if not adjacency[v]]
+    if lonely:
+        raise ConnectivityError(f"graph is disconnected; isolated nodes {lonely[:8]}")
+    best = 0
+    for lo in range(0, n, DIAMETER_BLOCK_BITS):
+        hi = min(lo + DIAMETER_BLOCK_BITS, n)
+        full = (1 << (hi - lo)) - 1
+        reach = [0] * n
+        for src in range(lo, hi):
+            bit = 1 << (src - lo)
+            reach[src] |= bit
+            for v in adjacency[src]:
+                reach[v] |= bit
+        sweeps = 1
+        # (cell, first neighbour, other neighbours): the OR starts from the
+        # first neighbour's mask instead of from 0
+        active = [(v, adjacency[v][0], adjacency[v][1:])
+                  for v in range(n) if reach[v] != full]
+        while active:
+            nxt = reach[:]
+            for v, first, rest in active:
+                mask = reach[first]
+                for u in rest:
+                    mask |= reach[u]
+                nxt[v] = mask
+            if nxt == reach:  # no mask grew: some source never reaches a cell
+                raise ConnectivityError("graph is disconnected")
+            reach = nxt
+            active = [cell for cell in active if reach[cell[0]] != full]
+            sweeps += 1
+        best = max(best, sweeps)
+    return best
 
 
-def longest_simple_path_exact(g: Graph) -> int:
-    """Exhaustive DFS over simple paths; exponential, small graphs only."""
+def longest_simple_path_exact(g: Graph) -> int | None:
+    """Exhaustive DFS over simple paths, or None once EXACT_SEARCH_BUDGET
+    expansions have not settled it; exponential, small graphs only."""
     n = g.node_count
     adj_bits = [0] * n
     for i in range(n):
@@ -145,9 +196,14 @@ def longest_simple_path_exact(g: Graph) -> int:
             adj_bits[i] |= 1 << j
     best = 0
     target = n - 1
+    budget = EXACT_SEARCH_BUDGET
 
     def dfs(node, visited, length):
-        nonlocal best
+        # True ends the whole search: a Hamiltonian path, or budget spent
+        nonlocal best, budget
+        budget -= 1
+        if budget < 0:
+            return True
         if length > best:
             best = length
             if best == target:
@@ -163,7 +219,7 @@ def longest_simple_path_exact(g: Graph) -> int:
     for start in range(n):
         if dfs(start, 1 << start, 0):
             break
-    return best
+    return None if budget < 0 else best
 
 
 def _closed_form_lg(g: Graph) -> int | None:
@@ -179,24 +235,25 @@ def _closed_form_lg(g: Graph) -> int | None:
 def topology_stats(g: Graph, lg_override: int | None = None) -> TopologyStats:
     """Diameter (always exact) and longest simple path (exact when feasible).
 
-    Closed forms short-circuit the exhaustive search for constructor-built
-    rings/grids/hypercubes; otherwise it runs up to DEFAULT_EXACT_SEARCH_CAP
-    cells.  Above the cap the override is used if given, else the bound n-1
+    The diameter comes from one bit-parallel sweep (see diameter).  Closed
+    forms give the longest simple path of constructor-built
+    rings/grids/hypercubes.  Other graphs of up to DEFAULT_EXACT_SEARCH_CAP
+    cells get the exhaustive search, which gives up after
+    EXACT_SEARCH_BUDGET expansions.  Above the cap, or when the search
+    gives up, the override is used if given, else the bound n-1, both
     with lg_is_exact=False.
     """
     d = diameter(g)
     if lg_override is not None and lg_override < d:
         raise ParameterError(
             f"lg_override={lg_override} is below the diameter {d}")
-    closed = _closed_form_lg(g)
-    if closed is not None:
-        return TopologyStats(diameter=d, longest_simple_path=closed, lg_is_exact=True)
-    if g.node_count <= DEFAULT_EXACT_SEARCH_CAP:
-        return TopologyStats(diameter=d, longest_simple_path=longest_simple_path_exact(g),
-                             lg_is_exact=True)
-    if lg_override is not None:
-        return TopologyStats(diameter=d, longest_simple_path=lg_override, lg_is_exact=False)
-    return TopologyStats(diameter=d, longest_simple_path=g.node_count - 1, lg_is_exact=False)
+    lg = _closed_form_lg(g)
+    if lg is None and g.node_count <= DEFAULT_EXACT_SEARCH_CAP:
+        lg = longest_simple_path_exact(g)
+    if lg is not None:
+        return TopologyStats(diameter=d, longest_simple_path=lg, lg_is_exact=True)
+    bound = lg_override if lg_override is not None else g.node_count - 1
+    return TopologyStats(diameter=d, longest_simple_path=bound, lg_is_exact=False)
 
 
 def parse_topology(spec: str) -> Graph:

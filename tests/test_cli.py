@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import logging
 import os
 import re
 
@@ -393,6 +394,48 @@ def test_paths_stabilize(tmp_path):
         ["run", "--out", str(tmp_path / str(seed)), "--seed", str(seed)]
         + argv) != EXIT_OK]
     assert failed == []
+
+
+def test_longest_path_bound_is_logged_not_written(tmp_path, caplog):
+    """A bound in place of the exact longest simple path is named once on
+    the mepsim logger, with its reason, and kept out of metrics.json."""
+    k79 = tmp_path / "k79.txt"  # K(7,9): the exact search runs out of budget
+    pairs = [(i, 7 + j) for i in range(7) for j in range(9)]
+    k79.write_text(f"16 {len(pairs)}\n" + "".join(f"{i} {j}\n" for i, j in pairs))
+    run = tmp_path / "run"
+
+    def warnings(argv):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mepsim"):
+            rc = main(argv)
+        return rc, [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+
+    verdicts = (EXIT_OK, EXIT_NOT_STABILIZED, EXIT_CHECK_FAILURE)
+    budget = "the exact search ran out of its budget of 1000000 expansions"
+    rc, logged = warnings(["run", "--out", str(run), "--override",
+                           f"topology_file={k79}", "--override", "d_max=100"])
+    assert rc in verdicts and logged == [
+        f"longest_simple_path=15 is the bound n-1, not exact: {budget}"]
+    assert "not exact" not in (run / "metrics.json").read_text()
+    rc, logged = warnings(["analyze", str(run / "trace.csv"), "--out",
+                           str(tmp_path / "an"), "--override", "lg_override=14"])
+    assert rc in verdicts and logged == [
+        f"longest_simple_path=14 is lg_override, not exact: {budget}"]
+    assert "not exact" not in (tmp_path / "an" / "metrics.json").read_text()
+    assert warnings(["run", "--out", str(tmp_path / "ring")] + FAST) == (EXIT_OK, [])
+
+    # a 65-cell star is above the search cap; the horizon is too short for
+    # a verdict, but the warning comes before the analysis
+    star = from_edge_list(65, [(0, i) for i in range(1, 65)])
+    params = SimParams(d_min=0, d_max=100, rho=0.0, tau0=1000, tau1=40000,
+                       tau2=40000)
+    path = tmp_path / "star.csv"
+    write_trace(Trace(graph=star, params=params, triggers=[], arrivals=[],
+                      horizon=1000, seed=0), path)
+    assert warnings(["analyze", str(path), "--out", str(tmp_path / "star")]) == (
+        EXIT_HORIZON, ["longest_simple_path=64 is the bound n-1, not exact: "
+                       "65 cells are above the exact-search cap of 64"])
 
 
 def test_span_only_violation_names_span_and_bound(tmp_path, capsys):

@@ -1,10 +1,15 @@
-import pytest
-from hypothesis import given, strategies as st
+import time
+from collections import deque
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mepsim import topology
 from mepsim.errors import ConnectivityError, ParameterError, TopologyError
-from mepsim.topology import (build_grid, build_hypercube, build_ring, diameter,
-                             from_edge_list, longest_simple_path_exact,
-                             parse_topology, read_edge_list, topology_stats)
+from mepsim.topology import (Graph, TopologyStats, build_grid, build_hypercube,
+                             build_ring, diameter, from_edge_list,
+                             longest_simple_path_exact, parse_topology,
+                             read_edge_list, topology_stats)
 
 
 def write_edge_list(g, path) -> None:
@@ -61,10 +66,85 @@ def test_from_edge_list_rejects_self_loop_and_range():
         from_edge_list(3, [(0, 5)])
 
 
+def complete_bipartite(a, b):
+    """K(a,b): cells 0..a-1 on one side, a..a+b-1 on the other."""
+    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, outer + spokes + inner)
+
+
+def bfs_diameter(g):
+    """Reference: the largest BFS eccentricity over all cells."""
+    worst = 0
+    for src in range(g.node_count):
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        assert len(dist) == g.node_count
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
+@st.composite
+def connected_graphs(draw):
+    """Trees, paths, stars and dense graphs of 2-70 cells, ids shuffled."""
+    n = draw(st.integers(min_value=2, max_value=70))
+    order = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["tree", "path", "star", "dense"]))
+    if kind == "path":
+        pairs = list(zip(order, order[1:]))
+    elif kind == "star":
+        pairs = [(order[0], v) for v in order[1:]]
+    else:
+        pairs = [(order[i], order[draw(st.integers(0, i - 1))])
+                 for i in range(1, n)]
+    if kind == "dense":
+        rnd = draw(st.randoms(use_true_random=False))
+        density = draw(st.floats(min_value=0.2, max_value=1.0))
+        pairs += [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rnd.random() < density]
+    return from_edge_list(n, pairs)
+
+
 def test_diameter_known_values():
     assert diameter(build_ring(64)) == 32
     assert diameter(build_grid(4, 4)) == 6
     assert diameter(build_hypercube(6)) == 6
+    assert diameter(build_grid(32, 32)) == 62
+    assert diameter(from_edge_list(1000, [(i, i + 1) for i in range(999)])) == 999
+
+
+@pytest.mark.parametrize("block_bits", [topology.DIAMETER_BLOCK_BITS, 8])
+@settings(max_examples=60, deadline=None)
+@given(g=connected_graphs())
+def test_diameter_matches_bfs_reference(block_bits, g):
+    # 8-bit blocks split every graph of more than 8 cells across blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "DIAMETER_BLOCK_BITS", block_bits)
+        assert diameter(g) == bfs_diameter(g)
+
+
+@pytest.mark.parametrize("block_bits", [topology.DIAMETER_BLOCK_BITS, 2])
+def test_diameter_rejects_hand_built_disconnected_graph(monkeypatch, block_bits):
+    monkeypatch.setattr(topology, "DIAMETER_BLOCK_BITS", block_bits)
+    two_pairs = Graph(node_count=4, edges=frozenset({(0, 1), (2, 3)}),
+                      adjacency=((1,), (0,), (3,), (2,)))
+    with pytest.raises(ConnectivityError):
+        diameter(two_pairs)
+    isolated = Graph(node_count=3, edges=frozenset({(0, 1)}),
+                     adjacency=((1,), (0,), ()))
+    with pytest.raises(ConnectivityError):
+        diameter(isolated)
 
 
 def test_longest_path_small_graphs():
@@ -73,6 +153,27 @@ def test_longest_path_small_graphs():
     # star: center 0; best path uses two leaves
     assert longest_simple_path_exact(
         from_edge_list(4, [(0, 1), (0, 2), (0, 3)])) == 2
+
+
+def test_longest_path_exact_below_budget():
+    assert topology_stats(complete_bipartite(4, 5)) == TopologyStats(
+        diameter=2, longest_simple_path=8, lg_is_exact=True)
+    assert topology_stats(petersen()) == TopologyStats(
+        diameter=2, longest_simple_path=9, lg_is_exact=True)
+
+
+def test_longest_path_search_gives_up_within_budget():
+    # K(7,9)'s longest simple path is 14 edges; proving that no 15-edge path
+    # exists takes far more than the budget's expansions
+    g = complete_bipartite(7, 9)
+    start = time.perf_counter()
+    stats = topology_stats(g)
+    assert time.perf_counter() - start < 5.0
+    assert stats == TopologyStats(diameter=2, longest_simple_path=15,
+                                  lg_is_exact=False)
+    assert longest_simple_path_exact(g) is None
+    over = topology_stats(g, lg_override=14)
+    assert over.longest_simple_path == 14 and not over.lg_is_exact
 
 
 def test_stats_closed_forms():
