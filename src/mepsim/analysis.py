@@ -273,9 +273,9 @@ ROLE_FLAT = "flat"
 
 @dataclass
 class PatternReport:
-    flow_role: dict  # cell -> source|sink|flow|united
-    border_role: dict  # cell -> bank|ridge|flat
-    counts: dict  # role -> count
+    flow_role: list  # per cell: source|sink|flow|united
+    border_role: list  # per cell: bank|ridge|flat
+    counts: dict  # role -> count, all seven roles
 
 
 def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
@@ -289,10 +289,12 @@ def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
     family the border role.
     """
     pioneer, source = p.pioneer, p.source
-    flow_role, border_role = {}, {}
-    for i in range(g.node_count):
+    flow_role, border_role = [], []
+    counts = dict.fromkeys((ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED,
+                            ROLE_BANK, ROLE_RIDGE, ROLE_FLAT), 0)
+    for i, adjacent in enumerate(g.adjacency):
         parent = child = alien = family = False
-        for j in g.adjacency[i]:
+        for j in adjacent:
             if pioneer[i] == j:
                 parent = True
             elif pioneer[j] == i:
@@ -302,15 +304,14 @@ def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
             else:
                 family = True
         if parent:
-            flow_role[i] = ROLE_FLOW if child else ROLE_SINK
+            flow = ROLE_FLOW if child else ROLE_SINK
         else:
-            flow_role[i] = ROLE_SOURCE if child else ROLE_UNITED
-        border_role[i] = (ROLE_BANK if alien else
-                          ROLE_RIDGE if family else ROLE_FLAT)
-
-    counts = {}
-    for role in (*flow_role.values(), *border_role.values()):
-        counts[role] = counts.get(role, 0) + 1
+            flow = ROLE_SOURCE if child else ROLE_UNITED
+        border = ROLE_BANK if alien else ROLE_RIDGE if family else ROLE_FLAT
+        flow_role.append(flow)
+        border_role.append(border)
+        counts[flow] += 1
+        counts[border] += 1
     return PatternReport(flow_role=flow_role, border_role=border_role,
                          counts=counts)
 
@@ -347,8 +348,8 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
     bad = [s for s in regions if not sinks[s]]
     add("sink-per-region", not bad, f"regions without sinks: {bad[:4]}")
 
-    n_sink = sum(1 for r in flow.values() if r in (ROLE_SINK, ROLE_UNITED))
-    n_source = sum(1 for r in flow.values() if r in (ROLE_SOURCE, ROLE_UNITED))
+    n_sink = sum(1 for r in flow if r in (ROLE_SINK, ROLE_UNITED))
+    n_source = sum(1 for r in flow if r in (ROLE_SOURCE, ROLE_UNITED))
     add("sinks-at-least-sources", n_sink >= n_source,
         f"sinks={n_sink} sources={n_source}")
 
@@ -363,13 +364,13 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
     add("non-sink-region-has-non-sink-source", not bad,
         f"regions: {bad[:4]}")
 
-    ridges = sorted(i for i, r in border.items() if r == ROLE_RIDGE)
+    ridges = [i for i, r in enumerate(border) if r == ROLE_RIDGE]
     add("tree-has-no-ridge", not (is_tree and ridges),
         f"ridge cells on a tree: {ridges[:4]}" if is_tree else "not a tree")
 
-    bad = sorted(i for i in range(g.node_count)
-                 if border[i] == ROLE_FLAT and g.degree(i) >= 2
-                 and flow[i] in (ROLE_SINK, ROLE_UNITED))
+    bad = [i for i in range(g.node_count)
+           if border[i] == ROLE_FLAT and g.degree(i) >= 2
+           and flow[i] in (ROLE_SINK, ROLE_UNITED)]
     add("flat-degree2-not-sink", not bad, f"cells: {bad[:4]}")
 
     bad = []
@@ -598,42 +599,42 @@ def association_classes(trace: Trace, window,
 
     Triggers and arrivals are time-sorted (reader and engine ensure it),
     so the window's triggers are one seq range [s0, s1), indexed by x =
-    seq - s0.  Every strong pair is a loose pair, so the loose closure is
-    the strong closure plus the weak pairs (|dt| > d_max), joined in
-    after the strong read.  Finds halve paths (Tarjan, JACM 1975).
+    seq - s0, and one forward merge finds each arrival's triggers:
+    `last[cell]` is the x of the cell's latest trigger at or before the
+    arrival, its sender's emitter and, at the arrival's time, an accepted
+    arrival's receiver.  Every strong pair is a loose pair, so the loose
+    closure is the strong closure plus the weak pairs (|dt| > d_max),
+    joined in after the strong read.  Finds halve paths (Tarjan, JACM 1975).
     """
     lo, hi = window
-    d_max, time, trigger_time = (trace.params.d_max, attrgetter("time"),
-                                 itemgetter(0))
+    d_max, trigger_time = trace.params.d_max, itemgetter(0)
     triggers, arrivals = trace.triggers, trace.arrivals
     s0 = bisect_left(triggers, lo, key=trigger_time)
     n = max(0, bisect_right(triggers, hi, key=trigger_time) - s0)
-    cell_times = [[] for _ in range(trace.graph.node_count)]
-    cell_xs = [[] for _ in cell_times]
-    for x, (t, cell, _, _) in enumerate(triggers[s0:s0 + n]):
-        cell_times[cell].append(t)
-        cell_xs[cell].append(x)
+    in_window = triggers[s0:s0 + n]
+    last, x = [-1] * trace.graph.node_count, 0
 
     parent, weak = list(range(n)), []
-    for a in arrivals[bisect_left(arrivals, lo, key=time):
-                      bisect_right(arrivals, hi, key=time)]:
+    for a in arrivals[bisect_left(arrivals, lo, key=attrgetter("time")):
+                      bisect_right(arrivals, hi, key=attrgetter("time"))]:
         t = a.time
-        if a.outcome == OUTCOME_ACCEPTED:  # the receiver's first trigger at t
-            ts = cell_times[a.to]
-            k = bisect_left(ts, t)
-            o = cell_xs[a.to][k] if k < len(ts) and ts[k] == t else -1
+        while x < n and in_window[x][0] <= t:
+            last[in_window[x][1]] = x
+            x += 1
+        e = last[a.frm]
+        if e < 0 or in_window[e][0] < t - d_max:
+            continue
+        if a.outcome == OUTCOME_ACCEPTED:  # the receiver's trigger at t
+            o = last[a.to]
+            if o < 0 or in_window[o][0] != t:
+                continue
         elif a.outcome == OUTCOME_REJECTED and a.rejecting_seq is not None:
             o = a.rejecting_seq - s0
+            if not 0 <= o < n:
+                continue
         else:
             continue
-        if not 0 <= o < n:
-            continue
-        ts = cell_times[a.frm]
-        k = bisect_right(ts, t)
-        if k == 0 or ts[k - 1] < t - d_max:
-            continue
-        e = cell_xs[a.frm][k - 1]
-        if abs(ts[k - 1] - triggers[o + s0][0]) > d_max:
+        if abs(in_window[e][0] - in_window[o][0]) > d_max:
             weak.append((e, o))
             continue
         # _union, inlined: collecting the pairs for it measured 30 % slower
@@ -686,8 +687,6 @@ def series_metrics(report: StabilizationReport, pattern_counts: list) -> list:
             "source_fraction": report.source_fraction_series[k],
             "ideal": report.source_fraction_series[k] == 1.0,
             "valid": report.oneshot_series[k],
-            "pattern_counts": {r: counts.get(r, 0) for r in (
-                ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED,
-                ROLE_BANK, ROLE_RIDGE, ROLE_FLAT)},
+            "pattern_counts": dict(counts),
         })
     return per_k

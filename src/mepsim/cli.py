@@ -464,8 +464,7 @@ _SWEEP_AXES = {
 
 
 def _sweep_worker(task):
-    point_label, replica, cfg = task
-    spec = resolve_config(cfg)
+    point_label, replica, spec = task
     report = detect_stabilization(spec.run(), spec.stats)
     valid = [k for k, ok in enumerate(report.valid_series) if ok]
     final_e1 = report.e1_series[valid[-1]] if valid else None
@@ -492,19 +491,21 @@ def cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     key, parse = _SWEEP_AXES[args.axis]
+    if key == "topology" and cfg["topology_file"]:
+        raise ConfigError(f"sweep axis {args.axis} sets 'topology', which "
+                          "'topology_file' overrides; unset topology_file")
     tasks = []
     for value in values:
         try:
             point = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad {args.axis} sweep value {value!r}") from exc
+        spec = resolve_config({**cfg, key: point})
+        _warn_lg_bound(spec.graph, spec.stats, cfg["lg_override"])
         for replica in range(args.replicas):
-            rcfg = copy.deepcopy(cfg)
-            rcfg[key] = point
-            rcfg["seed"] = f"{cfg['seed']}-{value}-{replica}"
-            tasks.append((str(value), replica, rcfg))
+            seed = f"{cfg['seed']}-{value}-{replica}"
+            tasks.append((str(value), replica, spec._replace(seed=seed)))
     jobs = args.jobs or os.cpu_count() or 1
-    rows = []
     if jobs == 1:
         rows = [_sweep_worker(t) for t in tasks]
     else:
@@ -516,11 +517,11 @@ def cmd_sweep(args) -> int:
         "sweep": {"axis": args.axis, "values": values,
                   "replicas": args.replicas}})
     path = os.path.join(args.out, "sweep.csv")
+    import csv  # as concurrent.futures: only sweeps use it
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(rows[0]) + "\n")  # the columns: every row's keys
-        for row in rows:
-            fh.write(",".join("" if v is None else str(v)
-                              for v in row.values()) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rows[0])  # the columns: every row's keys
+        writer.writerows(row.values() for row in rows)
     print(f"sweep complete: {len(rows)} runs -> {path}")
     return EXIT_OK
 

@@ -236,8 +236,8 @@ def test_explicit_positive_chain():
 def test_chain_pattern_roles():
     p = Propagation.from_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2)})
     rep = classify_patterns(p, P3)
-    assert rep.flow_role == {0: ROLE_SOURCE, 1: ROLE_FLOW, 2: ROLE_SINK}
-    assert ROLE_RIDGE not in rep.border_role.values()  # tree
+    assert rep.flow_role == [ROLE_SOURCE, ROLE_FLOW, ROLE_SINK]
+    assert ROLE_RIDGE not in rep.border_role  # tree
     checks = check_pattern_properties(rep, p, P3)
     assert all(c.passed for c in checks)
 
@@ -245,8 +245,8 @@ def test_chain_pattern_roles():
 def test_all_external_distinct_sources_all_bank():
     p = Propagation.from_paths({0: (0,), 1: (1,), 2: (2,)})
     rep = classify_patterns(p, P3)
-    assert set(rep.flow_role.values()) == {ROLE_UNITED}
-    assert set(rep.border_role.values()) == {ROLE_BANK}
+    assert set(rep.flow_role) == {ROLE_UNITED}
+    assert set(rep.border_role) == {ROLE_BANK}
     checks = check_pattern_properties(rep, p, P3)
     assert all(c.passed for c in checks)
 
@@ -271,8 +271,7 @@ def test_flat_degree2_sink_is_flagged():
 def test_region_without_sink_is_flagged():
     p = Propagation.from_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2)})
     rep = classify_patterns(p, P3)
-    for i in rep.flow_role:
-        rep.flow_role[i] = ROLE_FLOW
+    rep.flow_role = [ROLE_FLOW] * 3
     by_name = {c.name: c for c in check_pattern_properties(rep, p, P3)}
     assert not by_name["sink-per-region"].passed
 
@@ -318,6 +317,78 @@ def test_flat_cells_force_sinks_bound():
     assert not by_name["flat-cells-force-sinks"].passed
 
 
+@st.composite
+def _pattern_case(draw):
+    """A random connected graph and a propagation extracted from a random
+    segment of hand-built triggers: cells that stay silent, pioneers
+    that are mostly neighbours, pointer loops, and pioneers that fire
+    only outside the segment."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    graph = from_edge_list(n, sorted(edges))
+    trig = []
+    every = list(range(n)) if draw(st.booleans()) else []  # a full round
+    for cell in every + draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=2 * n)):
+        h = draw(st.sampled_from((cell, *graph.adjacency[cell]))
+                 if draw(st.integers(0, 4)) else st.integers(0, n - 1))
+        trig.append((draw(st.integers(0, 3)), cell,
+                     KIND_EXTERNAL if h == cell else KIND_INTERNAL, h))
+    trig.sort(key=lambda r: r[:2])
+    start, stop = 0, len(trig)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(trig) - 1))
+        stop = draw(st.integers(start + 1, len(trig)))
+    trace = Trace(graph=graph, params=PARAMS, triggers=trig, arrivals=[],
+                  horizon=10**6, seed=0)
+    seg = Segment(trig[start][0], trig[stop - 1][0], range(start, stop))
+    return graph, extract_propagation(trace, seg)
+
+
+def _reference_roles(p, g, i):
+    """(flow, border) role of cell i from its neighbours' labels: the
+    parent is i's pioneer, children point at i, and of the rest aliens
+    have another source (or i has none) and family the same one."""
+    adjacent = set(g.adjacency[i])
+    parents = {p.pioneer[i]} & adjacent
+    children = {j for j in adjacent if p.pioneer[j] == i} - parents
+    rest = adjacent - parents - children
+    aliens = {j for j in rest if p.source[i] is None
+              or p.source[j] != p.source[i]}
+    flow = {(False, False): ROLE_UNITED, (False, True): ROLE_SOURCE,
+            (True, False): ROLE_SINK, (True, True): ROLE_FLOW}[
+        bool(parents), bool(children)]
+    border = (ROLE_BANK if aliens else ROLE_RIDGE if rest - aliens
+              else ROLE_FLAT)
+    return flow, border
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pattern_case())
+def test_pattern_roles_match_reference(case):
+    graph, p = case
+    rep = classify_patterns(p, graph)
+    n = graph.node_count
+    want = [_reference_roles(p, graph, i) for i in range(n)]
+    assert rep.flow_role == [f for f, _ in want]
+    assert rep.border_role == [b for _, b in want]
+    roles = (ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED,
+             ROLE_BANK, ROLE_RIDGE, ROLE_FLAT)
+    assert rep.counts == {r: (rep.flow_role + rep.border_role).count(r)
+                          for r in roles}
+    assert sum(rep.counts.values()) == 2 * n
+    if any(t is None for t in p.times):
+        event("silent cell")
+    if p.loops:
+        event("pointer loop")
+    if p.cross_refs:
+        event("pioneer outside the segment")
+    if ROLE_RIDGE in rep.border_role:
+        event("ridge")
+
+
 # ------------------------------------------------------------- metrics
 
 
@@ -354,6 +425,22 @@ def test_distant_rejection_breaks_both_checks():
     assert ac.classes == ((0, 1),) and ac.strong_classes == ((0,), (1,))
     assert not ac.partitions_coincide and ac.partition_witness == (0, 1)
     assert not ac.spans_ok and ac.span_witness == (0, 1, 150)
+
+
+@pytest.mark.parametrize("t_arrive, t_receive, linked", [
+    (1000 + D, 1000 + D, True),
+    (1001 + D, 1001 + D, False),
+    (1080, 1050, False),
+], ids=["emitter-d_max-before", "emitter-past-d_max", "no-trigger-at-arrival"])
+def test_association_arrival_ends(t_arrive, t_receive, linked):
+    """An accepted arrival links its sender's latest trigger at most d_max
+    earlier to its receiver's trigger at the arrival's own time."""
+    triggers = [(1000, 0, KIND_EXTERNAL, 0), (t_receive, 1, KIND_INTERNAL, 0)]
+    arr = ArrivalRecord(frm=0, to=1, time=t_arrive, outcome=OUTCOME_ACCEPTED)
+    tr = Trace(graph=K2, params=PARAMS, triggers=triggers, arrivals=[arr],
+               horizon=10**6, seed=0)
+    ac = association_classes(tr, (0, 10**6))
+    assert ac.classes == (((0, 1),) if linked else ((0,), (1,)))
 
 
 def test_association_on_stabilized_run():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import logging
 import os
@@ -515,6 +516,76 @@ def test_sweep_aggregates(tmp_path, axis, values):
     assert [r.split(",")[0] for r in rows[1:]] == \
         [v for v in values.split(",") for _ in range(2)]
     assert all("True" in r for r in rows[1:])
+
+
+def _sweep_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_sweep_resolves_each_point_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return topology_stats(*args, **kwargs)
+
+    monkeypatch.setattr(mepsim.cli, "topology_stats", counted)
+    rc = main(["sweep", "--axis", "p", "--values", "0,0.1", "--replicas", "2",
+               "--jobs", "1", "--out", str(tmp_path / "sweep")] + FAST)
+    assert rc == EXIT_OK
+    assert len(calls) == 2  # one per point, not one per replica
+    rows = _sweep_rows(tmp_path / "sweep" / "sweep.csv")
+    assert [r[2] for r in rows[1:]] == ["0-0-0", "0-0-1", "0-0.1-0",
+                                        "0-0.1-1"]
+
+
+def test_sweep_warns_of_an_inexact_longest_path(tmp_path, caplog):
+    path = tmp_path / "path65.txt"  # one cell above the exact-search cap
+    path.write_text("65 64\n" + "".join(f"{i} {i + 1}\n" for i in range(64)))
+    with caplog.at_level(logging.WARNING, logger="mepsim"):
+        rc = main(["sweep", "--axis", "p", "--values", "0", "--jobs", "1",
+                   "--out", str(tmp_path / "sweep"),
+                   "--override", f"topology_file={path}"] + FAST)
+    assert rc in (EXIT_OK, EXIT_NOT_STABILIZED)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "longest_simple_path=64" in caplog.records[0].getMessage()
+
+
+@pytest.mark.parametrize("axis, values", [("n", "5,7"),
+                                          ("topology", "ring:5,ring:7")])
+def test_sweep_rejects_topology_axis_with_topology_file(tmp_path, capsys,
+                                                        axis, values):
+    square = tmp_path / "sq.txt"
+    square.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    rc = main(["sweep", "--axis", axis, "--values", values, "--jobs", "1",
+               "--out", str(tmp_path / "sweep"),
+               "--override", f"topology_file={square}",
+               "--override", "d_max=100"])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "'topology'" in err and "'topology_file'" in err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_csv_quotes_a_seed_with_a_comma(tmp_path):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--axis", "p", "--values", "0,0.1", "--jobs", "1",
+               "--out", str(out), "--override", "seed=[1,2]"] + FAST)
+    assert rc == EXIT_OK
+    rows = _sweep_rows(out / "sweep.csv")
+    assert [len(r) for r in rows] == [8, 8, 8]
+    assert [r[2] for r in rows[1:]] == ["[1, 2]-0-0", "[1, 2]-0.1-0"]
+
+
+def test_sweep_process_pool_matches_one_process(tmp_path):
+    argv = ["sweep", "--axis", "p", "--values", "0,0.1", "--replicas", "2"]
+    assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "one")]
+                + FAST) == EXIT_OK
+    assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "two")]
+                + FAST) == EXIT_OK
+    assert (tmp_path / "two" / "sweep.csv").read_bytes() == \
+        (tmp_path / "one" / "sweep.csv").read_bytes()
 
 
 # Every config key but those naming files and the topology (the run stays
