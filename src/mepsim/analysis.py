@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter, eq, itemgetter, sub
+from typing import NamedTuple
 
 from .errors import InsufficientHorizonError, ParameterError
 from .topology import Graph, TopologyStats
@@ -24,8 +24,7 @@ from .trace import (KIND_EXTERNAL, OUTCOME_ACCEPTED, OUTCOME_REJECTED, Trace)
 # ---------------------------------------------------------------- rounds
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One maximal trigger cluster: interval [t1, t2] and member seqs;
     t1 is the round's earliest trigger time, its propagation's t_min."""
 
@@ -61,8 +60,7 @@ def cluster_triggers(triggers, tau_delta: int) -> list:
 # ---------------------------------------------------------------- propagation
 
 
-@dataclass
-class Propagation:
+class Propagation(NamedTuple):
     """One extracted propagation: per-cell trigger instant and pioneer.
 
     Each list is indexed by cell.  `times[i]` is i's first trigger time
@@ -165,14 +163,13 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
 # ---------------------------------------------------------------- validation
 
 
-@dataclass(frozen=True)
-class OmepReport:
+class OmepReport(NamedTuple):
     valid: bool
     simple: bool
     complete: bool
     exclusive: bool
     propagative: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     @property
     def all_ok(self) -> bool:
@@ -271,8 +268,7 @@ ROLE_RIDGE = "ridge"
 ROLE_FLAT = "flat"
 
 
-@dataclass
-class PatternReport:
+class PatternReport(NamedTuple):
     flow_role: list  # per cell: source|sink|flow|united
     border_role: list  # per cell: bank|ridge|flat
     counts: dict  # role -> count, all seven roles
@@ -325,8 +321,7 @@ def _regions(p: Propagation) -> dict:
     return regions
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -404,8 +399,7 @@ def propagation_error(p: Propagation) -> int:
 # ---------------------------------------------------------------- stabilization
 
 
-@dataclass
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Stabilization verdict plus the per-round facts it was drawn from.
 
     Index k of each series, of `segments` and of `propagations` is the
@@ -549,8 +543,7 @@ def detect_stabilization(trace: Trace,
 # ---------------------------------------------------------------- association
 
 
-@dataclass
-class AssociationClasses:
+class AssociationClasses(NamedTuple):
     classes: tuple  # tuple of tuples of trigger seqs (the loose partition)
     strong_classes: tuple  # same, closure restricted to adjacent near pairs
     spans: tuple  # per loose class, max time - min time

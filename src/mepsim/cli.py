@@ -206,10 +206,7 @@ def resolve_config(cfg: dict) -> RunSpec:
     if cfg["tau0"] is not None or cfg["tau1"] is not None or cfg["tau2"] is not None:
         if None in (cfg["tau0"], cfg["tau1"], cfg["tau2"]):
             raise ConfigError("explicit timing needs all of tau0, tau1, tau2")
-        params = SimParams(d_min=cfg["d_min"], d_max=cfg["d_max"],
-                           rho=cfg["rho"], tau0=cfg["tau0"], tau1=cfg["tau1"],
-                           tau2=cfg["tau2"], omission_p=cfg["omission_p"],
-                           dmin_compensation=cfg["dmin_compensation"])
+        params = SimParams.from_dict(cfg)  # cfg holds every field by name
     else:
         params = derive_params(stats, cfg["d_max"], cfg["rho"],
                                d_min=cfg["d_min"],
@@ -436,6 +433,8 @@ def _warn_lg_bound(graph, stats, lg_override) -> None:
 def _report(outdir, trace, stats, association, ok_line) -> int:
     """Write metrics.json and the plot data; print the verdict and return
     its exit code.  ok_line is formatted with the stabilization metrics."""
+    if association and not trace.arrivals_recorded:
+        log.warning("association_checks skipped: the trace holds no arrivals")
     metrics, report, failed = build_metrics(trace, stats,
                                             association=association)
     _json_dump(metrics, os.path.join(outdir, "metrics.json"))

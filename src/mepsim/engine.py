@@ -24,14 +24,13 @@ arrivals are not recorded) and never queues it.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .timing import (DELAY_UNIFORM, DriftAssignment, SimParams, local_to_real,
-                     stream)
+from .timing import (DELAY_UNIFORM, Checked, DriftAssignment, SimParams,
+                     local_to_real, stream)
 from .topology import Graph
 from .trace import (ArrivalRecord, KIND_EXTERNAL, KIND_INTERNAL,
                     OUTCOME_ACCEPTED, OUTCOME_OMITTED, OUTCOME_REJECTED, Trace)
@@ -45,8 +44,13 @@ _CLS_ARRIVAL = 0
 _CLS_EXTERNAL = 2
 
 
-@dataclass(frozen=True)
-class InitState:
+class _InitStateFields(NamedTuple):
+    mode: str = INIT_RANDOM_UNIFORM
+    elapsed: tuple | None = None
+    signals: tuple = ()  # (from_cell, to_cell, arrival_ns)
+
+
+class InitState(Checked, _InitStateFields):
     """Initial timer readings plus optional in-flight spurious signals.
 
     random-uniform draws each cell's initially elapsed local time from
@@ -56,11 +60,9 @@ class InitState:
     inject pending signals with arrival instants within [0, d_max].
     """
 
-    mode: str = INIT_RANDOM_UNIFORM
-    elapsed: tuple | None = None
-    signals: tuple = ()  # (from_cell, to_cell, arrival_ns)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.mode not in (INIT_RANDOM_UNIFORM, INIT_ADVERSARIAL):
             raise ParameterError(f"unknown init mode {self.mode!r}")
         if self.elapsed is not None and min(self.elapsed, default=0) < 0:
@@ -223,20 +225,18 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
 
 
 def _finalize(trace: Trace, raw_triggers, raw_arrivals) -> Trace:
-    """Sort the raw (time, cell, kind, pioneer) triggers and (time, frm, to,
-    outcome, provisional_rejecting_seq) arrivals into the header `trace`.
+    """The header `trace` with the raw (time, cell, kind, pioneer) triggers
+    and (time, frm, to, outcome, provisional_rejecting_seq) arrivals sorted in.
 
     The trigger tuples become the trace's triggers.  No two share a (time,
     cell) pair (a cell fires only at t > rest_due, and firing sets rest_due
     >= t), so sorting whole tuples orders them by (time, cell) and never
     compares a kind.  Only rejections carry a provisional seq, all else -1."""
     order = sorted(range(len(raw_triggers)), key=raw_triggers.__getitem__)
-    trace.triggers = [raw_triggers[k] for k in order]
     remap = [0] * len(raw_triggers)
     for final_seq, k in enumerate(order):
         remap[k] = final_seq
-    trace.arrivals = [ArrivalRecord(frm, to, t, outcome,
-                                    remap[rej] if rej >= 0 else None)
-                      for t, frm, to, outcome, rej in sorted(
-                          raw_arrivals, key=itemgetter(0, 2, 1))]
-    return trace
+    arrivals = sorted(raw_arrivals, key=itemgetter(0, 2, 1))
+    return trace._replace(triggers=[raw_triggers[k] for k in order], arrivals=[
+        ArrivalRecord(frm, to, t, outcome, remap[rej] if rej >= 0 else None)
+        for t, frm, to, outcome, rej in arrivals])

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError, ScheduleUnderrunError
 from .topology import TopologyStats
@@ -36,10 +36,22 @@ def local_to_real(duration_local: int, drift: float) -> int:
     return math.floor(duration_local / (1.0 + drift) + 0.5)
 
 
-@dataclass(frozen=True)
-class SimParams:
-    """Protocol time parameters and fault/compensation toggles."""
+class Checked:
+    """NamedTuple mixin: `_check` runs on a call, `_replace` and unpickling."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds through
+        return cls(*iterable)
+
+
+class _SimParamsFields(NamedTuple):
     d_min: int
     d_max: int
     rho: float
@@ -51,14 +63,23 @@ class SimParams:
     omission_p: float = 0.0
     dmin_compensation: bool = False
 
-    def __post_init__(self):
-        admits = {"int": (int,), "float": (int, float), "bool": (bool,)}
-        for f in fields(self):  # a bool is no count, an int a valid float
-            v = getattr(self, f.name)
-            if type(v) not in admits[f.type]:
-                raise ParameterError(f"{f.name} must be {f.type}, got {v!r}")
-            if f.type == "int" and abs(v) > _MAX_NS:  # not echoed: v may be huge
-                raise ParameterError(f"{f.name} is outside [-2**53, 2**53] ns")
+
+# SimParams's field types, in order; a bool is no count, an int a valid float
+_PARAM_TYPES = ("int", "int", "float", "int", "int", "int", "float", "bool")
+_ADMITS = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+class SimParams(Checked, _SimParamsFields):
+    """Protocol time parameters and fault/compensation toggles."""
+
+    __slots__ = ()
+
+    def _check(self):
+        for name, v, kind in zip(self._fields, self, _PARAM_TYPES):
+            if type(v) not in _ADMITS[kind]:
+                raise ParameterError(f"{name} must be {kind}, got {v!r}")
+            if kind == "int" and abs(v) > _MAX_NS:  # not echoed: v may be huge
+                raise ParameterError(f"{name} is outside [-2**53, 2**53] ns")
         if not 0 <= self.d_min <= self.d_max:
             raise ParameterError(f"need 0 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if not 0.0 <= self.rho < 1.0:
@@ -78,11 +99,11 @@ class SimParams:
         return int(math.ceil(Fraction(self.tau2) / (1 - Fraction(self.rho))))
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimParams":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return cls(**{name: d[name] for name in cls._fields})
 
 
 def check_strict_constraint(tau0: int, tau1: int, stats: TopologyStats,
@@ -129,8 +150,15 @@ DELAY_ADVERSARIAL_MAX = "adversarial-max"
 DELAY_ADVERSARIAL_SCHEDULE = "adversarial-schedule"
 
 
-@dataclass
-class DelayModel:
+class _DelayModelFields(NamedTuple):
+    kind: str
+    d_min: int
+    d_max: int
+    schedule: dict | None = None  # {(src, dst): [delay_ns, ...]}
+    cycle: bool = False
+
+
+class DelayModel(Checked, _DelayModelFields):
     """Per-signal delay source; every sample lies in [d_min, d_max].
 
     uniform: integer-uniform inclusive on [d_min, d_max].
@@ -140,13 +168,9 @@ class DelayModel:
     order; cycle=True repeats each list, else exhaustion is an error.
     """
 
-    kind: str
-    d_min: int
-    d_max: int
-    schedule: dict | None = None  # {(src, dst): [delay_ns, ...]}
-    cycle: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in (DELAY_UNIFORM, DELAY_FIXED,
                              DELAY_ADVERSARIAL_MAX, DELAY_ADVERSARIAL_SCHEDULE):
             raise ParameterError(f"unknown delay model kind {self.kind!r}")
@@ -217,8 +241,7 @@ DRIFT_EXTREMAL = "extremal"
 DRIFT_EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class DriftAssignment:
+class DriftAssignment(NamedTuple):
     """Per-cell constant drift rates, each within [-rho, +rho]."""
 
     mode: str = DRIFT_ZERO

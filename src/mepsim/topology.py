@@ -14,7 +14,7 @@ given, else the conservative upper bound n-1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConnectivityError, ParameterError, TopologyError
 
@@ -26,8 +26,7 @@ EXACT_SEARCH_BUDGET = 1_000_000
 DIAMETER_BLOCK_BITS = 4096
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Connected undirected graph with dense ids and sorted adjacency."""
 
     node_count: int
@@ -43,8 +42,7 @@ class Graph:
         return len(self.adjacency[i])
 
 
-@dataclass(frozen=True)
-class TopologyStats:
+class TopologyStats(NamedTuple):
     """Diameter and longest-simple-path length, both in edge counts."""
 
     diameter: int

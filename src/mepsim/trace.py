@@ -11,7 +11,7 @@ the file line by line and rejects any break of the trace contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MepsimError, TopologyError, TraceParseError
 from .timing import SimParams
@@ -35,20 +35,27 @@ TRIGGERS_HEADER = "seq,time_ns,cell,kind,pioneer"
 ARRIVALS_HEADER = "time_ns,from,to,outcome,rejecting_seq"
 
 
-# A plain slot record: a frozen dataclass's __init__ pays one
-# object.__setattr__ per field, which dominates building 10^5 records.
-# Nothing mutates or hashes a record.
-@dataclass(slots=True)
 class ArrivalRecord:
-    frm: int
-    to: int
-    time: int  # real ns
-    outcome: str  # accepted | rejected | omitted
-    rejecting_seq: int | None = None  # trigger that caused a rejection
+    """Arrival frm -> to at `time` (real ns): `outcome` accepted, rejected or
+    omitted, and a rejection's `rejecting_seq`.  A slot class, one per trace
+    row: this __init__ and these slot reads beat a NamedTuple's."""
+
+    __slots__ = ("frm", "to", "time", "outcome", "rejecting_seq")
+
+    def __init__(self, frm, to, time, outcome, rejecting_seq=None):
+        self.frm, self.to, self.time = frm, to, time
+        self.outcome, self.rejecting_seq = outcome, rejecting_seq
+
+    def __eq__(self, other):  # by value; records are unhashable
+        return type(other) is ArrivalRecord and all(
+            getattr(self, s) == getattr(other, s) for s in self.__slots__)
+
+    def __repr__(self):
+        return "ArrivalRecord(%s)" % ", ".join(
+            f"{s}={getattr(self, s)!r}" for s in self.__slots__)
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     graph: Graph
     params: SimParams
     # (time_ns, cell, kind, pioneer) tuples sorted by (time, cell); a
@@ -57,8 +64,8 @@ class Trace:
     arrivals: list
     horizon: int
     seed: object
-    warnings: list = field(default_factory=list)
-    models: dict = field(default_factory=dict)  # echo of model selections
+    warnings: list | tuple = ()
+    models: dict | None = None  # echo of model selections; None writes {}
     arrivals_recorded: bool = True
 
 
@@ -72,7 +79,7 @@ def _meta_dict(trace: Trace) -> dict:
         "params": trace.params.as_dict(),
         "horizon": trace.horizon,
         "warnings": trace.warnings,
-        "models": trace.models,
+        "models": trace.models or {},
         "arrivals_recorded": trace.arrivals_recorded,
     }
 
@@ -191,7 +198,7 @@ def _read_meta(meta) -> dict:
         if not isinstance(name, str) or not _names_graph(name, graph):
             raise TraceParseError(f"#meta graph name {name!r} does not "
                                   f"build its edge list")
-        graph = Graph(graph.node_count, graph.edges, graph.adjacency, name)
+        graph = graph._replace(name=name)
     warnings = meta.get("warnings", [])
     if not isinstance(warnings, list) or \
             not all(isinstance(w, str) for w in warnings):

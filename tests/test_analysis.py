@@ -271,7 +271,7 @@ def test_flat_degree2_sink_is_flagged():
 def test_region_without_sink_is_flagged():
     p = Propagation.from_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2)})
     rep = classify_patterns(p, P3)
-    rep.flow_role = [ROLE_FLOW] * 3
+    rep = rep._replace(flow_role=[ROLE_FLOW] * 3)
     by_name = {c.name: c for c in check_pattern_properties(rep, p, P3)}
     assert not by_name["sink-per-region"].passed
 
@@ -573,7 +573,7 @@ def test_association_matches_reference(tr, data):
     want, weak = _reference_association(tr, lo, hi, stats)
     event(f"weak pairs: {'yes' if weak else 'none'}; partitions "
           f"{'coincide' if want['partitions_coincide'] else 'differ'}")
-    assert vars(association_classes(tr, (lo, hi), stats=stats)) == want
+    assert association_classes(tr, (lo, hi), stats=stats)._asdict() == want
 
 
 # ------------------------------------------------------------- stabilization

@@ -3,7 +3,10 @@ import csv
 import json
 import logging
 import os
+import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +150,27 @@ def test_malformed_input_files_exit_invalid(tmp_path, name, text, flags):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     argv = [flag.format(path=path) for flag in flags]
     assert main(["run", "--out", str(tmp_path / "o")] + argv) == EXIT_INVALID
+
+
+def test_resolved_spec_survives_pickle():
+    """A --jobs sweep's process pool pickles each RunSpec to a worker."""
+    spec = resolve_config(load_config(overrides=[
+        "topology=ring:4", "d_max=100", "init.mode=adversarial-explicit",
+        "init.elapsed=[0,10,20,30]", "init.signals=[[0,1,5]]"]))
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and list(map(type, back)) == list(map(type, spec))
+    assert back.run() == spec.run()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI process pays its imports; these two cost milliseconds."""
+    src = os.path.dirname(os.path.dirname(mepsim.cli.__file__))
+    code = ("import sys, mepsim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 def test_run_success_and_artifacts(tmp_path):
@@ -437,6 +461,31 @@ def test_longest_path_bound_is_logged_not_written(tmp_path, caplog):
     assert warnings(["analyze", str(path), "--out", str(tmp_path / "star")]) == (
         EXIT_HORIZON, ["longest_simple_path=64 is the bound n-1, not exact: "
                        "65 cells are above the exact-search cap of 64"])
+
+
+def test_association_checks_without_arrivals_warn(tmp_path, caplog, capsys):
+    """association_checks cannot run on a trace without arrivals: a WARNING
+    says so, and metrics.json and stdout stay as without the option."""
+    base = FAST + ["--override", "record_arrivals=false"]
+    checks = ["--override", "association_checks=true"]
+    skipped = ["association_checks skipped: the trace holds no arrivals"]
+
+    def outcome(command, out, argv):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mepsim"):
+            rc = main([command, *argv, "--out", str(tmp_path / out)])
+        logged = [r.getMessage() for r in caplog.records]
+        return (rc, capsys.readouterr().out, logged,
+                (tmp_path / out / "metrics.json").read_bytes())
+
+    rc, stdout, logged, metrics = outcome("run", "plain", base)
+    assert rc == EXIT_OK and logged == []
+    assert outcome("run", "checked", base + checks) == (
+        rc, stdout, skipped, metrics)
+    trace = str(tmp_path / "plain" / "trace.csv")
+    assert outcome("analyze", "an", [trace]) == (rc, "ok\n", [], metrics)
+    assert outcome("analyze", "an-checked", [trace] + checks) == (
+        rc, "ok\n", skipped, metrics)
 
 
 def test_span_only_violation_names_span_and_bound(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mepsim.engine import InitState
 from mepsim.errors import ParameterError, ScheduleUnderrunError
 from mepsim.timing import (DelayModel, DriftAssignment, SimParams,
                            check_strict_constraint, derive_params,
@@ -98,6 +100,33 @@ def test_simparams_validation():
             SimParams(**dict(valid, **{field: value}))
         assert len(str(exc.value)) < 80
     SimParams(**dict(valid, d_max=2**53))
+
+
+@pytest.mark.parametrize("cls, valid, field, bad, message", [
+    (SimParams, dict(d_min=0, d_max=100, rho=0.0, tau0=500, tau1=2000,
+                     tau2=2000), "d_min", 200, "need 0 <= d_min <= d_max"),
+    (SimParams, dict(d_min=0, d_max=100, rho=0.0, tau0=500, tau1=2000,
+                     tau2=2000), "tau1", "2000", "tau1 must be int"),
+    (DelayModel, dict(kind="uniform", d_min=0, d_max=100), "kind", "normal",
+     "unknown delay model kind"),
+    (InitState, dict(mode="adversarial-explicit", elapsed=(0, 5)), "elapsed",
+     (0, -1), "negative elapsed reading"),
+], ids=["simparams-bounds", "simparams-type", "delay-kind", "init-elapsed"])
+def test_records_validate_on_every_construction_path(cls, valid, field, bad,
+                                                     message):
+    good = cls(**valid)
+    back = pickle.loads(pickle.dumps(good))
+    assert back == good and type(back) is cls
+    assert type(good._replace()) is cls
+    values = [bad if name == field else v for name, v in zip(cls._fields, good)]
+    forged = tuple.__new__(cls, values)  # bypasses the checks: a bad pickle
+    for build in (lambda: cls(**dict(zip(cls._fields, values))),
+                  lambda: cls(*values),
+                  lambda: good._replace(**{field: bad}),
+                  lambda: cls._make(values),
+                  lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(ParameterError, match=message):
+            build()
 
 
 def test_simparams_dict_roundtrip():
