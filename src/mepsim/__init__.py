@@ -13,7 +13,6 @@ from .engine import InitState, simulate
 from .errors import (ConfigError, ConnectivityError, InsufficientHorizonError,
                      MepsimError, ParameterError, ScheduleUnderrunError,
                      TopologyError, TraceParseError)
-from .oracle import brute_force_simulate
 from .timing import DelayModel, DriftAssignment, SimParams, derive_params
 from .topology import (Graph, TopologyStats, build_grid, build_hypercube,
                        build_ring, from_edge_list, parse_topology,

@@ -26,7 +26,7 @@ from .trace import (KIND_EXTERNAL, OUTCOME_ACCEPTED, OUTCOME_REJECTED, Trace)
 
 class Segment(NamedTuple):
     """One maximal trigger cluster: interval [t1, t2] and member seqs;
-    t1 is the round's earliest trigger time, its propagation's t_min."""
+    t1 is the round's earliest trigger time, its t_min."""
 
     t1: int
     t2: int
@@ -90,10 +90,6 @@ class Propagation(NamedTuple):
         while self.pioneer[chain[-1]] != chain[-1]:
             chain.append(self.pioneer[chain[-1]])
         return tuple(reversed(chain))
-
-    @property
-    def t_min(self) -> int:
-        return min(t for t in self.times if t is not None)
 
     @classmethod
     def from_paths(cls, paths: dict, times: dict | None = None) -> "Propagation":
@@ -399,14 +395,22 @@ def propagation_error(p: Propagation) -> int:
 # ---------------------------------------------------------------- stabilization
 
 
-class StabilizationReport(NamedTuple):
-    """Stabilization verdict plus the per-round facts it was drawn from.
+class Round(NamedTuple):
+    """One complete round and the facts drawn from it.  Both flags mean
+    "one-shot valid and complete"; `valid` also requires span <= tau_pi,
+    while `oneshot` (metrics.json `per_k.valid`) has no span bound."""
 
-    Index k of each series, of `segments` and of `propagations` is the
-    k-th complete round.  Both flag series mean "one-shot valid and
-    complete"; `valid_series` also requires span <= tau_pi, while
-    `oneshot_series` (metrics.json `per_k.valid`) has no span bound.
-    """
+    segment: Segment
+    propagation: Propagation
+    oneshot: bool
+    valid: bool
+    e1: int  # propagation_error
+    source_fraction: float  # share of cells that are their own source
+
+
+class StabilizationReport(NamedTuple):
+    """Stabilization verdict plus the rounds it was drawn from; rounds[k]
+    is the k-th complete round."""
 
     stabilized: bool
     t_stab: int | None
@@ -417,12 +421,7 @@ class StabilizationReport(NamedTuple):
     tau_nabla: int
     tau_pi_measured: int | None
     tau_nabla_measured: int | None
-    e1_series: list
-    source_fraction_series: list
-    valid_series: list
-    oneshot_series: list
-    segments: list
-    propagations: list
+    rounds: list
     first_violation: dict | None = None
 
     @property
@@ -430,24 +429,34 @@ class StabilizationReport(NamedTuple):
         return (self.stabilized
                 and self.t_stab <= self.convergence_bound + self.bound_slack)
 
+    @property
+    def segments(self) -> list:
+        # perfbench/tracing.py counts rounds by len(report.segments)
+        return [r.segment for r in self.rounds]
+
 
 def segmentation_params(params, stats: TopologyStats) -> tuple:
     """(tau_pi, tau_delta) used to cut a trace into rounds.
 
-    tau_pi is the analytic span bound diameter*d_max; tau_delta is
-    tau1/2, comfortably below the inter-round gap.  Clustering cuts only
-    at a gap above tau_delta, and every gap inside a round is at most the
-    round's span, so tau_delta > tau_pi keeps any round that meets the
-    span bound in one cluster.  Only if tau_delta <= tau_pi does tau_pi
-    fall back to tau_delta/3 - 1.
+    tau_pi is the analytic span bound diameter * d_max; tau_delta is
+    tau1 // 2.  Clustering cuts only at a gap above tau_delta, and every
+    gap inside a round is at most the round's span, so tau_delta > tau_pi
+    keeps any round that meets the span bound in one cluster.  tau_delta
+    also lies below the least gap between stabilized rounds: a round
+    starts with an external trigger, at least tau2 / (1 + rho) = tau1
+    after that cell's trigger in the round before, which ended within
+    tau_pi of its start.  The gap is thus at least tau1 - tau_pi, and the
+    paper's constraint (1 - rho) * tau1 / 3 > tau0 > (L_G + 1) * d_max
+    puts tau_pi <= L_G * d_max below tau1 / 3, so the gap exceeds
+    2 * tau1 / 3.  Timing that leaves no window (tau_delta <= tau_pi)
+    breaks that constraint and is rejected.
     """
     tau_pi = stats.diameter * params.d_max
     tau_delta = params.tau1 // 2
     if tau_delta <= tau_pi:
-        tau_pi = tau_delta // 3 - 1
-        if tau_pi <= 0:
-            raise ParameterError("cannot choose a separation window: "
-                                 f"tau_delta={tau_delta} too small")
+        raise ParameterError(
+            f"no separation window: tau1 // 2 = {tau_delta} <= "
+            f"diameter * d_max = {tau_pi}")
     return tau_pi, tau_delta
 
 
@@ -484,49 +493,43 @@ def detect_stabilization(trace: Trace,
     tau_pi, tau_delta = segmentation_params(params, stats)
     tau_nabla = params.liveness_real_max
 
-    segments = cluster_triggers(trace.triggers, tau_delta)
-    if segments:
-        segments = segments[:-1]  # last cluster may be horizon-truncated
-
-    oneshot, valid_flags, e1s, fracs, props = [], [], [], [], []
+    rounds = []
     cells = range(graph.node_count)
-    for seg in segments:
+    # the last cluster may be horizon-truncated
+    for seg in cluster_triggers(trace.triggers, tau_delta)[:-1]:
         p = extract_propagation(trace, seg)
         ok = validate_omep(p, graph, p.external_cells).all_ok
-        oneshot.append(ok)
-        valid_flags.append(ok and seg.span <= tau_pi)
-        props.append(p)
-        e1s.append(propagation_error(p))
-        fracs.append(sum(map(eq, p.source, cells)) / len(cells))
+        rounds.append(Round(seg, p, ok, ok and seg.span <= tau_pi,
+                            propagation_error(p),
+                            sum(map(eq, p.source, cells)) / len(cells)))
 
-    # earliest index with every later cluster valid
-    k0 = len(segments)
-    for k in range(len(segments) - 1, -1, -1):
-        if not valid_flags[k]:
-            break
-        k0 = k
+    k0 = len(rounds)  # the earliest round with every later one valid
+    while k0 and rounds[k0 - 1].valid:
+        k0 -= 1
 
-    stabilized = k0 < len(segments)
-    t_stab = segments[k0].t1 if stabilized else None
+    stabilized = k0 < len(rounds)
+    t_stab = rounds[k0].segment.t1 if stabilized else None
     tau_pi_meas = tau_nab_meas = None
     violation = None
     if stabilized:
-        tau_pi_meas = max(seg.span for seg in segments[k0:])
+        suffix = rounds[k0:]
+        tau_pi_meas = max(r.segment.span for r in suffix)
         # valid rounds are complete: every cell has a time in each
-        tau_nab_meas = max((max(map(sub, b.times, a.times)) for a, b
-                            in zip(props[k0:], props[k0 + 1:])), default=0)
+        tau_nab_meas = max((max(map(sub, b.propagation.times,
+                                    a.propagation.times))
+                            for a, b in zip(suffix, suffix[1:])), default=0)
         if tau_nab_meas > tau_nabla:
             stabilized = False
             t_stab = None
             violation = {"kind": "inter-trigger-gap",
                          "gap": tau_nab_meas, "bound": tau_nabla}
-    elif segments:
-        bad = valid_flags.index(False)
+    elif rounds:
+        bad = next(k for k, r in enumerate(rounds) if not r.valid)
         violation = {"kind": "invalid-final-cluster", "k": bad} \
-            if bad == len(segments) - 1 else \
-            {"kind": "invalid-cluster", "k": bad, "t1": segments[bad].t1}
-        if oneshot[bad]:  # one-shot valid, so only the span bound failed
-            violation.update(span=segments[bad].span, bound=tau_pi)
+            if bad == len(rounds) - 1 else \
+            {"kind": "invalid-cluster", "k": bad, "t1": rounds[bad].segment.t1}
+        if rounds[bad].oneshot:  # one-shot valid, so only the span bound failed
+            violation.update(span=rounds[bad].segment.span, bound=tau_pi)
     else:
         violation = {"kind": "no-complete-clusters"}
 
@@ -535,9 +538,7 @@ def detect_stabilization(trace: Trace,
         bound_slack=params.tau2, tau_pi_used=tau_pi,
         tau_delta_used=tau_delta, tau_nabla=tau_nabla,
         tau_pi_measured=tau_pi_meas, tau_nabla_measured=tau_nab_meas,
-        e1_series=e1s, source_fraction_series=fracs,
-        valid_series=valid_flags, oneshot_series=oneshot, segments=segments,
-        propagations=props, first_violation=violation)
+        rounds=rounds, first_violation=violation)
 
 
 # ---------------------------------------------------------------- association
@@ -667,19 +668,19 @@ def association_classes(trace: Trace, window,
 def series_metrics(report: StabilizationReport, pattern_counts: list) -> list:
     """Per-round rows for metrics.json `per_k`: offsets, sources, patterns.
 
-    A view of `report` and of `pattern_counts`, the PatternReport.counts
-    of each of its rounds.  `valid` is `report.oneshot_series[k]`, which
-    has no tau_pi span bound, unlike `report.valid_series[k]`.
+    A view of `report.rounds` and of `pattern_counts`, the
+    PatternReport.counts of each round.  `valid` is the round's
+    `oneshot` flag, which has no tau_pi span bound, unlike its `valid`.
     """
     per_k = []
-    for k, counts in enumerate(pattern_counts):
+    for k, (r, counts) in enumerate(zip(report.rounds, pattern_counts)):
         per_k.append({
             "k": k,
-            "t_min_ns": report.segments[k].t1,
-            "e1_ns": report.e1_series[k],
-            "source_fraction": report.source_fraction_series[k],
-            "ideal": report.source_fraction_series[k] == 1.0,
-            "valid": report.oneshot_series[k],
+            "t_min_ns": r.segment.t1,
+            "e1_ns": r.e1,
+            "source_fraction": r.source_fraction,
+            "ideal": r.source_fraction == 1.0,
+            "valid": r.oneshot,
             "pattern_counts": dict(counts),
         })
     return per_k

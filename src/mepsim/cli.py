@@ -264,8 +264,8 @@ def build_metrics(trace, stats, association=False) -> tuple:
     graph = trace.graph
     report = detect_stabilization(trace, stats)
     counts = []  # classify each round once, keeping only the last one's roles
-    for prop in report.propagations:
-        pattern = classify_patterns(prop, graph)
+    for r in report.rounds:
+        pattern = classify_patterns(r.propagation, graph)
         counts.append(pattern.counts)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -290,8 +290,8 @@ def build_metrics(trace, stats, association=False) -> tuple:
         "checks": {},
     }
     failed = []
-    if report.stabilized:  # so rounds exist; prop and pattern are the last
-        props = check_pattern_properties(pattern, prop, graph)
+    if report.stabilized:  # so rounds exist; r and pattern are the last
+        props = check_pattern_properties(pattern, r.propagation, graph)
         doc["checks"]["pattern_properties"] = [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in props]
@@ -323,7 +323,7 @@ def _write_plotdata(outdir, graph, report) -> None:
     os.makedirs(plotdir, exist_ok=True)
     os.makedirs(patdir, exist_ok=True)
     rows, cols = _grid_dims(graph)
-    props = report.propagations
+    rounds = report.rounds
     offsets = os.path.join(plotdir, "offsets.csv")
     pattern_map = os.path.join(plotdir, "pattern_map.csv")
     cells = range(graph.node_count)
@@ -333,8 +333,8 @@ def _write_plotdata(outdir, graph, report) -> None:
             open(pattern_map, "w", newline="\n") as pmap:
         off.write("k,t_min_ns,cell,t_tilde_ns,is_source\n")
         pmap.write("k,row,col,is_source\n")
-        for k, p in enumerate(props):
-            t_min = report.segments[k].t1
+        for k, r in enumerate(rounds):
+            t_min, p = r.segment.t1, r.propagation
             off_head, map_head = f"{k},{t_min},", f"{k},"
             off_rows, map_rows = [], []
             for i, t, s in zip(cells, p.times, p.source):
@@ -344,16 +344,17 @@ def _write_plotdata(outdir, graph, report) -> None:
                     map_rows.append(f"{map_head}{row_col[i]},{end}")
             off.write("".join(off_rows))
             pmap.write("".join(map_rows))
-    if not props:
+    if not rounds:
         return
-    for k in {0, len(props) - 1}:
-        source = props[k].source
+    for k in {0, len(rounds) - 1}:
+        source = rounds[k].propagation.source
         with open(os.path.join(patdir, f"k{k:05d}.txt"), "w", newline="\n") as fh:
             for r in range(rows):
                 fh.write("".join("#" if source[i] == i else "."
                                  for i in range(r * cols, (r + 1) * cols)))
                 fh.write("\n")
-    _write_svg(os.path.join(patdir, "final.svg"), rows, cols, props[-1].source)
+    _write_svg(os.path.join(patdir, "final.svg"), rows, cols,
+               rounds[-1].propagation.source)
 
 
 def _write_svg(path, rows, cols, source) -> None:
@@ -465,20 +466,17 @@ _SWEEP_AXES = {
 def _sweep_worker(task):
     point_label, replica, spec = task
     report = detect_stabilization(spec.run(), spec.stats)
-    valid = [k for k, ok in enumerate(report.valid_series) if ok]
-    final_e1 = report.e1_series[valid[-1]] if valid else None
-    final_frac = report.source_fraction_series[valid[-1]] if valid else None
-    spans = [report.segments[k].span for k in valid]
-    mean_tau_pi = sum(spans) / len(spans) if spans else None
+    valid = [r for r in report.rounds if r.valid]
+    spans = [r.segment.span for r in valid]
     return {
         "point": point_label,
         "replica": replica,
         "seed": spec.seed,
         "stabilized": report.stabilized,
         "t_stab_ns": report.t_stab,
-        "final_e1_ns": final_e1,
-        "final_source_fraction": final_frac,
-        "mean_tau_pi_ns": mean_tau_pi,
+        "final_e1_ns": valid[-1].e1 if valid else None,
+        "final_source_fraction": valid[-1].source_fraction if valid else None,
+        "mean_tau_pi_ns": sum(spans) / len(spans) if spans else None,
     }
 
 

@@ -82,7 +82,7 @@ class _Setup(NamedTuple):
     trace: Trace  # the header, without records; _finalize sorts them in
     init: InitState
     rest_due: list  # cell i is excited at instant t iff t <= rest_due[i]
-    first_ext: list  # each cell's first liveness deadline
+    next_ext: list  # each cell's next liveness deadline; simulators update it
     sample: object  # delay_model.sampler on the "delays" stream
     uniform_random: object  # its random if uniform, for an inlined draw
     omission_random: object
@@ -119,12 +119,12 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
             raise ParameterError(f"injected signal ({frm},{to}) is not an edge")
 
     rest_due = [-1] * n
-    first_ext = [0] * n
+    next_ext = [0] * n
     for i, dv in enumerate(drifts):
         e = min(elapsed0[i], tau2)  # timer self-recovery from invalid readings
         if e < tau0:
             rest_due[i] = local_to_real(tau0 - e, dv)
-        first_ext[i] = local_to_real(tau2 - e, dv)
+        next_ext[i] = local_to_real(tau2 - e, dv)
 
     rest_off = [local_to_real(tau0, dv) for dv in drifts]
     ext_off = [local_to_real(tau2, dv) for dv in drifts]
@@ -142,7 +142,7 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
                           "omission_p": params.omission_p,
                           "drift_mode": drift.mode, "init_mode": init.mode})
     delays = stream(seed, "delays")
-    return _Setup(trace, init, rest_due, first_ext, delay_model.sampler(delays),
+    return _Setup(trace, init, rest_due, next_ext, delay_model.sampler(delays),
                   delays.random if delay_model.kind == DELAY_UNIFORM else None,
                   stream(seed, "omissions").random,
                   rest_off, ext_off, rest_off_c, ext_off_c)
@@ -155,7 +155,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     """Run one deterministic simulation up to the real-time horizon."""
     if horizon <= 0:
         raise ParameterError(f"need horizon > 0, got {horizon}")
-    (trace, init, rest_due, first_ext, sample, rnd, omission_random, rest_off,
+    (trace, init, rest_due, next_ext, sample, rnd, omission_random, rest_off,
      ext_off, rest_off_c, ext_off_c) = _setup(graph, params, delay_model, seed,
                                               drift, init, horizon,
                                               record_arrivals)
@@ -165,24 +165,21 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     p = params.omission_p
     lo, width = delay_model.d_min, delay_model.d_max - delay_model.d_min + 1
 
-    generation = [0] * n
     last_seq = [-1] * n
     raw_triggers = []  # (time, cell, kind, pioneer)
     raw_arrivals = []  # (time, frm, to, outcome, provisional_rejecting_seq)
-    heap = []
-    counter = 0
+    heap = []  # (time, class, cell, sender); a deadline's sender is its cell
 
     for i in range(n):
-        heappush(heap, (first_ext[i], _CLS_EXTERNAL, i, i, 0))
+        heappush(heap, (next_ext[i], _CLS_EXTERNAL, i, i))
     for frm, to, arrival in init.signals:
-        heappush(heap, (arrival, _CLS_ARRIVAL, to, frm, counter))
-        counter += 1
+        heappush(heap, (arrival, _CLS_ARRIVAL, to, frm))
 
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the run builds many records and no reference cycles
     try:
         while heap and heap[0][0] <= horizon:
-            t, cls, cell, sender, aux = heappop(heap)
+            t, cls, cell, sender = heappop(heap)
             if cls == _CLS_ARRIVAL:
                 senders = [sender]
                 while heap and heap[0][0] == t and heap[0][1] == _CLS_ARRIVAL \
@@ -201,20 +198,19 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                     continue
                 kind, pioneer, r_off, e_off = (KIND_INTERNAL, min(senders),
                                                rest_off_c, ext_off_c)
-            elif aux != generation[cell]:
+            elif t != next_ext[cell]:
                 continue  # timer was reset since this deadline was scheduled
             else:
                 kind, pioneer, r_off, e_off = KIND_EXTERNAL, cell, rest_off, ext_off
             last_seq[cell] = len(raw_triggers)
             raw_triggers.append((t, cell, kind, pioneer))
-            generation[cell] = gen = generation[cell] + 1
             rest_due[cell] = t + r_off[cell]
-            heappush(heap, (t + e_off[cell], _CLS_EXTERNAL, cell, cell, gen))
+            next_ext[cell] = ext = t + e_off[cell]
+            heappush(heap, (ext, _CLS_EXTERNAL, cell, cell))
             for j in adjacency[cell]:
                 due = t + (lo + int(rnd() * width) if rnd else sample(cell, j))
                 if due > rest_due[j]:
-                    heappush(heap, (due, _CLS_ARRIVAL, j, cell, counter))
-                    counter += 1
+                    heappush(heap, (due, _CLS_ARRIVAL, j, cell))
                 elif record_arrivals and due <= horizon:  # doomed: rest_due only grows
                     raw_arrivals.append((due, cell, j, OUTCOME_REJECTED,
                                          last_seq[j]))

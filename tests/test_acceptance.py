@@ -186,9 +186,9 @@ def test_criterion_04_error_monotonicity():
             report = detect_stabilization(trace, stats)
             assert report.stabilized
             runs += 1
-            k0 = next(k for k, s in enumerate(report.segments)
-                      if s.t1 >= report.t_stab)
-            e1 = report.e1_series
+            k0 = next(k for k, r in enumerate(report.rounds)
+                      if r.segment.t1 >= report.t_stab)
+            e1 = [r.e1 for r in report.rounds]
             for k in range(max(k0, 1), len(e1) - 1):
                 if e1[k + 1] > e1[k]:
                     violations += 1
@@ -216,11 +216,10 @@ def test_criterion_05_final_offsets_small():
                              seed=seed, drift=DriftAssignment(mode="zero"),
                              record_arrivals=False)
             report = detect_stabilization(trace, stats)
-            assert report.stabilized and len(report.segments) > 500
-            from mepsim.analysis import extract_propagation
-            prop = extract_propagation(trace, report.segments[-1])
-            t_min = prop.t_min
-            offsets.extend(t - t_min for t in prop.times if t is not None)
+            assert report.stabilized and len(report.rounds) > 500
+            last = report.rounds[-1]
+            offsets.extend(t - last.segment.t1 for t in last.propagation.times
+                           if t is not None)
         med = statistics.median(offsets)
         details.append(f"{g.name} median={med:.1f}")
         ok = ok and med < 0.2 * d
@@ -246,7 +245,7 @@ def test_criterion_06_source_fraction_growth():
                          seed=seed, drift=DriftAssignment(mode="zero"),
                          record_arrivals=False)
         report = detect_stabilization(trace, stats)
-        fr = report.source_fraction_series
+        fr = [r.source_fraction for r in report.rounds]
         assert len(fr) > 1600
         if fr[1600] > fr[5]:
             improved += 1
@@ -277,10 +276,9 @@ def test_criterion_07_hypercube_converges_faster():
                              drift=DriftAssignment(mode="uniform", rho=1e-4),
                              record_arrivals=False)
             report = detect_stabilization(trace, stats)
-            hit = next((k for k in range(len(report.e1_series))
-                        if report.valid_series[k]
-                        and report.e1_series[k] < threshold),
-                       len(report.e1_series))
+            hit = next((k for k, r in enumerate(report.rounds)
+                        if r.valid and r.e1 < threshold),
+                       len(report.rounds))
             hits.append(hit)
         means[g.name] = sum(hits) / len(hits)
     ok = means["hypercube:6"] < means["grid:8x8"]

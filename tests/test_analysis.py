@@ -603,9 +603,9 @@ def test_ring4_stabilizes_within_bound():
         assert rep.tau_pi_measured <= stats.diameter * D
         assert rep.tau_nabla_measured <= params.liveness_real_max
         # validity flags hold on the whole suffix
-        k0 = next(k for k, s in enumerate(rep.segments)
-                  if s.t1 >= rep.t_stab)
-        assert all(rep.valid_series[k0:])
+        k0 = next(k for k, r in enumerate(rep.rounds)
+                  if r.segment.t1 >= rep.t_stab)
+        assert all(r.valid for r in rep.rounds[k0:])
 
 
 def test_series_metrics_shapes():
@@ -616,12 +616,13 @@ def test_series_metrics_shapes():
     tr = simulate(g, params, delay_model=dm, horizon=10**5, seed=1,
                   drift=DriftAssignment(mode="zero"))
     rep = detect_stabilization(tr, stats)
+    props = [r.propagation for r in rep.rounds]
     per_k = series_metrics(rep, [classify_patterns(p, g).counts
-                                  for p in rep.propagations])
+                                 for p in props])
     assert per_k
-    assert [r["k"] for r in per_k] == list(range(len(rep.propagations)))
-    assert [r["valid"] for r in per_k] == rep.oneshot_series
-    for row, p in zip(per_k, rep.propagations):
+    assert [r["k"] for r in per_k] == list(range(len(props)))
+    assert [r["valid"] for r in per_k] == [r.oneshot for r in rep.rounds]
+    for row, p in zip(per_k, props):
         assert 0.0 <= row["source_fraction"] <= 1.0
         assert row["e1_ns"] >= 0
         assert row["ideal"] == all(p.source[i] == i for i in range(4))

@@ -163,10 +163,11 @@ def test_resolved_spec_survives_pickle():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Every CLI process pays its imports; these two cost milliseconds."""
+    """Every CLI process pays its imports; these cost milliseconds, and
+    only the tests run the oracle."""
     src = os.path.dirname(os.path.dirname(mepsim.cli.__file__))
-    code = ("import sys, mepsim.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, mepsim.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'mepsim.oracle'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
@@ -419,6 +420,22 @@ def test_paths_stabilize(tmp_path):
         ["run", "--out", str(tmp_path / str(seed)), "--seed", str(seed)]
         + argv) != EXIT_OK]
     assert failed == []
+
+
+def test_timing_without_a_separation_window_exits_invalid(tmp_path, capsys):
+    """Rounds are cut at gaps above tau1 // 2, which must exceed the span
+    bound diameter * d_max; on ring:16 at d_max = 100 and tau1 = 1600
+    both are 800, so neither run nor analyze of its trace has a verdict."""
+    run = tmp_path / "run"
+    argv = ["--override", "topology=ring:16", "--override", "d_max=100",
+            "--override", "rho=0.0", "--override", "tau0=1000",
+            "--override", "tau1=1600", "--override", "tau2=1600"]
+    assert main(["run", "--out", str(run)] + argv) == EXIT_INVALID
+    named = "tau1 // 2 = 800 <= diameter * d_max = 800"
+    assert named in capsys.readouterr().err
+    assert main(["analyze", str(run / "trace.csv"),
+                 "--out", str(tmp_path / "an")]) == EXIT_INVALID
+    assert named in capsys.readouterr().err
 
 
 def test_longest_path_bound_is_logged_not_written(tmp_path, caplog):
