@@ -27,8 +27,9 @@ from .analysis import (association_classes, check_pattern_properties,
                        required_horizon, series_metrics)
 from .engine import INIT_RANDOM_UNIFORM, InitState, simulate
 from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
-                     TraceParseError)
-from .timing import (DelayModel, DriftAssignment, SimParams, derive_params,
+                     ParameterError, TraceParseError)
+from .timing import (DelayModel, DriftAssignment, SimParams,
+                     check_strict_constraint, derive_params,
                      read_schedule_file)
 from .topology import (DEFAULT_EXACT_SEARCH_CAP, EXACT_SEARCH_BUDGET, Graph,
                        TopologyStats, parse_topology, read_edge_list,
@@ -207,6 +208,12 @@ def resolve_config(cfg: dict) -> RunSpec:
         if None in (cfg["tau0"], cfg["tau1"], cfg["tau2"]):
             raise ConfigError("explicit timing needs all of tau0, tau1, tau2")
         params = SimParams.from_dict(cfg)  # cfg holds every field by name
+        try:
+            check_strict_constraint(params.tau0, params.tau1, stats,
+                                    params.d_max, params.rho)
+        except ParameterError as exc:  # simulated, but outside the theorem
+            log.warning("%s (L_G=%d); the paper's bounds do not cover this "
+                        "timing", exc, stats.longest_simple_path)
     else:
         params = derive_params(stats, cfg["d_max"], cfg["rho"],
                                d_min=cfg["d_min"],

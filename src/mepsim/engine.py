@@ -14,11 +14,24 @@ an external deadline wins, producing an internal trigger.  Simultaneous
 arrivals at one cell collapse into a single acceptance whose pioneer is
 the smallest sender id.
 
-A cell fires only at instants t > rest_due[c] and firing sets rest_due[c]
-to at least t, so rest_due never decreases: a signal due at or before its
-receiver's rest_due at send time is sure to be rejected by the receiver's
-current last trigger.  simulate() records it then (or drops it, when
-arrivals are not recorded) and never queues it.
+simulate() settles most rejected signals without queueing them, at one
+of two points.  A cell fires only at instants t > rest_due[c], and firing
+sets rest_due[c] to at least t, so rest_due never decreases:
+
+- At send time, a signal due at or before its receiver's rest_due is sure
+  to be rejected by the receiver's current last trigger.
+- A signal due after its receiver's pending liveness deadline waits on
+  the receiver's list: the receiver fires at or before that deadline,
+  and when it does, each waiting signal due at or before the new
+  rest_due is rejected by that trigger, since the receiver cannot fire
+  again until after rest_due.  The other waiting signals go onto the
+  queue.
+
+A settled rejection is recorded with the seq it would get at its pop (or
+dropped, when arrivals are not recorded or it is due after the horizon).
+Rejections draw nothing from the omission stream, and a signal due at
+the deadline's own instant is still queued, so it still wins the tie:
+the trace is the one that queueing every signal gives.
 """
 
 from __future__ import annotations
@@ -169,6 +182,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     raw_triggers = []  # (time, cell, kind, pioneer)
     raw_arrivals = []  # (time, frm, to, outcome, provisional_rejecting_seq)
     heap = []  # (time, class, cell, sender); a deadline's sender is its cell
+    waiting = [[] for _ in range(n)]  # (due, sender) past the cell's deadline
 
     for i in range(n):
         heappush(heap, (next_ext[i], _CLS_EXTERNAL, i, i))
@@ -204,16 +218,28 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                 kind, pioneer, r_off, e_off = KIND_EXTERNAL, cell, rest_off, ext_off
             last_seq[cell] = len(raw_triggers)
             raw_triggers.append((t, cell, kind, pioneer))
-            rest_due[cell] = t + r_off[cell]
+            rest_due[cell] = rest = t + r_off[cell]
             next_ext[cell] = ext = t + e_off[cell]
             heappush(heap, (ext, _CLS_EXTERNAL, cell, cell))
+            held = waiting[cell]
+            if held:
+                for due, s in held:
+                    if due > rest:
+                        heappush(heap, (due, _CLS_ARRIVAL, cell, s))
+                    elif record_arrivals and due <= horizon:
+                        raw_arrivals.append((due, s, cell, OUTCOME_REJECTED,
+                                             last_seq[cell]))
+                held.clear()
             for j in adjacency[cell]:
                 due = t + (lo + int(rnd() * width) if rnd else sample(cell, j))
-                if due > rest_due[j]:
+                if due <= rest_due[j]:  # doomed: rest_due only grows
+                    if record_arrivals and due <= horizon:
+                        raw_arrivals.append((due, cell, j, OUTCOME_REJECTED,
+                                             last_seq[j]))
+                elif due > next_ext[j]:  # j fires first; settle it then
+                    waiting[j].append((due, cell))
+                else:
                     heappush(heap, (due, _CLS_ARRIVAL, j, cell))
-                elif record_arrivals and due <= horizon:  # doomed: rest_due only grows
-                    raw_arrivals.append((due, cell, j, OUTCOME_REJECTED,
-                                         last_seq[j]))
         return _finalize(trace, raw_triggers, raw_arrivals)
     finally:
         if gc_was_enabled:

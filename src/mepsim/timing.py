@@ -88,6 +88,10 @@ class SimParams(Checked, _SimParamsFields):
             raise ParameterError(f"omission_p must be in [0,1], got {self.omission_p}")
         if not 0 < self.tau0 < self.tau2:
             raise ParameterError(f"need 0 < tau0 < tau2, got {self.tau0}, {self.tau2}")
+        if self.dmin_compensation and self.tau0 < self.d_min:  # tau0 - d_min ticks
+            raise ParameterError(
+                f"dmin_compensation needs tau0 >= d_min, got tau0={self.tau0} "
+                f"< d_min={self.d_min}")
         # tau2 = tau1*(1+rho) up to integer rounding
         if abs(self.tau2 - self.tau1 * (1.0 + self.rho)) > 2.0 + self.rho:
             raise ParameterError(

@@ -90,6 +90,42 @@ def test_negative_elapsed_exits_invalid(tmp_path):
     assert main(argv + FAST) == EXIT_INVALID
 
 
+def test_compensation_with_tau0_below_d_min_exits_invalid(tmp_path, capsys):
+    argv = ["run", "--out", str(tmp_path / "o"), "--override", "d_min=50",
+            "--override", "dmin_compensation=true", "--override", "tau0=40",
+            "--override", "tau1=1000", "--override", "tau2=1000"]
+    assert main(argv + FAST) == EXIT_INVALID
+    assert "got tau0=40 < d_min=50" in capsys.readouterr().err
+
+
+def test_explicit_timing_outside_the_constraint_warns(tmp_path, caplog):
+    """Explicit timing that breaks the paper's constraint still runs; one
+    WARNING names the broken inequality and L_G, and stays out of
+    metrics.json.  Derived timing never warns."""
+    explicit = ["--override", "tau0=60", "--override", "tau1=1000",
+                "--override", "tau2=1000"]
+
+    def run(out, argv):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mepsim"):
+            rc = main(["run", "--out", str(tmp_path / out)] + FAST + argv)
+        return rc, [r.getMessage() for r in caplog.records]
+
+    rc, logged = run("weak", explicit)
+    assert rc in (EXIT_OK, EXIT_NOT_STABILIZED, EXIT_CHECK_FAILURE)
+    assert logged == [
+        "constraint violated: tau0 = 60 must exceed (1+rho)*(L_G+1)*d_max "
+        "= 400.0 (L_G=3); the paper's bounds do not cover this timing"]
+    metrics = json.loads((tmp_path / "weak" / "metrics.json").read_text())
+    assert "constraint" not in json.dumps(metrics)
+    assert run("derived", [])[1] == []
+    derived = resolve_config(load_config(overrides=FAST[1::2])).params
+    rc, logged = run("same", [
+        arg for key in ("tau0", "tau1", "tau2")
+        for arg in ("--override", f"{key}={getattr(derived, key)}")])
+    assert logged == []
+
+
 def test_resolve_config_produces_runnable_objects():
     cfg = load_config(overrides=["topology=ring:4", "d_max=100", "rho=0.0"])
     spec = resolve_config(cfg)
@@ -408,9 +444,9 @@ def test_failed_verdicts_name_the_failure(tmp_path, capsys):
 
 
 def test_paths_stabilize(tmp_path):
-    """A 7-cell path's rounds may span diameter * d_max = 600 ns, so its
-    span bound must not fall to tau_delta // 3 - 1 = 449 ns (seed 2's
-    rounds span 500 ns)."""
+    """A 7-cell path's rounds may span diameter * d_max = 600 ns, and the
+    span bound is that product on every graph, so each seed's rounds
+    (seed 2's span 500 ns) fit within it."""
     edges = tmp_path / "path7.txt"
     edges.write_text("7 6\n" + "".join(f"{i} {i + 1}\n" for i in range(6)))
     argv = ["--override", f"topology_file={edges}", "--override", "d_min=100",

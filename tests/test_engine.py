@@ -2,12 +2,15 @@ import gc
 
 import pytest
 
+import mepsim.engine
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
+from mepsim.analysis import required_horizon
 from mepsim.engine import InitState
 from mepsim.errors import ParameterError, ScheduleUnderrunError
 from mepsim.oracle import brute_force_simulate
 from mepsim.timing import SimParams
-from mepsim.topology import build_ring, from_edge_list, topology_stats
+from mepsim.topology import (build_ring, from_edge_list, parse_topology,
+                             topology_stats)
 from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
                           OUTCOME_REJECTED, trace_to_text)
 
@@ -237,3 +240,31 @@ def test_simulate_restores_gc_state(enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("topology, rho, record", [
+    ("grid:8x8", 0.0, False), ("hypercube:4", 1e-4, True)])
+def test_rejected_signals_mostly_skip_the_queue(monkeypatch, topology, rho,
+                                                record):
+    """Nearly every signal of a stabilized run is rejected.  Settled at
+    send time or at the receiver's next trigger, such signals skip the
+    queue, so a run pops few more events than it has triggers."""
+    g = parse_topology(topology)
+    stats = topology_stats(g)
+    p = _params(g, rho=rho)
+    pops = 0
+    heappop = mepsim.engine.heappop
+
+    def counting_heappop(heap):
+        nonlocal pops
+        pops += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(mepsim.engine, "heappop", counting_heappop)
+    tr = simulate(g, p, delay_model=DelayModel(kind="uniform", d_min=0,
+                                               d_max=100),
+                  horizon=required_horizon(p, stats) + 100 * p.tau2, seed=0,
+                  drift=DriftAssignment(mode="uniform" if rho else "zero",
+                                        rho=rho),
+                  record_arrivals=record)
+    assert pops <= 1.5 * len(tr.triggers)

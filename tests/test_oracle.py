@@ -5,6 +5,7 @@ from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.engine import InitState
 from mepsim.errors import ParameterError
 from mepsim.oracle import brute_force_simulate
+from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
 from mepsim.trace import KIND_EXTERNAL, trace_to_text
 
@@ -90,11 +91,21 @@ def _differential_case(draw):
     graph = from_edge_list(n, sorted(edges))
     d_max = draw(st.integers(1, 100))
     d_min = draw(st.integers(0, d_max))
-    drift_mode = draw(st.sampled_from(["zero", "extremal", "uniform"]))
-    rho = 0.0 if drift_mode == "zero" else draw(st.sampled_from([1e-4, 0.05]))
-    params = derive_params(topology_stats(graph), d_max, rho, d_min=d_min,
-                           omission_p=draw(st.sampled_from([0.0, 0.2, 1.0])),
-                           dmin_compensation=draw(st.booleans()))
+    faults = dict(omission_p=draw(st.sampled_from([0.0, 0.2, 1.0])),
+                  dmin_compensation=draw(st.booleans()))
+    if draw(st.booleans()):
+        # explicit timing with tau0 near the delays: a signal held past its
+        # receiver's deadline can still be due after the next restoration
+        drift_mode, rho = "zero", 0.0
+        tau0 = draw(st.integers(d_min + 1, d_min + 2 * d_max))
+        tau2 = draw(st.integers(tau0 + 1, tau0 + 4 * d_max))
+        params = SimParams(d_min=d_min, d_max=d_max, rho=rho, tau0=tau0,
+                           tau1=tau2, tau2=tau2, **faults)
+    else:
+        drift_mode = draw(st.sampled_from(["zero", "extremal", "uniform"]))
+        rho = 0.0 if drift_mode == "zero" else draw(st.sampled_from([1e-4, 0.05]))
+        params = derive_params(topology_stats(graph), d_max, rho, d_min=d_min,
+                               **faults)
     delays = st.integers(d_min, d_max)
     if draw(st.booleans()):
         directed = [(a, b) for a in range(n) for b in graph.adjacency[a]]

@@ -81,6 +81,13 @@ def test_simparams_validation():
     with pytest.raises(ParameterError):
         SimParams(d_min=0, d_max=1, rho=0.0, tau0=10, tau1=100, tau2=100,
                   omission_p=1.5)
+    # compensation restores tau0 - d_min local ticks after an internal trigger
+    short = dict(d_min=50, d_max=100, rho=0.0, tau0=40, tau1=1000, tau2=1000)
+    SimParams(**short)
+    SimParams(**dict(short, tau0=50), dmin_compensation=True)
+    with pytest.raises(ParameterError, match="dmin_compensation needs tau0 >= "
+                                             "d_min, got tau0=40 < d_min=50"):
+        SimParams(**short, dmin_compensation=True)
     # a trace's #meta params reach SimParams unchecked by the config types
     valid = dict(d_min=0, d_max=100, rho=0.0, tau0=500, tau1=2000, tau2=2000)
     SimParams(**valid)
