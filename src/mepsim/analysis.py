@@ -580,7 +580,7 @@ def _read_groups(parent, s0) -> tuple:
 
 
 def association_classes(trace: Trace, window,
-                        stats=None) -> AssociationClasses:
+                        stats: TopologyStats) -> AssociationClasses:
     """Partition the window's triggers by signal-exchange connectivity.
 
     Two triggers are linked when one's signal produced (acceptance) or
@@ -589,7 +589,7 @@ def association_classes(trace: Trace, window,
     unique, because a cell cannot trigger twice within d_max.  The
     strong variant only links pairs at most d_max apart; the two
     closures should coincide and every class should span at most
-    (longest simple path)*d_max.
+    d_max * stats.longest_simple_path.
 
     Triggers and arrivals are time-sorted (reader and engine ensure it),
     so the window's triggers are one seq range [s0, s1), indexed by x =
@@ -649,8 +649,7 @@ def association_classes(trace: Trace, window,
         # g's first seq outside g[0]'s strong group leads the next one
         p_witness = next(((g[0], s) for g in classes for s in g
                           if strong_root[s - s0] != g[0] - s0), None)
-    bound = d_max * (stats.longest_simple_path if stats is not None
-                     else trace.graph.node_count - 1)
+    bound = d_max * stats.longest_simple_path
     # seqs ascend in time, so a class spans its last time minus its first
     spans = tuple(triggers[g[-1]][0] - triggers[g[0]][0] for g in classes)
     s_witness = next(((g[0], g[-1], span) for g, span in zip(classes, spans)

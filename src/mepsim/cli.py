@@ -31,8 +31,7 @@ from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
 from .timing import (DelayModel, DriftAssignment, SimParams,
                      check_strict_constraint, derive_params,
                      read_schedule_file)
-from .topology import (DEFAULT_EXACT_SEARCH_CAP, EXACT_SEARCH_BUDGET, Graph,
-                       TopologyStats, parse_topology, read_edge_list,
+from .topology import (Graph, TopologyStats, parse_topology, read_edge_list,
                        topology_stats)
 from .trace import SCHEMA_VERSION, read_trace, write_trace
 
@@ -399,7 +398,6 @@ def cmd_run(args) -> int:
     if args.horizon_ns is not None:
         cfg["horizon_ns"] = args.horizon_ns
     spec = resolve_config(cfg)
-    _warn_lg_bound(spec.graph, spec.stats, cfg["lg_override"])
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     log.info("run: %s seed=%s horizon=%d", spec.graph.name, spec.seed,
@@ -416,26 +414,10 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config, args.override)
     trace = read_trace(args.trace)
     stats = topology_stats(trace.graph, lg_override=cfg["lg_override"])
-    _warn_lg_bound(trace.graph, stats, cfg["lg_override"])
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     _write_manifest(outdir, cfg, {"analyzed_trace": os.path.abspath(args.trace)})
     return _report(outdir, trace, stats, cfg["association_checks"], "ok")
-
-
-def _warn_lg_bound(graph, stats, lg_override) -> None:
-    """Log which longest-simple-path value stands in for the exact one."""
-    if stats.lg_is_exact:
-        return
-    if graph.node_count > DEFAULT_EXACT_SEARCH_CAP:
-        reason = (f"{graph.node_count} cells are above the exact-search cap "
-                  f"of {DEFAULT_EXACT_SEARCH_CAP}")
-    else:
-        reason = (f"the exact search ran out of its budget of "
-                  f"{EXACT_SEARCH_BUDGET} expansions")
-    used = "lg_override" if lg_override is not None else "the bound n-1"
-    log.warning("longest_simple_path=%d is %s, not exact: %s",
-                stats.longest_simple_path, used, reason)
 
 
 def _report(outdir, trace, stats, association, ok_line) -> int:
@@ -505,7 +487,6 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad {args.axis} sweep value {value!r}") from exc
         spec = resolve_config({**cfg, key: point})
-        _warn_lg_bound(spec.graph, spec.stats, cfg["lg_override"])
         for replica in range(args.replicas):
             seed = f"{cfg['seed']}-{value}-{replica}"
             tasks.append((str(value), replica, spec._replace(seed=seed)))

@@ -15,8 +15,10 @@ arrivals at one cell collapse into a single acceptance whose pioneer is
 the smallest sender id.
 
 simulate() settles most rejected signals without queueing them, at one
-of two points.  A cell fires only at instants t > rest_due[c], and firing
-sets rest_due[c] to at least t, so rest_due never decreases:
+of two points.  A cell fires only at instants t > rest_due[c] (under
+drift, SimParams's tau2 - tau0 >= 2 keeps each liveness deadline after
+its restoration), and firing sets rest_due[c] to at least t, so
+rest_due never decreases:
 
 - At send time, a signal due at or before its receiver's rest_due is sure
   to be rejected by the receiver's current last trigger.

@@ -88,6 +88,11 @@ class SimParams(Checked, _SimParamsFields):
             raise ParameterError(f"omission_p must be in [0,1], got {self.omission_p}")
         if not 0 < self.tau0 < self.tau2:
             raise ParameterError(f"need 0 < tau0 < tau2, got {self.tau0}, {self.tau2}")
+        # tau2 - tau0 >= 2 ticks keeps the drifted real gap above 1 ns, so
+        # rounding never puts a restoration on its cell's liveness deadline
+        if self.rho > 0 and self.tau2 - self.tau0 < 2:
+            raise ParameterError(f"need tau2 - tau0 >= 2 when rho > 0, got "
+                                 f"tau0={self.tau0}, tau2={self.tau2}")
         if self.dmin_compensation and self.tau0 < self.d_min:  # tau0 - d_min ticks
             raise ParameterError(
                 f"dmin_compensation needs tau0 >= d_min, got tau0={self.tau0} "

@@ -8,11 +8,13 @@ cell at once, carrying one bit per source.  The longest simple path is
 exact by closed form for the constructor topologies, or by an exhaustive
 search on graphs of up to DEFAULT_EXACT_SEARCH_CAP cells that settles it
 within EXACT_SEARCH_BUDGET expansions; otherwise it is lg_override when
-given, else the conservative upper bound n-1.
+given, else the conservative upper bound n-1, and a WARNING on the mepsim
+logger says which value stands in and why.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from typing import NamedTuple
 
@@ -239,19 +241,29 @@ def topology_stats(g: Graph, lg_override: int | None = None) -> TopologyStats:
     cells get the exhaustive search, which gives up after
     EXACT_SEARCH_BUDGET expansions.  Above the cap, or when the search
     gives up, the override is used if given, else the bound n-1, both
-    with lg_is_exact=False.
+    with lg_is_exact=False and one WARNING on the mepsim logger.
     """
     d = diameter(g)
+    n = g.node_count
     if lg_override is not None and lg_override < d:
         raise ParameterError(
             f"lg_override={lg_override} is below the diameter {d}")
     lg = _closed_form_lg(g)
-    if lg is None and g.node_count <= DEFAULT_EXACT_SEARCH_CAP:
+    if lg is None and n <= DEFAULT_EXACT_SEARCH_CAP:
         lg = longest_simple_path_exact(g)
     if lg is not None:
         return TopologyStats(diameter=d, longest_simple_path=lg, lg_is_exact=True)
-    bound = lg_override if lg_override is not None else g.node_count - 1
-    return TopologyStats(diameter=d, longest_simple_path=bound, lg_is_exact=False)
+    if n > DEFAULT_EXACT_SEARCH_CAP:
+        reason = (f"{n} cells are above the exact-search cap of "
+                  f"{DEFAULT_EXACT_SEARCH_CAP}")
+    else:
+        reason = (f"the exact search ran out of its budget of "
+                  f"{EXACT_SEARCH_BUDGET} expansions")
+    lg, used = ((n - 1, "the bound n-1") if lg_override is None
+                else (lg_override, "lg_override"))
+    logging.getLogger("mepsim").warning(
+        "longest_simple_path=%d is %s, not exact: %s", lg, used, reason)
+    return TopologyStats(diameter=d, longest_simple_path=lg, lg_is_exact=False)
 
 
 def parse_topology(spec: str) -> Graph:

@@ -402,7 +402,7 @@ def _fixture_suite():
         triggers=[(1000, 0, KIND_EXTERNAL, 0), (1080, 1, KIND_INTERNAL, 0)],
         arrivals=[ArrivalRecord(frm=0, to=1, time=1080, outcome="accepted")],
         horizon=10**6, seed=0)
-    ac = association_classes(good, (0, 10**6))
+    ac = association_classes(good, (0, 10**6), topology_stats(K2))
     check("association-pair-pos",
           ac.classes == ((0, 1),) and ac.spans[0] <= 100
           and ac.partitions_coincide and ac.spans_ok)
@@ -412,7 +412,7 @@ def _fixture_suite():
         arrivals=[ArrivalRecord(frm=0, to=1, time=200,
                                 outcome=OUTCOME_REJECTED, rejecting_seq=0)],
         horizon=10**6, seed=0)
-    ac = association_classes(bad, (0, 10**6))
+    ac = association_classes(bad, (0, 10**6), topology_stats(K2))
     check("association-partition-neg", ac.partitions_coincide, False)
     check("association-span-neg", ac.spans_ok, False)
     return results

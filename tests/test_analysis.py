@@ -6,9 +6,10 @@ from mepsim.analysis import (Propagation, Segment, association_classes,
                              check_pattern_properties, classify_patterns,
                              cluster_triggers, detect_stabilization,
                              extract_propagation, convergence_bound,
-                             propagation_error, series_metrics,
-                             validate_omep, ROLE_BANK, ROLE_FLAT, ROLE_FLOW,
-                             ROLE_RIDGE, ROLE_SINK, ROLE_SOURCE, ROLE_UNITED)
+                             propagation_error, required_horizon,
+                             series_metrics, validate_omep, ROLE_BANK,
+                             ROLE_FLAT, ROLE_FLOW, ROLE_RIDGE, ROLE_SINK,
+                             ROLE_SOURCE, ROLE_UNITED)
 from mepsim.engine import InitState
 from mepsim.errors import InsufficientHorizonError
 from mepsim.timing import SimParams
@@ -31,6 +32,16 @@ def _trace(times, cells=None, kinds=None, pioneers=None, graph=K2,
     trig = list(zip(times, cells, kinds, pioneers))
     return Trace(graph=graph, params=PARAMS, triggers=trig,
                  arrivals=list(arrivals), horizon=horizon, seed=0)
+
+
+@st.composite
+def _connected_graphs(draw, max_n):
+    """A random tree on 2..max_n cells, plus random extra edges."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return from_edge_list(n, sorted(edges))
 
 
 # ------------------------------------------------------------- rounds
@@ -323,11 +334,8 @@ def _pattern_case(draw):
     segment of hand-built triggers: cells that stay silent, pioneers
     that are mostly neighbours, pointer loops, and pioneers that fire
     only outside the segment."""
-    n = draw(st.integers(2, 7))
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-    graph = from_edge_list(n, sorted(edges))
+    graph = draw(_connected_graphs(7))
+    n = graph.node_count
     trig = []
     every = list(range(n)) if draw(st.booleans()) else []  # a full round
     for cell in every + draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -407,7 +415,7 @@ def test_k2_exchange_single_class():
     arr = ArrivalRecord(frm=0, to=1, time=1080, outcome="accepted")
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
                horizon=10**6, seed=0)
-    ac = association_classes(tr, (0, 10**6))
+    ac = association_classes(tr, (0, 10**6), topology_stats(K2))
     assert ac.classes == ((0, 1),)
     assert ac.spans == (80,) and ac.spans[0] <= D
     assert ac.partitions_coincide and ac.spans_ok
@@ -421,7 +429,7 @@ def test_distant_rejection_breaks_both_checks():
                         rejecting_seq=0)
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
                horizon=10**6, seed=0)
-    ac = association_classes(tr, (0, 10**6))
+    ac = association_classes(tr, (0, 10**6), topology_stats(K2))
     assert ac.classes == ((0, 1),) and ac.strong_classes == ((0,), (1,))
     assert not ac.partitions_coincide and ac.partition_witness == (0, 1)
     assert not ac.spans_ok and ac.span_witness == (0, 1, 150)
@@ -439,7 +447,7 @@ def test_association_arrival_ends(t_arrive, t_receive, linked):
     arr = ArrivalRecord(frm=0, to=1, time=t_arrive, outcome=OUTCOME_ACCEPTED)
     tr = Trace(graph=K2, params=PARAMS, triggers=triggers, arrivals=[arr],
                horizon=10**6, seed=0)
-    ac = association_classes(tr, (0, 10**6))
+    ac = association_classes(tr, (0, 10**6), topology_stats(K2))
     assert ac.classes == (((0, 1),) if linked else ((0,), (1,)))
 
 
@@ -462,11 +470,7 @@ def _association_run(draw):
     """A random connected 2-6-cell run with arrivals recorded.  Small
     d_max and maximal delays make arrivals exactly d_max after their
     emitter common."""
-    n = draw(st.integers(2, 6))
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-    graph = from_edge_list(n, sorted(edges))
+    graph = draw(_connected_graphs(6))
     d_max = draw(st.integers(1, 30))
     drift_mode = draw(st.sampled_from(["zero", "uniform"]))
     rho = 0.0 if drift_mode == "zero" else 1e-3
@@ -538,8 +542,7 @@ def _reference_association(tr, lo, hi, stats):
     time = {seq: t for seq, t, _ in window}
     spans = tuple(max(time[s] for s in g) - min(time[s] for s in g)
                   for g in classes)
-    bound = d_max * (stats.longest_simple_path if stats is not None
-                     else tr.graph.node_count - 1)
+    bound = d_max * stats.longest_simple_path
     s_witness = next(((g[0], g[-1], sp) for g, sp in zip(classes, spans)
                       if sp > bound), None)
     return dict(classes=classes, strong_classes=strong, spans=spans,
@@ -569,7 +572,7 @@ def test_association_matches_reference(tr, data):
                      st.integers(0, tr.horizon))
     lo, hi = sorted((data.draw(edge),
                      data.draw(st.one_of(st.just(tr.horizon), edge))))
-    stats = data.draw(st.sampled_from([None, topology_stats(tr.graph)]))
+    stats = topology_stats(tr.graph)
     want, weak = _reference_association(tr, lo, hi, stats)
     event(f"weak pairs: {'yes' if weak else 'none'}; partitions "
           f"{'coincide' if want['partitions_coincide'] else 'differ'}")
@@ -608,6 +611,63 @@ def test_ring4_stabilizes_within_bound():
         assert all(r.valid for r in rep.rounds[k0:])
 
 
+@st.composite
+def _model_run(draw):
+    """A run inside the paper's model, without omissions: a random
+    connected graph of 2-9 cells, derived timing, any delay family, drift
+    and adversarial start, simulated up to the required horizon."""
+    graph = draw(_connected_graphs(9))
+    n = graph.node_count
+    stats = topology_stats(graph)
+    d_max = draw(st.sampled_from([100, 1000]))
+    d_min = draw(st.sampled_from([0, d_max // 2, d_max]))
+    rho = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+    params = derive_params(stats, d_max, rho, d_min=d_min,
+                           dmin_compensation=draw(st.booleans()))
+    kinds = ["uniform", "adversarial-max", "adversarial-schedule"]
+    kind = draw(st.sampled_from(kinds + ["fixed"] * (d_min == d_max)))
+    schedule = None
+    if kind == "adversarial-schedule":
+        schedule = {(a, b): draw(st.lists(st.integers(d_min, d_max),
+                                          min_size=1, max_size=4))
+                    for a in range(n) for b in graph.adjacency[a]}
+    init = None
+    if draw(st.booleans()):
+        signal = st.sampled_from(sorted(graph.edges)).flatmap(
+            lambda e: st.tuples(st.permutations(e), st.integers(0, d_max)))
+        init = InitState(
+            mode="adversarial-explicit",
+            elapsed=tuple(draw(st.lists(st.integers(0, 2 * params.tau2),
+                                        min_size=n, max_size=n))),
+            signals=tuple((a, b, t) for (a, b), t in
+                          draw(st.lists(signal, max_size=4))))
+    trace = simulate(
+        graph, params, delay_model=DelayModel(
+            kind=kind, d_min=d_min, d_max=d_max, schedule=schedule,
+            cycle=True),
+        horizon=required_horizon(params, stats),
+        seed=draw(st.integers(0, 2**16)), init=init,
+        drift=DriftAssignment(mode=draw(st.sampled_from(
+            ["zero", "uniform", "extremal"])), rho=rho))
+    return stats, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_run())
+def test_theorems_hold_on_random_model_runs(case):
+    """The paper's claims on every run inside its model: stabilization
+    within the convergence bound plus one period, rounds within the
+    diameter * d_max span bound, and inter-trigger gaps within the
+    liveness bound."""
+    stats, trace = case
+    params = trace.params
+    rep = detect_stabilization(trace, stats)
+    assert rep.stabilized, rep.first_violation
+    assert rep.t_stab <= convergence_bound(params) + params.tau2
+    assert rep.tau_pi_measured <= stats.diameter * params.d_max
+    assert rep.tau_nabla_measured <= params.liveness_real_max
+
+
 def test_series_metrics_shapes():
     g = build_ring(4)
     stats = topology_stats(g)
@@ -634,11 +694,8 @@ def test_series_metrics_shapes():
 
 @st.composite
 def _small_run(draw):
-    n = draw(st.integers(2, 6))
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-    graph = from_edge_list(n, sorted(edges))
+    graph = draw(_connected_graphs(6))
+    n = graph.node_count
     d_max = draw(st.integers(1, 100))
     params = derive_params(topology_stats(graph), d_max, 0.0,
                            omission_p=draw(st.sampled_from([0.0, 0.2, 0.5])))

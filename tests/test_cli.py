@@ -90,6 +90,18 @@ def test_negative_elapsed_exits_invalid(tmp_path):
     assert main(argv + FAST) == EXIT_INVALID
 
 
+def test_drifted_one_tick_excitation_exits_invalid(tmp_path, capsys):
+    """At rho = 0.5 a restoration tau0 = 100 ticks and a liveness deadline
+    tau2 = 101 ticks can round to one real instant: rejected, not run."""
+    argv = ["run", "--out", str(tmp_path / "o"),
+            "--override", "topology=ring:4", "--override", "d_max=10",
+            "--override", "rho=0.5", "--override", "tau0=100",
+            "--override", "tau1=67", "--override", "tau2=101",
+            "--override", "drift.mode=extremal"]
+    assert main(argv) == EXIT_INVALID
+    assert "tau0=100, tau2=101" in capsys.readouterr().err
+
+
 def test_compensation_with_tau0_below_d_min_exits_invalid(tmp_path, capsys):
     argv = ["run", "--out", str(tmp_path / "o"), "--override", "d_min=50",
             "--override", "dmin_compensation=true", "--override", "tau0=40",

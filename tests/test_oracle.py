@@ -96,11 +96,18 @@ def _differential_case(draw):
     if draw(st.booleans()):
         # explicit timing with tau0 near the delays: a signal held past its
         # receiver's deadline can still be due after the next restoration
-        drift_mode, rho = "zero", 0.0
         tau0 = draw(st.integers(d_min + 1, d_min + 2 * d_max))
-        tau2 = draw(st.integers(tau0 + 1, tau0 + 4 * d_max))
+        if draw(st.booleans()):
+            drift_mode, rho = "zero", 0.0
+            tau2 = draw(st.integers(tau0 + 1, tau0 + 4 * d_max))
+        else:
+            # drifted, with the least tau2 - tau0 SimParams admits: rounding
+            # brings restoration and liveness deadline within a ns or two
+            drift_mode = draw(st.sampled_from(["extremal", "uniform"]))
+            rho = draw(st.sampled_from([1e-4, 0.05, 0.5]))
+            tau2 = tau0 + draw(st.sampled_from([2, 3]))
         params = SimParams(d_min=d_min, d_max=d_max, rho=rho, tau0=tau0,
-                           tau1=tau2, tau2=tau2, **faults)
+                           tau1=round(tau2 / (1 + rho)), tau2=tau2, **faults)
     else:
         drift_mode = draw(st.sampled_from(["zero", "extremal", "uniform"]))
         rho = 0.0 if drift_mode == "zero" else draw(st.sampled_from([1e-4, 0.05]))

@@ -88,6 +88,13 @@ def test_simparams_validation():
     with pytest.raises(ParameterError, match="dmin_compensation needs tau0 >= "
                                              "d_min, got tau0=40 < d_min=50"):
         SimParams(**short, dmin_compensation=True)
+    # with drift, a one-tick gap between tau0 and tau2 can round to 0 ns,
+    # so a cell would reach its liveness deadline while still excited
+    with pytest.raises(ParameterError, match="need tau2 - tau0 >= 2 when "
+                                             "rho > 0, got tau0=1, tau2=2"):
+        SimParams(d_min=0, d_max=1, rho=0.5, tau0=1, tau1=2, tau2=2)
+    SimParams(d_min=0, d_max=1, rho=0.5, tau0=1, tau1=2, tau2=3)
+    SimParams(d_min=0, d_max=1, rho=0.0, tau0=1, tau1=2, tau2=2)
     # a trace's #meta params reach SimParams unchecked by the config types
     valid = dict(d_min=0, d_max=100, rho=0.0, tau0=500, tau1=2000, tau2=2000)
     SimParams(**valid)

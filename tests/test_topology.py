@@ -1,3 +1,4 @@
+import logging
 import time
 from collections import deque
 
@@ -162,36 +163,58 @@ def test_longest_path_exact_below_budget():
         diameter=2, longest_simple_path=9, lg_is_exact=True)
 
 
-def test_longest_path_search_gives_up_within_budget():
+def _logged_stats(caplog, g, lg_override=None):
+    """topology_stats(g, lg_override) and the WARNINGs it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="mepsim"):
+        stats = topology_stats(g, lg_override=lg_override)
+    return stats, [r.getMessage() for r in caplog.records
+                   if r.levelno == logging.WARNING]
+
+
+def test_longest_path_search_gives_up_within_budget(caplog):
     # K(7,9)'s longest simple path is 14 edges; proving that no 15-edge path
     # exists takes far more than the budget's expansions
     g = complete_bipartite(7, 9)
+    budget = "the exact search ran out of its budget of 1000000 expansions"
     start = time.perf_counter()
-    stats = topology_stats(g)
+    stats, logged = _logged_stats(caplog, g)
     assert time.perf_counter() - start < 5.0
     assert stats == TopologyStats(diameter=2, longest_simple_path=15,
                                   lg_is_exact=False)
+    assert logged == [
+        f"longest_simple_path=15 is the bound n-1, not exact: {budget}"]
     assert longest_simple_path_exact(g) is None
-    over = topology_stats(g, lg_override=14)
+    over, logged = _logged_stats(caplog, g, lg_override=14)
     assert over.longest_simple_path == 14 and not over.lg_is_exact
+    assert logged == [
+        f"longest_simple_path=14 is lg_override, not exact: {budget}"]
 
 
-def test_stats_closed_forms():
-    st_ = topology_stats(build_ring(64))
-    assert st_.longest_simple_path == 63 and st_.lg_is_exact
-    st_ = topology_stats(build_hypercube(7))  # 128 nodes, above the search cap
-    assert st_.longest_simple_path == 127 and st_.lg_is_exact
+def test_stats_closed_forms(caplog):
+    st_, logged = _logged_stats(caplog, build_ring(64))
+    assert st_.longest_simple_path == 63 and st_.lg_is_exact and not logged
+    # 128 nodes, above the search cap
+    st_, logged = _logged_stats(caplog, build_hypercube(7))
+    assert st_.longest_simple_path == 127 and st_.lg_is_exact and not logged
+    st_, logged = _logged_stats(caplog, build_grid(9, 9))  # also above it
+    assert st_.longest_simple_path == 80 and st_.lg_is_exact and not logged
 
 
-def test_stats_override_and_fallback():
+def test_stats_override_and_fallback(caplog):
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    custom = topology_stats(g)
+    custom, logged = _logged_stats(caplog, g)
     assert custom.longest_simple_path == 3 and custom.lg_is_exact
+    assert logged == []
     # a 65-cell star: above the exhaustive-search cap, diameter 2
     star = from_edge_list(65, [(0, i) for i in range(1, 65)])
-    big = topology_stats(star)
+    cap = "65 cells are above the exact-search cap of 64"
+    big, logged = _logged_stats(caplog, star)
     assert big.longest_simple_path == 64 and not big.lg_is_exact
-    assert topology_stats(star, lg_override=2).longest_simple_path == 2
+    assert logged == [f"longest_simple_path=64 is the bound n-1, not exact: {cap}"]
+    small, logged = _logged_stats(caplog, star, lg_override=2)
+    assert small.longest_simple_path == 2 and not small.lg_is_exact
+    assert logged == [f"longest_simple_path=2 is lg_override, not exact: {cap}"]
     with pytest.raises(ParameterError):
         topology_stats(star, lg_override=1)  # below the diameter
 
