@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -57,6 +56,10 @@ INIT_ADVERSARIAL = "adversarial-explicit"
 # logically sit between arrivals and external deadlines
 _CLS_ARRIVAL = 0
 _CLS_EXTERNAL = 2
+
+# a raw arrival's outcome rank, ordered as _finalize needs
+_OMITTED, _ACCEPTED, _REJECTED = 0, 1, 2
+_OUTCOMES = (OUTCOME_OMITTED, OUTCOME_ACCEPTED, OUTCOME_REJECTED)
 
 
 class _InitStateFields(NamedTuple):
@@ -182,7 +185,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
 
     last_seq = [-1] * n
     raw_triggers = []  # (time, cell, kind, pioneer)
-    raw_arrivals = []  # (time, frm, to, outcome, provisional_rejecting_seq)
+    raw_arrivals = []  # (time, to, frm, rank, provisional_rejecting_seq)
     heap = []  # (time, class, cell, sender); a deadline's sender is its cell
     waiting = [[] for _ in range(n)]  # (due, sender) past the cell's deadline
 
@@ -202,15 +205,15 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                         and heap[0][2] == cell:
                     senders.append(heappop(heap)[3])
                 if t <= rest_due[cell]:
-                    outcome, rej = OUTCOME_REJECTED, last_seq[cell]
+                    rank, rej = _REJECTED, last_seq[cell]
                 elif p > 0.0 and omission_random() < p:
-                    outcome, rej = OUTCOME_OMITTED, -1
+                    rank, rej = _OMITTED, -1
                 else:
-                    outcome, rej = OUTCOME_ACCEPTED, -1
+                    rank, rej = _ACCEPTED, -1
                 if record_arrivals:
                     for s in senders:
-                        raw_arrivals.append((t, s, cell, outcome, rej))
-                if outcome != OUTCOME_ACCEPTED:
+                        raw_arrivals.append((t, cell, s, rank, rej))
+                if rank != _ACCEPTED:
                     continue
                 kind, pioneer, r_off, e_off = (KIND_INTERNAL, min(senders),
                                                rest_off_c, ext_off_c)
@@ -229,14 +232,14 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                     if due > rest:
                         heappush(heap, (due, _CLS_ARRIVAL, cell, s))
                     elif record_arrivals and due <= horizon:
-                        raw_arrivals.append((due, s, cell, OUTCOME_REJECTED,
+                        raw_arrivals.append((due, cell, s, _REJECTED,
                                              last_seq[cell]))
                 held.clear()
             for j in adjacency[cell]:
                 due = t + (lo + int(rnd() * width) if rnd else sample(cell, j))
                 if due <= rest_due[j]:  # doomed: rest_due only grows
                     if record_arrivals and due <= horizon:
-                        raw_arrivals.append((due, cell, j, OUTCOME_REJECTED,
+                        raw_arrivals.append((due, j, cell, _REJECTED,
                                              last_seq[j]))
                 elif due > next_ext[j]:  # j fires first; settle it then
                     waiting[j].append((due, cell))
@@ -250,17 +253,29 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
 
 def _finalize(trace: Trace, raw_triggers, raw_arrivals) -> Trace:
     """The header `trace` with the raw (time, cell, kind, pioneer) triggers
-    and (time, frm, to, outcome, provisional_rejecting_seq) arrivals sorted in.
+    and (time, to, frm, rank, provisional_rejecting_seq) arrivals sorted
+    in.  Both lists are sorted in place, whole tuples without a key, and
+    each raw arrival is replaced in its own slot by its ArrivalRecord.
 
-    The trigger tuples become the trace's triggers.  No two share a (time,
-    cell) pair (a cell fires only at t > rest_due, and firing sets rest_due
-    >= t), so sorting whole tuples orders them by (time, cell) and never
-    compares a kind.  Only rejections carry a provisional seq, all else -1."""
-    order = sorted(range(len(raw_triggers)), key=raw_triggers.__getitem__)
-    remap = [0] * len(raw_triggers)
-    for final_seq, k in enumerate(order):
-        remap[k] = final_seq
-    arrivals = sorted(raw_arrivals, key=itemgetter(0, 2, 1))
-    return trace._replace(triggers=[raw_triggers[k] for k in order], arrivals=[
-        ArrivalRecord(frm, to, t, outcome, remap[rej] if rej >= 0 else None)
-        for t, frm, to, outcome, rej in arrivals])
+    No two triggers share a (time, cell) pair (a cell fires only at t >
+    rest_due, and firing sets rest_due >= t), so the trigger sort never
+    compares a kind.  Only rejections carry a provisional seq (a trigger's
+    index in recording order), all else -1.
+
+    At one (time, to) a cell records any omissions, then at most one
+    acceptance (after which it fires), then rejections, all by that one
+    trigger, since it stays excited through the instant.  So among equal
+    (time, to, frm) ranks ascend in recording order and equal ranks are
+    equal tuples: the sort keeps the recording order, as a stable keyed
+    sort would.  Outcome strings would not do: 'accepted' < 'omitted'."""
+    if raw_arrivals:
+        remap = [0] * len(raw_triggers)
+        for final_seq, k in enumerate(sorted(range(len(raw_triggers)),
+                                             key=raw_triggers.__getitem__)):
+            remap[k] = final_seq
+    raw_triggers.sort()
+    raw_arrivals.sort()
+    for i, (t, to, frm, rank, rej) in enumerate(raw_arrivals):
+        raw_arrivals[i] = ArrivalRecord(frm, to, t, _OUTCOMES[rank],
+                                        remap[rej] if rej >= 0 else None)
+    return trace._replace(triggers=raw_triggers, arrivals=raw_arrivals)

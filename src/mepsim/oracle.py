@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .engine import _finalize, _setup
+from .engine import _ACCEPTED, _OMITTED, _REJECTED, _finalize, _setup
 from .errors import ParameterError
 from .timing import DriftAssignment, SimParams
 from .topology import Graph
-from .trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
-                    OUTCOME_OMITTED, OUTCOME_REJECTED, Trace)
+from .trace import KIND_EXTERNAL, KIND_INTERNAL, Trace
 
 MAX_ORACLE_NODES = 4
 MAX_ORACLE_HORIZON = 1_000_000  # ns; the stepper visits every instant
@@ -54,7 +53,10 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
         pending.setdefault(arrival, []).append((to, frm))
 
     raw_triggers = []  # (time, cell, kind, pioneer) in emission order
-    raw_arrivals = []  # (time, frm, to, outcome, provisional_rejecting_seq)
+    # (time, to, frm, rank, provisional_rejecting_seq), the engine's layout:
+    # rank is its _OMITTED, _ACCEPTED or _REJECTED, and _finalize sorts
+    # these tuples whole
+    raw_arrivals = []
 
     def fire(cell: int, t: int, kind: str, pioneer: int, micro) -> None:
         # the protocol only triggers propagable cells
@@ -92,15 +94,15 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
                     if record_arrivals:
                         rej = last_seq[cell]
                         for s in senders:
-                            raw_arrivals.append((t, s, cell, OUTCOME_REJECTED, rej))
+                            raw_arrivals.append((t, cell, s, _REJECTED, rej))
                 elif p > 0.0 and omission_random() < p:
                     if record_arrivals:
                         for s in senders:
-                            raw_arrivals.append((t, s, cell, OUTCOME_OMITTED, -1))
+                            raw_arrivals.append((t, cell, s, _OMITTED, -1))
                 else:
                     if record_arrivals:
                         for s in senders:
-                            raw_arrivals.append((t, s, cell, OUTCOME_ACCEPTED, -1))
+                            raw_arrivals.append((t, cell, s, _ACCEPTED, -1))
                     fire(cell, t, KIND_INTERNAL, min(senders), micro)
             else:
                 if next_ext[cell] != t:

@@ -3,13 +3,14 @@
 Graphs are immutable after construction: dense integer node ids 0..n-1,
 sorted adjacency lists, connectivity enforced.  The two statistics that
 drive timer parameterization are the diameter and the longest-simple-path
-length.  The diameter is always exact: one breadth-first sweep from every
-cell at once, carrying one bit per source.  The longest simple path is
-exact by closed form for the constructor topologies, or by an exhaustive
-search on graphs of up to DEFAULT_EXACT_SEARCH_CAP cells that settles it
-within EXACT_SEARCH_BUDGET expansions; otherwise it is lg_override when
-given, else the conservative upper bound n-1, and a WARNING on the mepsim
-logger says which value stands in and why.
+length.  The diameter is always exact: a closed form for the constructor
+topologies, otherwise one breadth-first sweep from every cell at once,
+carrying one bit per source.  The longest simple path is exact by closed
+form for the constructor topologies, or by an exhaustive search on
+graphs of up to DEFAULT_EXACT_SEARCH_CAP cells that settles it within
+EXACT_SEARCH_BUDGET expansions; otherwise it is lg_override when given,
+else the conservative upper bound n-1, and a WARNING on the mepsim logger
+says which value stands in and why.
 """
 
 from __future__ import annotations
@@ -222,33 +223,41 @@ def longest_simple_path_exact(g: Graph) -> int | None:
     return None if budget < 0 else best
 
 
-def _closed_form_lg(g: Graph) -> int | None:
-    # Rings, grids, and hypercubes all admit a Hamiltonian path.
-    if g.name is None:
+def _closed_forms(g: Graph) -> tuple | None:
+    """(diameter, longest simple path) of a constructor-built ring, grid or
+    hypercube, else None.  All three admit a Hamiltonian path.  A ring's
+    farthest cell is halfway round, a grid's the opposite corner, and a
+    hypercube's the one whose id differs in every bit."""
+    kind, _, arg = (g.name or "").partition(":")
+    if kind == "ring":
+        d = g.node_count // 2
+    elif kind == "grid":
+        rows, cols = arg.split("x")
+        d = int(rows) + int(cols) - 2
+    elif kind == "hypercube":
+        d = int(arg)
+    else:
         return None
-    kind = g.name.split(":", 1)[0]
-    if kind in ("ring", "grid", "hypercube"):
-        return g.node_count - 1
-    return None
+    return d, g.node_count - 1
 
 
 def topology_stats(g: Graph, lg_override: int | None = None) -> TopologyStats:
     """Diameter (always exact) and longest simple path (exact when feasible).
 
-    The diameter comes from one bit-parallel sweep (see diameter).  Closed
-    forms give the longest simple path of constructor-built
-    rings/grids/hypercubes.  Other graphs of up to DEFAULT_EXACT_SEARCH_CAP
-    cells get the exhaustive search, which gives up after
-    EXACT_SEARCH_BUDGET expansions.  Above the cap, or when the search
-    gives up, the override is used if given, else the bound n-1, both
-    with lg_is_exact=False and one WARNING on the mepsim logger.
+    Closed forms give both statistics of constructor-built
+    rings/grids/hypercubes.  Any other graph's diameter comes from one
+    bit-parallel sweep (see diameter), and its longest simple path, up to
+    DEFAULT_EXACT_SEARCH_CAP cells, from the exhaustive search, which
+    gives up after EXACT_SEARCH_BUDGET expansions.  Above the cap, or
+    when the search gives up, the override is used if given, else the
+    bound n-1, both with lg_is_exact=False and one WARNING on the mepsim
+    logger.
     """
-    d = diameter(g)
+    d, lg = _closed_forms(g) or (diameter(g), None)
     n = g.node_count
     if lg_override is not None and lg_override < d:
         raise ParameterError(
             f"lg_override={lg_override} is below the diameter {d}")
-    lg = _closed_form_lg(g)
     if lg is None and n <= DEFAULT_EXACT_SEARCH_CAP:
         lg = longest_simple_path_exact(g)
     if lg is not None:

@@ -279,6 +279,7 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
     section; only blank lines may follow it."""
     arrivals = []
     seqs = len(triggers)
+    seq_ints = None  # list(range(seqs)) once a rejection row is read
     prev = (-1, -1, -1)  # (time, to, from) of the previous row
     for lineno, line in rows:
         try:
@@ -311,6 +312,10 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
             if not 0 <= rej < seqs:
                 raise TraceParseError(f"rejecting_seq {rej} outside "
                                       f"[0, {seqs})", line=lineno)
+            if seq_ints is None:
+                seq_ints = list(range(seqs))
+            # every arrival rejected by one trigger shares one int object
+            rej = seq_ints[rej]
             if known is not OUTCOME_REJECTED:
                 raise TraceParseError(f"rejecting_seq on an {known} arrival",
                                       line=lineno)

@@ -1,10 +1,13 @@
 import gc
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mepsim.engine
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.analysis import required_horizon
+from mepsim.cli import load_config, resolve_config
 from mepsim.engine import InitState
 from mepsim.errors import ParameterError, ScheduleUnderrunError
 from mepsim.oracle import brute_force_simulate
@@ -12,7 +15,7 @@ from mepsim.timing import SimParams
 from mepsim.topology import (build_ring, from_edge_list, parse_topology,
                              topology_stats)
 from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
-                          OUTCOME_REJECTED, trace_to_text)
+                          OUTCOME_REJECTED, ArrivalRecord, trace_to_text)
 
 K2 = from_edge_list(2, [(0, 1)])
 P3 = from_edge_list(3, [(0, 1), (1, 2)])
@@ -268,3 +271,119 @@ def test_rejected_signals_mostly_skip_the_queue(monkeypatch, topology, rho,
                                         rho=rho),
                   record_arrivals=record)
     assert pops <= 1.5 * len(tr.triggers)
+
+
+@pytest.mark.parametrize("topology, record, omission_p", [
+    ("hypercube:4", True, 0.1), ("grid:8x8", False, 0.0)])
+def test_simulate_peak_memory_is_close_to_its_trace(topology, record,
+                                                    omission_p):
+    """_finalize sorts the raw records in place and builds no key tuples
+    or second copy, so simulate's peak heap is barely above what its
+    returned trace holds."""
+    g = parse_topology(topology)
+    stats = topology_stats(g)
+    p = _params(g, omission_p=omission_p)
+    tracemalloc.start()
+    try:
+        tr = simulate(g, p, delay_model=DelayModel(kind="uniform", d_min=0,
+                                                   d_max=100),
+                      horizon=required_horizon(p, stats) + 100 * p.tau2,
+                      seed=0, record_arrivals=record)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.triggers and bool(tr.arrivals) is record
+    assert peak <= 1.3 * held
+
+
+def _reference_finalize(trace, raw_triggers, raw_arrivals):
+    """_finalize by definition: stable sorts of the triggers by (time, cell)
+    and of the arrivals by (time, to, frm), each in recording order."""
+    order = sorted(range(len(raw_triggers)),
+                   key=lambda k: raw_triggers[k][:2])
+    final_seq = {k: i for i, k in enumerate(order)}
+    arrivals = sorted(raw_arrivals, key=lambda a: a[:3])
+    return trace._replace(
+        triggers=[raw_triggers[k] for k in order],
+        arrivals=[ArrivalRecord(frm, to, t, mepsim.engine._OUTCOMES[rank],
+                                final_seq[rej] if rej >= 0 else None)
+                  for t, to, frm, rank, rej in arrivals])
+
+
+def _assert_finalize_matches_reference(run):
+    """Run `run()` with simulate's raw records also finalized by the
+    reference, and compare the two traces."""
+    finalize = mepsim.engine._finalize
+    references = []
+
+    def both(trace, raw_triggers, raw_arrivals):
+        references.append(_reference_finalize(trace, raw_triggers,
+                                               raw_arrivals))
+        return finalize(trace, raw_triggers, raw_arrivals)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mepsim.engine, "_finalize", both)
+        trace = run()
+    assert trace_to_text(trace) == trace_to_text(references[0])
+    assert trace.arrivals == references[0].arrivals
+
+
+@st.composite
+def _zero_delay_runs(draw):
+    """Explicit timing with d_min = 0 and tau0 < d_max: signals re-sent
+    within one instant tie on (time, to, frm) with other outcomes."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    graph = from_edge_list(n, sorted(edges))
+    d_max = draw(st.integers(2, 20))
+    tau0 = draw(st.integers(1, d_max - 1))
+    tau2 = draw(st.integers(tau0 + 2, tau0 + 4 * d_max))
+    drift_mode = draw(st.sampled_from(["zero", "uniform", "extremal"]))
+    rho = 0.0 if drift_mode == "zero" else draw(st.sampled_from([1e-4, 0.05]))
+    params = SimParams(d_min=0, d_max=d_max, rho=rho, tau0=tau0,
+                       tau1=round(tau2 / (1 + rho)), tau2=tau2,
+                       omission_p=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    if draw(st.booleans()):
+        delays = st.one_of(st.just(0), st.integers(0, d_max))
+        schedule = {(a, b): draw(st.lists(delays, min_size=1, max_size=4))
+                    for a in range(n) for b in graph.adjacency[a]}
+        dm = DelayModel(kind="adversarial-schedule", d_min=0, d_max=d_max,
+                        schedule=schedule, cycle=True)
+    else:
+        dm = DelayModel(kind="uniform", d_min=0, d_max=d_max)
+    signal = st.sampled_from(sorted(graph.edges)).flatmap(
+        lambda e: st.tuples(st.permutations(e), st.integers(0, d_max)))
+    init = InitState(
+        mode="adversarial-explicit",
+        elapsed=tuple(draw(st.lists(st.integers(0, tau2), min_size=n,
+                                    max_size=n))),
+        signals=tuple((a, b, t) for (a, b), t in
+                      draw(st.lists(signal, max_size=4))))
+    return graph, params, dict(
+        delay_model=dm, seed=draw(st.integers(0, 2**16)),
+        horizon=draw(st.integers(params.liveness_real_max,
+                                 5 * params.liveness_real_max)),
+        drift=DriftAssignment(mode=drift_mode, rho=rho), init=init)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_zero_delay_runs())
+def test_finalize_keeps_recording_order_among_ties(case):
+    graph, params, kw = case
+    _assert_finalize_matches_reference(lambda: simulate(graph, params, **kw))
+
+
+@pytest.mark.parametrize("overrides", [
+    ("topology=hypercube:3", "d_max=10", "tau0=3", "tau1=6", "tau2=6",
+     "seed=16", "horizon_ns=300"),
+    ("topology=grid:3x3", "d_max=10", "tau0=7", "tau1=24", "tau2=24",
+     "seed=39", "horizon_ns=1200"),
+])
+def test_finalize_orders_omission_before_acceptance(overrides):
+    """Two runs where one sender's omitted and accepted signals reach a
+    cell at one instant; sorting outcome strings would swap them."""
+    spec = resolve_config(load_config(overrides=(
+        "d_min=0", "rho=0.0", "omission_p=0.2") + overrides))
+    _assert_finalize_matches_reference(spec.run)

@@ -240,3 +240,29 @@ def test_edge_list_roundtrip(tmp_path):
 @given(st.integers(min_value=3, max_value=40))
 def test_ring_diameter_is_half(n):
     assert diameter(build_ring(n)) == n // 2
+
+
+def test_closed_form_diameters_match_the_sweep():
+    """topology_stats takes a constructor graph's diameter from its closed
+    form; on every ring of 3-119 cells, every grid from 2x2 to 12x12 and
+    every hypercube of dimension 2-8 it equals the sweep."""
+    specs = ([f"ring:{n}" for n in range(3, 120)]
+             + [f"grid:{r}x{c}" for r in range(2, 13) for c in range(2, 13)]
+             + [f"hypercube:{d}" for d in range(2, 9)])
+    for spec in specs:
+        g = parse_topology(spec)
+        closed_d, _ = topology._closed_forms(g)
+        assert closed_d == topology_stats(g).diameter == diameter(g), spec
+
+
+def test_closed_form_diameter_skips_the_sweep(monkeypatch):
+    def no_sweep(g):
+        raise AssertionError("swept a constructor graph")
+
+    monkeypatch.setattr(topology, "diameter", no_sweep)
+    assert topology_stats(build_ring(20000)).diameter == 10000
+    assert topology_stats(build_grid(3, 70)).diameter == 71
+    assert topology_stats(build_hypercube(10)).diameter == 10
+    path = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])  # no closed form
+    with pytest.raises(AssertionError, match="swept"):
+        topology_stats(path)

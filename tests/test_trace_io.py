@@ -34,6 +34,25 @@ def test_roundtrip(tmp_path, small_trace):
     assert trace_to_text(back) == trace_to_text(small_trace)
 
 
+def test_rejections_by_one_trigger_share_their_seq(tmp_path):
+    """The reader builds one int per rejecting trigger, not one per row;
+    only seqs above 256 tell, since CPython caches the smaller ints."""
+    g = build_ring(4)
+    params = derive_params(topology_stats(g), 100, 0.0)
+    trace = simulate(g, params, horizon=200000, seed=11,
+                     delay_model=DelayModel(kind="uniform", d_min=0,
+                                            d_max=100))
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    by_seq = {}
+    for a in read_trace(path).arrivals:
+        if a.rejecting_seq is not None and a.rejecting_seq > 256:
+            by_seq.setdefault(a.rejecting_seq, []).append(a.rejecting_seq)
+    shared = [seqs for seqs in by_seq.values() if len(seqs) > 1]
+    assert shared
+    assert all(s is seqs[0] for seqs in shared for s in seqs)
+
+
 @st.composite
 def _small_run(draw):
     n = draw(st.integers(2, 5))
@@ -181,6 +200,8 @@ def _past_horizon(parts, trace):
                  id="trigger-negative-time"),
     pytest.param(ARRIVALS, _field(4, "999"), "outside",
                  id="rejecting-seq-out-of-range"),
+    pytest.param(ARRIVALS, _field(4, "-1"), "outside",
+                 id="rejecting-seq-negative"),
     pytest.param(ARRIVALS, _field(1, "77"), "outside",
                  id="arrival-from-out-of-range"),
     pytest.param(ARRIVALS, _field(2, "-1"), "outside",
