@@ -208,9 +208,6 @@ def validate_omep(p: Propagation, g: Graph, n_s) -> OmepReport:
             witnesses["complete"] = {"missing": missing[:4],
                                      "repeated": list(p.multi_triggered[:4])}
         exclusive = propagative = True
-        if p.cross_refs:
-            valid = False
-            witnesses.setdefault("valid", list(p.cross_refs[:4]))
         return OmepReport(valid, simple, complete, exclusive, propagative,
                           witnesses)
 
@@ -282,8 +279,6 @@ def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
     """
     pioneer, source = p.pioneer, p.source
     flow_role, border_role = [], []
-    counts = dict.fromkeys((ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED,
-                            ROLE_BANK, ROLE_RIDGE, ROLE_FLAT), 0)
     for i, adjacent in enumerate(g.adjacency):
         parent = child = alien = family = False
         for j in adjacent:
@@ -302,8 +297,10 @@ def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
         border = ROLE_BANK if alien else ROLE_RIDGE if family else ROLE_FLAT
         flow_role.append(flow)
         border_role.append(border)
-        counts[flow] += 1
-        counts[border] += 1
+    counts = {role: flow_role.count(role)
+              for role in (ROLE_SOURCE, ROLE_SINK, ROLE_FLOW, ROLE_UNITED)}
+    counts.update((role, border_role.count(role))
+                  for role in (ROLE_BANK, ROLE_RIDGE, ROLE_FLAT))
     return PatternReport(flow_role=flow_role, border_role=border_role,
                          counts=counts)
 

@@ -223,13 +223,12 @@ def resolve_config(cfg: dict) -> RunSpec:
     schedule = None
     if dcfg["schedule_file"]:
         schedule = read_schedule_file(dcfg["schedule_file"])
-    delay_model = DelayModel(kind=dcfg["kind"], d_min=cfg["d_min"],
-                             d_max=cfg["d_max"], schedule=schedule,
+    delay_model = DelayModel(kind=dcfg["kind"], schedule=schedule,
                              cycle=dcfg["cycle"])
 
     drift_cfg = cfg["drift"]
     values = drift_cfg["values"]
-    drift = DriftAssignment(mode=drift_cfg["mode"], rho=cfg["rho"],
+    drift = DriftAssignment(mode=drift_cfg["mode"],
                             values=tuple(values) if values else None)
 
     icfg = cfg["init"]
@@ -271,8 +270,8 @@ def build_metrics(trace, stats, association=False) -> tuple:
     report = detect_stabilization(trace, stats)
     counts = []  # classify each round once, keeping only the last one's roles
     for r in report.rounds:
-        pattern = classify_patterns(r.propagation, graph)
-        counts.append(pattern.counts)
+        final = classify_patterns(r.propagation, graph)
+        counts.append(final.counts)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": trace.params.as_dict(),
@@ -296,8 +295,9 @@ def build_metrics(trace, stats, association=False) -> tuple:
         "checks": {},
     }
     failed = []
-    if report.stabilized:  # so rounds exist; r and pattern are the last
-        props = check_pattern_properties(pattern, r.propagation, graph)
+    if report.stabilized:  # so rounds exist; final holds the last one's roles
+        props = check_pattern_properties(final, report.rounds[-1].propagation,
+                                         graph)
         doc["checks"]["pattern_properties"] = [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in props]

@@ -115,18 +115,16 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
            record_arrivals: bool) -> _Setup:
     """Validate the inputs and derive the trace header, drifts, initial
     timers, rng streams and offset tables; shared by simulate() and the
-    per-ns oracle."""
-    if delay_model.d_min < params.d_min or delay_model.d_max > params.d_max:
-        raise ParameterError("delay model bounds exceed the params delay bounds")
-    if drift is not None and not drift.rho <= params.rho:  # NaN fails too
-        raise ParameterError(f"drift bound {drift.rho} exceeds rho {params.rho}")
-
+    per-ns oracle.  The delay and drift models hold no bounds; they are
+    passed those of `params`, and one that does not fit them raises."""
     n = graph.node_count
     tau0, tau2 = params.tau0, params.tau2
     d_min = params.d_min
 
-    drift = drift or DriftAssignment(rho=params.rho)
-    drifts = drift.assign(n, stream(seed, "drifts"))
+    delays = stream(seed, "delays")
+    sample = delay_model.sampler(delays, d_min, params.d_max)
+    drift = drift or DriftAssignment()
+    drifts = drift.assign(n, stream(seed, "drifts"), params.rho)
     init = init or InitState()
     elapsed0 = init.resolve_elapsed(n, tau2, stream(seed, "init"))
     for frm, to, arrival in init.signals:
@@ -159,8 +157,7 @@ def _setup(graph: Graph, params: SimParams, delay_model, seed,
                   models={"delay_model": delay_model.kind,
                           "omission_p": params.omission_p,
                           "drift_mode": drift.mode, "init_mode": init.mode})
-    delays = stream(seed, "delays")
-    return _Setup(trace, init, rest_due, next_ext, delay_model.sampler(delays),
+    return _Setup(trace, init, rest_due, next_ext, sample,
                   delays.random if delay_model.kind == DELAY_UNIFORM else None,
                   stream(seed, "omissions").random,
                   rest_off, ext_off, rest_off_c, ext_off_c)
@@ -181,7 +178,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     n = graph.node_count
     adjacency = graph.adjacency
     p = params.omission_p
-    lo, width = delay_model.d_min, delay_model.d_max - delay_model.d_min + 1
+    lo, width = params.d_min, params.d_max - params.d_min + 1
 
     last_seq = [-1] * n
     raw_triggers = []  # (time, cell, kind, pioneer)

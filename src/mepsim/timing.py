@@ -5,6 +5,8 @@ delta measures a local duration L over the real duration L/(1+delta);
 conversions use round-half-up so every deadline is a single well-defined
 integer instant.  Random choices come from named rng streams derived
 from one root seed, so toggling one model never perturbs another.
+SimParams holds the model's one set of bounds (delays in [d_min, d_max],
+drift within +-rho); the delay and drift models are passed them per run.
 """
 
 from __future__ import annotations
@@ -161,14 +163,12 @@ DELAY_ADVERSARIAL_SCHEDULE = "adversarial-schedule"
 
 class _DelayModelFields(NamedTuple):
     kind: str
-    d_min: int
-    d_max: int
     schedule: dict | None = None  # {(src, dst): [delay_ns, ...]}
     cycle: bool = False
 
 
 class DelayModel(Checked, _DelayModelFields):
-    """Per-signal delay source; every sample lies in [d_min, d_max].
+    """Per-signal delay source; every sample lies in SimParams's [d_min, d_max].
 
     uniform: integer-uniform inclusive on [d_min, d_max].
     fixed: degenerate interval, always d_max (requires d_min == d_max).
@@ -183,30 +183,27 @@ class DelayModel(Checked, _DelayModelFields):
         if self.kind not in (DELAY_UNIFORM, DELAY_FIXED,
                              DELAY_ADVERSARIAL_MAX, DELAY_ADVERSARIAL_SCHEDULE):
             raise ParameterError(f"unknown delay model kind {self.kind!r}")
-        if not 0 <= self.d_min <= self.d_max:
-            raise ParameterError(f"need 0 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
-        if self.kind == DELAY_FIXED and self.d_min != self.d_max:
-            raise ParameterError("fixed delay model requires d_min == d_max")
-        if self.kind == DELAY_ADVERSARIAL_SCHEDULE:
-            if not self.schedule:
-                raise ParameterError("adversarial-schedule model requires a schedule")
-            for (src, dst), values in self.schedule.items():
-                for v in values:
-                    if not self.d_min <= v <= self.d_max:
-                        raise ParameterError(
-                            f"schedule delay {v} for edge ({src},{dst}) outside "
-                            f"[{self.d_min}, {self.d_max}]")
+        if self.kind == DELAY_ADVERSARIAL_SCHEDULE and not self.schedule:
+            raise ParameterError("adversarial-schedule model requires a schedule")
 
-    def sampler(self, rng: random.Random):
-        """This run's `sample(src, dst)` function; a uniform draw reads
-        `rng.random`, a schedule keeps one cursor per directed edge."""
-        lo, hi = self.d_min, self.d_max
+    def sampler(self, rng: random.Random, d_min: int, d_max: int):
+        """This run's `sample(src, dst)` function over [d_min, d_max]; a
+        uniform draw reads `rng.random`, a schedule keeps one cursor per
+        directed edge.  Raises if the model does not fit the bounds."""
         if self.kind == DELAY_UNIFORM:
-            rnd, width = rng.random, hi - lo + 1
-            return lambda src, dst: lo + int(rnd() * width)
+            rnd, width = rng.random, d_max - d_min + 1
+            return lambda src, dst: d_min + int(rnd() * width)
+        if self.kind == DELAY_FIXED and d_min != d_max:
+            raise ParameterError("fixed delay model requires d_min == d_max")
         if self.kind != DELAY_ADVERSARIAL_SCHEDULE:
-            return lambda src, dst: hi
+            return lambda src, dst: d_max
         schedule, cycle, cursors = self.schedule, self.cycle, {}
+        for (src, dst), values in schedule.items():
+            for v in values:
+                if not d_min <= v <= d_max:
+                    raise ParameterError(
+                        f"schedule delay {v} for edge ({src},{dst}) outside "
+                        f"[{d_min}, {d_max}]")
 
         def sample(src, dst):
             key = (src, dst)
@@ -251,24 +248,23 @@ DRIFT_EXPLICIT = "explicit"
 
 
 class DriftAssignment(NamedTuple):
-    """Per-cell constant drift rates, each within [-rho, +rho]."""
+    """Per-cell constant drift rates, each within SimParams's [-rho, +rho]."""
 
     mode: str = DRIFT_ZERO
-    rho: float = 0.0
     values: tuple | None = None
 
-    def assign(self, n: int, rng: random.Random) -> list:
+    def assign(self, n: int, rng: random.Random, rho: float) -> list:
         if self.mode == DRIFT_ZERO:
             return [0.0] * n
         if self.mode == DRIFT_UNIFORM:
-            return [rng.uniform(-self.rho, self.rho) for _ in range(n)]
+            return [rng.uniform(-rho, rho) for _ in range(n)]
         if self.mode == DRIFT_EXTREMAL:
-            return [self.rho if i % 2 == 0 else -self.rho for i in range(n)]
+            return [rho if i % 2 == 0 else -rho for i in range(n)]
         if self.mode == DRIFT_EXPLICIT:
             if self.values is None or len(self.values) != n:
                 raise ParameterError("explicit drift assignment needs one value per cell")
             for v in self.values:
-                if not abs(v) <= self.rho:  # NaN fails this test too
-                    raise ParameterError(f"drift {v} exceeds bound {self.rho}")
+                if not abs(v) <= rho:  # NaN fails this test too
+                    raise ParameterError(f"drift {v} exceeds bound {rho}")
             return list(self.values)
         raise ParameterError(f"unknown drift mode {self.mode!r}")

@@ -68,11 +68,10 @@ def test_criterion_01_oracle_equivalence():
                 for (a, b), dv in zip(edges, dvals):
                     sched[(a, b)] = [dv]
                     sched[(b, a)] = [dv]
-                dm = DelayModel(kind="adversarial-schedule", d_min=0, d_max=d,
-                                schedule=sched, cycle=True)
+                dm = DelayModel(kind="adversarial-schedule", schedule=sched, cycle=True)
                 init = InitState(mode="adversarial-explicit",
                                  elapsed=tuple(ivals))
-                drift = DriftAssignment(mode="extremal", rho=rho)
+                drift = DriftAssignment(mode="extremal")
                 kw = dict(delay_model=dm, horizon=horizon, seed=idx,
                           init=init, drift=drift)
                 a = simulate(g, params, **kw)
@@ -96,7 +95,7 @@ def _adversarial_reports():
         stats = topology_stats(g)
         params = derive_params(stats, d, 1e-4)
         horizon = required_horizon(params, stats) + 3 * params.liveness_real_max
-        dm = DelayModel(kind="adversarial-max", d_min=0, d_max=d)
+        dm = DelayModel(kind="adversarial-max")
         edges = sorted(g.edges)
         for trial in range(100):
             rng = random.Random(f"adv/{g.name}/{trial}")
@@ -114,7 +113,7 @@ def _adversarial_reports():
                              signals=tuple(signals))
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=trial, init=init,
-                             drift=DriftAssignment(mode="extremal", rho=1e-4))
+                             drift=DriftAssignment(mode="extremal"))
             report = detect_stabilization(trace, stats)
             out.append((g, stats, params, report))
     return out
@@ -152,11 +151,11 @@ def test_criterion_03_precision_bound(adversarial_reports):
         stats = topology_stats(g)
         params = derive_params(stats, d, 1e-4)
         horizon = required_horizon(params, stats) + 3 * params.liveness_real_max
-        dm = DelayModel(kind="uniform", d_min=0, d_max=d)
+        dm = DelayModel(kind="uniform")
         for seed in range(50):
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=seed,
-                             drift=DriftAssignment(mode="uniform", rho=1e-4))
+                             drift=DriftAssignment(mode="uniform"))
             report = detect_stabilization(trace, stats)
             if report.stabilized:
                 checked += 1
@@ -178,7 +177,7 @@ def test_criterion_04_error_monotonicity():
         stats = topology_stats(g)
         params = derive_params(stats, d, 0.0)
         horizon = required_horizon(params, stats) + 40 * params.tau2
-        dm = DelayModel(kind="uniform", d_min=0, d_max=d)
+        dm = DelayModel(kind="uniform")
         for seed in range(50):
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=seed, drift=DriftAssignment(mode="zero"),
@@ -209,7 +208,7 @@ def test_criterion_05_final_offsets_small():
         stats = topology_stats(g)
         params = derive_params(stats, d, 0.0)
         horizon = required_horizon(params, stats) + 510 * params.tau2
-        dm = DelayModel(kind="uniform", d_min=0, d_max=d)
+        dm = DelayModel(kind="uniform")
         offsets = []
         for seed in range(20):
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
@@ -238,7 +237,7 @@ def test_criterion_06_source_fraction_growth():
     stats = topology_stats(g)
     params = derive_params(stats, d, 0.0)
     horizon = required_horizon(params, stats) + 1650 * params.tau2
-    dm = DelayModel(kind="uniform", d_min=0, d_max=d)
+    dm = DelayModel(kind="uniform")
     improved = ideal = 0
     for seed in range(10):
         trace = simulate(g, params, delay_model=dm, horizon=horizon,
@@ -268,12 +267,12 @@ def test_criterion_07_hypercube_converges_faster():
         stats = topology_stats(g)
         params = derive_params(stats, d, 1e-4)
         horizon = required_horizon(params, stats) + 120 * params.tau2
-        dm = DelayModel(kind="uniform", d_min=0, d_max=d)
+        dm = DelayModel(kind="uniform")
         hits = []
         for seed in range(20):
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=seed,
-                             drift=DriftAssignment(mode="uniform", rho=1e-4),
+                             drift=DriftAssignment(mode="uniform"),
                              record_arrivals=False)
             report = detect_stabilization(trace, stats)
             hit = next((k for k, r in enumerate(report.rounds)
@@ -298,12 +297,12 @@ def test_criterion_08_omission_tolerance():
     for p_om in (0.01, 0.1, 0.2):
         params = derive_params(stats, d, 1e-4, omission_p=p_om)
         horizon = required_horizon(params, stats) + 10 * params.liveness_real_max
-        dm = DelayModel(kind="uniform", d_min=0, d_max=d)
+        dm = DelayModel(kind="uniform")
         good = 0
         for seed in range(20):
             trace = simulate(g, params, delay_model=dm, horizon=horizon,
                              seed=seed,
-                             drift=DriftAssignment(mode="uniform", rho=1e-4),
+                             drift=DriftAssignment(mode="uniform"),
                              record_arrivals=False)
             if detect_stabilization(trace, stats).stabilized:
                 good += 1
@@ -311,12 +310,12 @@ def test_criterion_08_omission_tolerance():
     # heaviest loss rate: runs must complete with a recorded verdict
     params = derive_params(stats, d, 1e-4, omission_p=0.3)
     horizon = required_horizon(params, stats) + 10 * params.liveness_real_max
-    dm = DelayModel(kind="uniform", d_min=0, d_max=d)
+    dm = DelayModel(kind="uniform")
     verdicts = []
     for seed in range(5):
         trace = simulate(g, params, delay_model=dm, horizon=horizon,
                          seed=seed,
-                         drift=DriftAssignment(mode="uniform", rho=1e-4),
+                         drift=DriftAssignment(mode="uniform"),
                          record_arrivals=False)
         verdicts.append(detect_stabilization(trace, stats).stabilized)
     ok = all(v >= 18 for v in results.values()) and len(verdicts) == 5
@@ -448,7 +447,7 @@ def test_criterion_10_determinism_and_roundtrip(tmp_path):
     g = build_ring(8)
     stats = topology_stats(g)
     params = derive_params(stats, 1000, 1e-4)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=1000)
+    dm = DelayModel(kind="uniform")
     t1 = simulate(g, params, delay_model=dm, horizon=10**6, seed="rt")
     t2 = simulate(g, params, delay_model=dm, horizon=10**6, seed="rt")
     same_lib = trace_to_text(t1) == trace_to_text(t2)

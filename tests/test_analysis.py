@@ -455,7 +455,7 @@ def test_association_on_stabilized_run():
     g = build_ring(4)
     stats = topology_stats(g)
     params = derive_params(stats, D, 0.0)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=D)
+    dm = DelayModel(kind="uniform")
     tr = simulate(g, params, delay_model=dm, horizon=60000, seed=3,
                   drift=DriftAssignment(mode="zero"))
     rep = detect_stabilization(tr, stats)
@@ -476,12 +476,11 @@ def _association_run(draw):
     rho = 0.0 if drift_mode == "zero" else 1e-3
     params = derive_params(topology_stats(graph), d_max, rho,
                            omission_p=draw(st.sampled_from([0.0, 0.2])))
-    dm = DelayModel(kind=draw(st.sampled_from(["uniform", "adversarial-max"])),
-                    d_min=0, d_max=d_max)
+    dm = DelayModel(kind=draw(st.sampled_from(["uniform", "adversarial-max"])))
     horizon = draw(st.integers(2, 4)) * params.liveness_real_max
     return simulate(graph, params, delay_model=dm, horizon=horizon,
                     seed=draw(st.integers(0, 2**16)),
-                    drift=DriftAssignment(mode=drift_mode, rho=rho))
+                    drift=DriftAssignment(mode=drift_mode))
 
 
 def _reference_association(tr, lo, hi, stats):
@@ -586,7 +585,7 @@ def test_insufficient_horizon_raises():
     g = build_ring(4)
     stats = topology_stats(g)
     params = derive_params(stats, D, 0.0)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=D)
+    dm = DelayModel(kind="uniform")
     tr = simulate(g, params, delay_model=dm, horizon=2 * params.tau2, seed=0)
     with pytest.raises(InsufficientHorizonError):
         detect_stabilization(tr, stats)
@@ -596,7 +595,7 @@ def test_ring4_stabilizes_within_bound():
     g = build_ring(4)
     stats = topology_stats(g)
     params = derive_params(stats, D, 0.0)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=D)
+    dm = DelayModel(kind="uniform")
     for seed in range(5):
         tr = simulate(g, params, delay_model=dm, horizon=10**5, seed=seed,
                       drift=DriftAssignment(mode="zero"))
@@ -612,16 +611,22 @@ def test_ring4_stabilizes_within_bound():
 
 
 @st.composite
-def _model_run(draw):
+def _model_run(draw, large_drift=False):
     """A run inside the paper's model, without omissions: a random
     connected graph of 2-9 cells, derived timing, any delay family, drift
-    and adversarial start, simulated up to the required horizon."""
+    and adversarial start, simulated up to the required horizon.  With
+    large_drift, rho lies in [0.05, 0.5] and the drift is uniform or
+    extremal."""
     graph = draw(_connected_graphs(9))
     n = graph.node_count
     stats = topology_stats(graph)
     d_max = draw(st.sampled_from([100, 1000]))
     d_min = draw(st.sampled_from([0, d_max // 2, d_max]))
-    rho = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+    if large_drift:
+        rho, drift_modes = draw(st.floats(0.05, 0.5)), ["uniform", "extremal"]
+    else:
+        rho = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+        drift_modes = ["zero", "uniform", "extremal"]
     params = derive_params(stats, d_max, rho, d_min=d_min,
                            dmin_compensation=draw(st.booleans()))
     kinds = ["uniform", "adversarial-max", "adversarial-schedule"]
@@ -643,23 +648,17 @@ def _model_run(draw):
                           draw(st.lists(signal, max_size=4))))
     trace = simulate(
         graph, params, delay_model=DelayModel(
-            kind=kind, d_min=d_min, d_max=d_max, schedule=schedule,
-            cycle=True),
+            kind=kind, schedule=schedule, cycle=True),
         horizon=required_horizon(params, stats),
         seed=draw(st.integers(0, 2**16)), init=init,
-        drift=DriftAssignment(mode=draw(st.sampled_from(
-            ["zero", "uniform", "extremal"])), rho=rho))
+        drift=DriftAssignment(mode=draw(st.sampled_from(drift_modes))))
     return stats, trace
 
 
-@settings(max_examples=300, deadline=None)
-@given(_model_run())
-def test_theorems_hold_on_random_model_runs(case):
-    """The paper's claims on every run inside its model: stabilization
-    within the convergence bound plus one period, rounds within the
-    diameter * d_max span bound, and inter-trigger gaps within the
-    liveness bound."""
-    stats, trace = case
+def _assert_theorems(stats, trace):
+    """The paper's claims on a run inside its model: stabilization within
+    the convergence bound plus one period, rounds within the diameter *
+    d_max span bound, and inter-trigger gaps within the liveness bound."""
     params = trace.params
     rep = detect_stabilization(trace, stats)
     assert rep.stabilized, rep.first_violation
@@ -668,11 +667,24 @@ def test_theorems_hold_on_random_model_runs(case):
     assert rep.tau_nabla_measured <= params.liveness_real_max
 
 
+@settings(max_examples=300, deadline=None)
+@given(_model_run())
+def test_theorems_hold_on_random_model_runs(case):
+    _assert_theorems(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_run(large_drift=True))
+def test_theorems_hold_at_large_drift(case):
+    """Clocks drifting by up to half their rate, drawn from params.rho."""
+    _assert_theorems(*case)
+
+
 def test_series_metrics_shapes():
     g = build_ring(4)
     stats = topology_stats(g)
     params = derive_params(stats, D, 0.0)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=D)
+    dm = DelayModel(kind="uniform")
     tr = simulate(g, params, delay_model=dm, horizon=10**5, seed=1,
                   drift=DriftAssignment(mode="zero"))
     rep = detect_stabilization(tr, stats)
@@ -705,8 +717,7 @@ def _small_run(draw):
         init = InitState(mode="adversarial-explicit", elapsed=tuple(
             draw(st.lists(readings, min_size=n, max_size=n))))
     trace = simulate(graph, params,
-                     delay_model=DelayModel(kind="uniform", d_min=0,
-                                            d_max=d_max),
+                     delay_model=DelayModel(kind="uniform"),
                      horizon=draw(st.integers(params.tau2, 6 * params.tau2)),
                      seed=draw(st.integers(0, 2**16)),
                      drift=DriftAssignment(mode="zero"), init=init)
@@ -732,3 +743,21 @@ def test_fast_path_matches_definition_on_random_runs(case):
         assert (fast.valid, fast.simple, fast.complete) == \
             (full.valid, full.simple, full.complete)
         assert full.exclusive and full.propagative
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_run(), st.integers(0, 100))
+def test_cross_ref_cells_fired_without_a_source(case, small_tau_delta):
+    """A cross-ref cell fired, but its pioneer has no trigger in the
+    segment, so its chain ends without a source: validate_omep's source
+    check already flags it, at the separation window's cut and at a cut
+    small enough to split rounds."""
+    graph, trace = case
+    for tau_delta in (trace.params.tau1 // 2, small_tau_delta):
+        for seg in cluster_triggers(trace.triggers, tau_delta):
+            p = extract_propagation(trace, seg)
+            for i in p.cross_refs:
+                assert p.times[i] is not None and p.source[i] is None
+            if p.cross_refs:
+                event("cross-ref cells")
+                assert not validate_omep(p, graph, p.external_cells).valid

@@ -40,7 +40,7 @@ def test_counters_read_real_results(tmp_path):
     graph = parse_topology("ring:4")
     stats = topology_stats(graph)
     params = derive_params(stats, 100, 0.0)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=100)
+    dm = DelayModel(kind="uniform")
     trace = simulate(graph, params, delay_model=dm, seed=0,
                      horizon=required_horizon(params, stats))
     path = str(tmp_path / "trace.csv")

@@ -110,6 +110,27 @@ def test_compensation_with_tau0_below_d_min_exits_invalid(tmp_path, capsys):
     assert "got tau0=40 < d_min=50" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["delay.kind=fixed", "d_min=50"],
+     "fixed delay model requires d_min == d_max"),
+    (["delay.kind=adversarial-schedule", "delay.schedule_file={schedule}"],
+     "outside [0, 100]"),
+], ids=["fixed-unequal-bounds", "schedule-out-of-bounds"])
+def test_delay_model_outside_the_bounds_exits_invalid(tmp_path, capsys,
+                                                      overrides, message):
+    """The delay model draws within the params' [d_min, d_max]: a fixed
+    delay needs equal bounds, and every scheduled delay must lie inside."""
+    schedule = tmp_path / "sched.txt"
+    schedule.write_text("0 1 150\n")
+    argv = FAST + [arg for item in overrides
+                   for arg in ("--override", item.format(schedule=schedule))]
+    assert main(["run", "--out", str(tmp_path / "o")] + argv) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert main(["sweep", "--axis", "p", "--values", "0", "--jobs", "1",
+                 "--out", str(tmp_path / "s")] + argv) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
 def test_explicit_timing_outside_the_constraint_warns(tmp_path, caplog):
     """Explicit timing that breaks the paper's constraint still runs; one
     WARNING names the broken inequality and L_G, and stays out of

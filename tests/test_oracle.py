@@ -20,21 +20,21 @@ def _params(graph, d=100, rho=0.0, **kw):
 def test_guard_node_count():
     g = build_ring(5)
     p = _params(g)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=100)
+    dm = DelayModel(kind="uniform")
     with pytest.raises(ParameterError):
         brute_force_simulate(g, p, delay_model=dm, horizon=1000, seed=0)
 
 
 def test_guard_horizon():
     p = _params(K2)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=100)
+    dm = DelayModel(kind="uniform")
     with pytest.raises(ParameterError):
         brute_force_simulate(K2, p, delay_model=dm, horizon=10**9, seed=0)
 
 
 def test_k2_fixed_delay_matches_engine():
-    p = _params(K2)
-    dm = DelayModel(kind="fixed", d_min=100, d_max=100)
+    p = _params(K2, d_min=100)
+    dm = DelayModel(kind="fixed")
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau0))
     kw = dict(delay_model=dm, horizon=8 * p.tau2, seed=0, init=init)
     a = simulate(K2, p, **kw)
@@ -44,7 +44,7 @@ def test_k2_fixed_delay_matches_engine():
 
 def test_all_omitted_is_periodic():
     p = _params(K2, omission_p=1.0)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=100)
+    dm = DelayModel(kind="uniform")
     init = InitState(mode="adversarial-explicit", elapsed=(0, p.tau0))
     tr = brute_force_simulate(K2, p, delay_model=dm, horizon=6 * p.tau2,
                               seed=0, init=init)
@@ -59,8 +59,7 @@ def test_path3_scheduled_delays_match_engine():
     p = _params(P3)
     sched = {(0, 1): [40, 80], (1, 0): [0, 100], (1, 2): [100, 0],
              (2, 1): [60, 60]}
-    dm = DelayModel(kind="adversarial-schedule", d_min=0, d_max=100,
-                    schedule=sched, cycle=True)
+    dm = DelayModel(kind="adversarial-schedule", schedule=sched, cycle=True)
     init = InitState(mode="adversarial-explicit",
                      elapsed=(p.tau2, p.tau2 // 2, p.tau0))
     kw = dict(delay_model=dm, horizon=6 * p.tau2, seed=1, init=init)
@@ -72,8 +71,8 @@ def test_path3_scheduled_delays_match_engine():
 
 def test_drift_and_omission_match_engine():
     p = _params(P3, rho=1e-4, omission_p=0.2)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=100)
-    drift = DriftAssignment(mode="extremal", rho=1e-4)
+    dm = DelayModel(kind="uniform")
+    drift = DriftAssignment(mode="extremal")
     for seed in range(5):
         kw = dict(delay_model=dm, horizon=5 * p.liveness_real_max, seed=seed,
                   drift=drift)
@@ -118,10 +117,9 @@ def _differential_case(draw):
         directed = [(a, b) for a in range(n) for b in graph.adjacency[a]]
         schedule = {e: draw(st.lists(delays, min_size=1, max_size=4))
                     for e in directed}
-        dm = DelayModel(kind="adversarial-schedule", d_min=d_min, d_max=d_max,
-                        schedule=schedule, cycle=True)
+        dm = DelayModel(kind="adversarial-schedule", schedule=schedule, cycle=True)
     else:
-        dm = DelayModel(kind="uniform", d_min=d_min, d_max=d_max)
+        dm = DelayModel(kind="uniform")
     init = None
     if draw(st.booleans()):
         readings = st.integers(0, 2 * params.tau2)
@@ -138,7 +136,7 @@ def _differential_case(draw):
         delay_model=dm, seed=draw(st.integers(0, 2**16)),
         horizon=draw(st.integers(params.liveness_real_max,
                                  5 * params.liveness_real_max)),
-        drift=DriftAssignment(mode=drift_mode, rho=rho), init=init,
+        drift=DriftAssignment(mode=drift_mode), init=init,
         record_arrivals=draw(st.booleans()))
 
 

@@ -121,7 +121,7 @@ def test_simparams_validation():
                      tau2=2000), "d_min", 200, "need 0 <= d_min <= d_max"),
     (SimParams, dict(d_min=0, d_max=100, rho=0.0, tau0=500, tau1=2000,
                      tau2=2000), "tau1", "2000", "tau1 must be int"),
-    (DelayModel, dict(kind="uniform", d_min=0, d_max=100), "kind", "normal",
+    (DelayModel, dict(kind="uniform"), "kind", "normal",
      "unknown delay model kind"),
     (InitState, dict(mode="adversarial-explicit", elapsed=(0, 5)), "elapsed",
      (0, -1), "negative elapsed reading"),
@@ -156,8 +156,8 @@ def test_liveness_real_max():
 
 
 def test_uniform_delay_bounds():
-    model = DelayModel(kind="uniform", d_min=10, d_max=20)
-    s = model.sampler(stream(0, "delays"))
+    model = DelayModel(kind="uniform")
+    s = model.sampler(stream(0, "delays"), 10, 20)
     values = {s(0, 1) for _ in range(500)}
     assert min(values) >= 10 and max(values) <= 20
     assert len(values) > 5
@@ -165,21 +165,19 @@ def test_uniform_delay_bounds():
 
 def test_fixed_delay_requires_degenerate_interval():
     with pytest.raises(ParameterError):
-        DelayModel(kind="fixed", d_min=1, d_max=2)
-    s = DelayModel(kind="fixed", d_min=7, d_max=7).sampler(stream(0, "delays"))
+        DelayModel(kind="fixed").sampler(stream(0, "delays"), 1, 2)
+    s = DelayModel(kind="fixed").sampler(stream(0, "delays"), 7, 7)
     assert s(0, 1) == 7
 
 
 def test_adversarial_max_delay():
-    s = DelayModel(kind="adversarial-max", d_min=0, d_max=9).sampler(
-        stream(0, "delays"))
+    s = DelayModel(kind="adversarial-max").sampler(stream(0, "delays"), 0, 9)
     assert all(s(0, 1) == 9 for _ in range(10))
 
 
 def test_schedule_delays_and_underrun():
-    model = DelayModel(kind="adversarial-schedule", d_min=0, d_max=10,
-                       schedule={(0, 1): [3, 4]})
-    s = model.sampler(stream(0, "delays"))
+    model = DelayModel(kind="adversarial-schedule", schedule={(0, 1): [3, 4]})
+    s = model.sampler(stream(0, "delays"), 0, 10)
     assert s(0, 1) == 3 and s(0, 1) == 4
     with pytest.raises(ScheduleUnderrunError):
         s(0, 1)
@@ -188,16 +186,16 @@ def test_schedule_delays_and_underrun():
 
 
 def test_schedule_cycling():
-    model = DelayModel(kind="adversarial-schedule", d_min=0, d_max=10,
+    model = DelayModel(kind="adversarial-schedule",
                        schedule={(0, 1): [3, 4]}, cycle=True)
-    s = model.sampler(stream(0, "delays"))
+    s = model.sampler(stream(0, "delays"), 0, 10)
     assert [s(0, 1) for _ in range(5)] == [3, 4, 3, 4, 3]
 
 
 def test_schedule_rejects_out_of_bounds():
     with pytest.raises(ParameterError):
-        DelayModel(kind="adversarial-schedule", d_min=0, d_max=10,
-                   schedule={(0, 1): [11]})
+        DelayModel(kind="adversarial-schedule",
+                   schedule={(0, 1): [11]}).sampler(stream(0, "delays"), 0, 10)
 
 
 def test_schedule_file_parsing(tmp_path):
@@ -209,18 +207,18 @@ def test_schedule_file_parsing(tmp_path):
 
 def test_drift_assignments():
     rng = stream(0, "drifts")
-    assert DriftAssignment().assign(4, rng) == [0.0] * 4
-    ext = DriftAssignment(mode="extremal", rho=0.1).assign(4, rng)
+    assert DriftAssignment().assign(4, rng, 0.1) == [0.0] * 4
+    ext = DriftAssignment(mode="extremal").assign(4, rng, 0.1)
     assert ext == [0.1, -0.1, 0.1, -0.1]
-    uni = DriftAssignment(mode="uniform", rho=0.1).assign(100, rng)
+    uni = DriftAssignment(mode="uniform").assign(100, rng, 0.1)
     assert all(-0.1 <= v <= 0.1 for v in uni)
-    exp = DriftAssignment(mode="explicit", rho=0.1, values=(0.05, -0.1))
-    assert exp.assign(2, rng) == [0.05, -0.1]
+    exp = DriftAssignment(mode="explicit", values=(0.05, -0.1))
+    assert exp.assign(2, rng, 0.1) == [0.05, -0.1]
     with pytest.raises(ParameterError):
-        DriftAssignment(mode="explicit", rho=0.01, values=(0.05,)).assign(1, rng)
+        DriftAssignment(mode="explicit", values=(0.05,)).assign(1, rng, 0.01)
     with pytest.raises(ParameterError):
-        DriftAssignment(mode="explicit", rho=0.01,
-                        values=(float("nan"),)).assign(1, rng)
+        DriftAssignment(mode="explicit",
+                        values=(float("nan"),)).assign(1, rng, 0.01)
 
 
 def test_streams_are_independent_and_reproducible():

@@ -15,7 +15,7 @@ def small_trace():
     g = build_ring(4)
     stats = topology_stats(g)
     params = derive_params(stats, 100, 0.0)
-    dm = DelayModel(kind="uniform", d_min=0, d_max=100)
+    dm = DelayModel(kind="uniform")
     return simulate(g, params, delay_model=dm, horizon=20000, seed=11)
 
 
@@ -40,8 +40,7 @@ def test_rejections_by_one_trigger_share_their_seq(tmp_path):
     g = build_ring(4)
     params = derive_params(topology_stats(g), 100, 0.0)
     trace = simulate(g, params, horizon=200000, seed=11,
-                     delay_model=DelayModel(kind="uniform", d_min=0,
-                                            d_max=100))
+                     delay_model=DelayModel(kind="uniform"))
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
     by_seq = {}
@@ -71,10 +70,10 @@ def _small_run(draw):
     signals = tuple((a, b, t) for (a, b), t in
                     draw(st.lists(signal, max_size=4)))
     return graph, params, dict(
-        delay_model=DelayModel(kind="uniform", d_min=d_min, d_max=d_max),
+        delay_model=DelayModel(kind="uniform"),
         seed=draw(st.one_of(st.integers(0, 2**16), st.text(max_size=4))),
         horizon=draw(st.integers(1, 4 * params.liveness_real_max)),
-        drift=DriftAssignment(mode="uniform" if rho else "zero", rho=rho),
+        drift=DriftAssignment(mode="uniform" if rho else "zero"),
         init=InitState(signals=signals),
         record_arrivals=draw(st.booleans()))
 
