@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import attrgetter, eq, itemgetter, sub
+from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import InsufficientHorizonError, ParameterError
 from .topology import Graph, TopologyStats
-from .trace import (KIND_EXTERNAL, OUTCOME_ACCEPTED, OUTCOME_REJECTED, Trace)
+from .trace import OUTCOME_ACCEPTED, OUTCOME_REJECTED, Trace
 
 # ---------------------------------------------------------------- rounds
 
@@ -48,7 +48,7 @@ def cluster_triggers(triggers, tau_delta: int) -> list:
         return []
     segments, start = [], 0
     first = prev = triggers[0][0]
-    for k, (t, _, _, _) in enumerate(triggers):
+    for k, (t, _, _) in enumerate(triggers):
         if t - prev > tau_delta:
             segments.append(Segment(first, prev, range(start, k)))
             start, first = k, t
@@ -78,7 +78,7 @@ class Propagation(NamedTuple):
     multi_triggered: tuple  # cells triggered more than once in the segment
     cross_refs: tuple  # cells whose pioneer has no trigger in the segment
     loops: tuple  # cells on a pioneer-pointer cycle
-    external_cells: frozenset  # cells holding an external trigger
+    external_cells: frozenset  # cells whose first trigger is external
     explicit_paths: dict | None = None  # fixture override: cell -> path tuple
 
     def path(self, i: int) -> tuple | None:
@@ -121,15 +121,14 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
     times, pioneer, source = [None] * n, list(range(n)), [None] * n
     pending, multi, externals = [], [], []
     seqs = seg.trigger_seqs
-    for t, cell, kind, h in trace.triggers[seqs.start:seqs.stop]:
+    for t, cell, h in trace.triggers[seqs.start:seqs.stop]:
         if times[cell] is not None:
             multi.append(cell)
             continue  # keep the first trigger of the cell
         times[cell] = t
-        if kind == KIND_EXTERNAL:
-            externals.append(cell)
-        if h == cell:
+        if h == cell:  # an external trigger
             source[cell] = cell
+            externals.append(cell)
         else:
             pioneer[cell] = h
             if source[h] is None:
@@ -491,14 +490,13 @@ def detect_stabilization(trace: Trace,
     tau_nabla = params.liveness_real_max
 
     rounds = []
-    cells = range(graph.node_count)
     # the last cluster may be horizon-truncated
     for seg in cluster_triggers(trace.triggers, tau_delta)[:-1]:
         p = extract_propagation(trace, seg)
         ok = validate_omep(p, graph, p.external_cells).all_ok
         rounds.append(Round(seg, p, ok, ok and seg.span <= tau_pi,
                             propagation_error(p),
-                            sum(map(eq, p.source, cells)) / len(cells)))
+                            len(p.external_cells) / graph.node_count))
 
     k0 = len(rounds)  # the earliest round with every later one valid
     while k0 and rounds[k0 - 1].valid:

@@ -7,8 +7,8 @@ the resolved config echo so results stay regenerable.
 
 Exit codes: 0 stabilized and all property checks pass; 2 not
 stabilized; 3 a structural or association check failed; 4 invalid
-config/parameters/trace; 5 I/O failure; 6 horizon too short for a
-stabilization verdict.
+config/parameters/trace/command line; 5 I/O failure; 6 horizon too
+short for a stabilization verdict.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
 from .timing import (DelayModel, DriftAssignment, SimParams,
                      check_strict_constraint, derive_params,
                      read_schedule_file)
-from .topology import (Graph, TopologyStats, parse_topology, read_edge_list,
-                       topology_stats)
+from .topology import (Graph, TopologyStats, grid_shape, parse_topology,
+                       read_edge_list, topology_stats)
 from .trace import SCHEMA_VERSION, read_trace, write_trace
 
 EXIT_OK = 0
@@ -250,14 +250,6 @@ def _json_dump(obj, path) -> None:
         fh.write("\n")
 
 
-def _grid_dims(graph):
-    """(rows, cols) of the cell maps: a grid's shape, else one row."""
-    if graph.name and graph.name.startswith("grid:"):
-        rows, cols = graph.name.split(":")[1].split("x")
-        return int(rows), int(cols)
-    return 1, graph.node_count
-
-
 def build_metrics(trace, stats, association=False) -> tuple:
     """(metrics document, stabilization report, failed-check lines); a
     pure function of (trace, stats).
@@ -328,7 +320,7 @@ def _write_plotdata(outdir, graph, report) -> None:
     patdir = os.path.join(outdir, "patterns")
     os.makedirs(plotdir, exist_ok=True)
     os.makedirs(patdir, exist_ok=True)
-    rows, cols = _grid_dims(graph)
+    rows, cols = grid_shape(graph)
     rounds = report.rounds
     offsets = os.path.join(plotdir, "offsets.csv")
     pattern_map = os.path.join(plotdir, "pattern_map.csv")
@@ -398,12 +390,11 @@ def cmd_run(args) -> int:
     if args.horizon_ns is not None:
         cfg["horizon_ns"] = args.horizon_ns
     spec = resolve_config(cfg)
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
     log.info("run: %s seed=%s horizon=%d", spec.graph.name, spec.seed,
              spec.horizon)
-
-    trace = spec.run()
+    trace = spec.run()  # a run its inputs reject leaves no output directory
+    outdir = args.out
+    os.makedirs(outdir, exist_ok=True)
     write_trace(trace, os.path.join(outdir, "trace.csv"))
     _write_manifest(outdir, cfg, {"horizon_ns": spec.horizon, "seed": spec.seed})
     return _report(outdir, trace, spec.stats, cfg["association_checks"],
@@ -524,8 +515,17 @@ def cmd_topology(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_INVALID, not
+    argparse's 2, which would read as "not stabilized"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"error=usage detail={message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mepsim",
         description="simulate and analyze self-stabilizing trigger propagation")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -46,8 +46,8 @@ from .errors import ParameterError
 from .timing import (DELAY_UNIFORM, Checked, DriftAssignment, SimParams,
                      local_to_real, stream)
 from .topology import Graph
-from .trace import (ArrivalRecord, KIND_EXTERNAL, KIND_INTERNAL,
-                    OUTCOME_ACCEPTED, OUTCOME_OMITTED, OUTCOME_REJECTED, Trace)
+from .trace import (ArrivalRecord, OUTCOME_ACCEPTED, OUTCOME_OMITTED,
+                    OUTCOME_REJECTED, Trace)
 
 INIT_RANDOM_UNIFORM = "random-uniform"
 INIT_ADVERSARIAL = "adversarial-explicit"
@@ -181,7 +181,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     lo, width = params.d_min, params.d_max - params.d_min + 1
 
     last_seq = [-1] * n
-    raw_triggers = []  # (time, cell, kind, pioneer)
+    raw_triggers = []  # (time, cell, pioneer)
     raw_arrivals = []  # (time, to, frm, rank, provisional_rejecting_seq)
     heap = []  # (time, class, cell, sender); a deadline's sender is its cell
     waiting = [[] for _ in range(n)]  # (due, sender) past the cell's deadline
@@ -212,14 +212,13 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                         raw_arrivals.append((t, cell, s, rank, rej))
                 if rank != _ACCEPTED:
                     continue
-                kind, pioneer, r_off, e_off = (KIND_INTERNAL, min(senders),
-                                               rest_off_c, ext_off_c)
+                pioneer, r_off, e_off = min(senders), rest_off_c, ext_off_c
             elif t != next_ext[cell]:
                 continue  # timer was reset since this deadline was scheduled
             else:
-                kind, pioneer, r_off, e_off = KIND_EXTERNAL, cell, rest_off, ext_off
+                pioneer, r_off, e_off = cell, rest_off, ext_off
             last_seq[cell] = len(raw_triggers)
-            raw_triggers.append((t, cell, kind, pioneer))
+            raw_triggers.append((t, cell, pioneer))
             rest_due[cell] = rest = t + r_off[cell]
             next_ext[cell] = ext = t + e_off[cell]
             heappush(heap, (ext, _CLS_EXTERNAL, cell, cell))
@@ -249,14 +248,14 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
 
 
 def _finalize(trace: Trace, raw_triggers, raw_arrivals) -> Trace:
-    """The header `trace` with the raw (time, cell, kind, pioneer) triggers
+    """The header `trace` with the raw (time, cell, pioneer) triggers
     and (time, to, frm, rank, provisional_rejecting_seq) arrivals sorted
     in.  Both lists are sorted in place, whole tuples without a key, and
     each raw arrival is replaced in its own slot by its ArrivalRecord.
 
     No two triggers share a (time, cell) pair (a cell fires only at t >
     rest_due, and firing sets rest_due >= t), so the trigger sort never
-    compares a kind.  Only rejections carry a provisional seq (a trigger's
+    compares a pioneer.  Only rejections carry a provisional seq (a trigger's
     index in recording order), all else -1.
 
     At one (time, to) a cell records any omissions, then at most one

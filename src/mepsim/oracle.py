@@ -16,7 +16,7 @@ from .engine import _ACCEPTED, _OMITTED, _REJECTED, _finalize, _setup
 from .errors import ParameterError
 from .timing import DriftAssignment, SimParams
 from .topology import Graph
-from .trace import KIND_EXTERNAL, KIND_INTERNAL, Trace
+from .trace import Trace
 
 MAX_ORACLE_NODES = 4
 MAX_ORACLE_HORIZON = 1_000_000  # ns; the stepper visits every instant
@@ -52,19 +52,19 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
     for frm, to, arrival in init.signals:
         pending.setdefault(arrival, []).append((to, frm))
 
-    raw_triggers = []  # (time, cell, kind, pioneer) in emission order
+    raw_triggers = []  # (time, cell, pioneer) in emission order
     # (time, to, frm, rank, provisional_rejecting_seq), the engine's layout:
     # rank is its _OMITTED, _ACCEPTED or _REJECTED, and _finalize sorts
     # these tuples whole
     raw_arrivals = []
 
-    def fire(cell: int, t: int, kind: str, pioneer: int, micro) -> None:
+    def fire(cell: int, t: int, pioneer: int, micro) -> None:
         # the protocol only triggers propagable cells
         excited = 1 if t <= rest_due[cell] else 0
         assert (1 - excited) == 1, "trigger on a non-propagable cell"
         last_seq[cell] = len(raw_triggers)
-        raw_triggers.append((t, cell, kind, pioneer))
-        if kind == KIND_INTERNAL:
+        raw_triggers.append((t, cell, pioneer))
+        if pioneer != cell:  # internal
             rest_due[cell] = t + rest_off_c[cell]
             next_ext[cell] = t + ext_off_c[cell]
         else:
@@ -103,10 +103,10 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
                     if record_arrivals:
                         for s in senders:
                             raw_arrivals.append((t, cell, s, _ACCEPTED, -1))
-                    fire(cell, t, KIND_INTERNAL, min(senders), micro)
+                    fire(cell, t, min(senders), micro)
             else:
                 if next_ext[cell] != t:
                     continue  # deadline superseded earlier this instant
-                fire(cell, t, KIND_EXTERNAL, cell, micro)
+                fire(cell, t, cell, micro)
 
     return _finalize(trace, raw_triggers, raw_arrivals)

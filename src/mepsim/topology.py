@@ -223,6 +223,15 @@ def longest_simple_path_exact(g: Graph) -> int | None:
     return None if budget < 0 else best
 
 
+def grid_shape(g: Graph) -> tuple:
+    """(rows, cols) of a constructor-built grid, else (1, n): one row."""
+    kind, _, arg = (g.name or "").partition(":")
+    if kind != "grid":
+        return 1, g.node_count
+    rows, cols = arg.split("x")
+    return int(rows), int(cols)
+
+
 def _closed_forms(g: Graph) -> tuple | None:
     """(diameter, longest simple path) of a constructor-built ring, grid or
     hypercube, else None.  All three admit a Hamiltonian path.  A ring's
@@ -232,8 +241,7 @@ def _closed_forms(g: Graph) -> tuple | None:
     if kind == "ring":
         d = g.node_count // 2
     elif kind == "grid":
-        rows, cols = arg.split("x")
-        d = int(rows) + int(cols) - 2
+        d = sum(grid_shape(g)) - 2
     elif kind == "hypercube":
         d = int(arg)
     else:

@@ -26,9 +26,8 @@ OUTCOME_ACCEPTED = "accepted"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_OMITTED = "omitted"
 
-# each valid field value maps to the module constant, so parsed records
-# share one string object per kind and outcome
-_KINDS = {k: k for k in (KIND_EXTERNAL, KIND_INTERNAL)}
+# each valid outcome maps to the module constant, so parsed records share
+# one string object per outcome
 _OUTCOMES = {o: o for o in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_OMITTED)}
 
 TRIGGERS_HEADER = "seq,time_ns,cell,kind,pioneer"
@@ -58,8 +57,8 @@ class ArrivalRecord:
 class Trace(NamedTuple):
     graph: Graph
     params: SimParams
-    # (time_ns, cell, kind, pioneer) tuples sorted by (time, cell); a
-    # trigger's seq is its index, and an external one's pioneer its cell
+    # (time_ns, cell, pioneer) tuples sorted by (time, cell); a trigger's
+    # seq is its index, and it is external iff its pioneer is its cell
     triggers: list
     arrivals: list
     horizon: int
@@ -101,7 +100,8 @@ def _trace_rows(trace: Trace):
     yield f"#meta={json.dumps(_meta_dict(trace), sort_keys=True)}\n"
     yield "[triggers]\n"
     yield TRIGGERS_HEADER + "\n"
-    for seq, (t, cell, kind, pioneer) in enumerate(trace.triggers):
+    for seq, (t, cell, pioneer) in enumerate(trace.triggers):
+        kind = KIND_EXTERNAL if pioneer == cell else KIND_INTERNAL
         yield f"{seq},{t},{cell},{kind},{pioneer}\n"
     yield "[arrivals]\n"
     yield ARRIVALS_HEADER + "\n"
@@ -245,8 +245,7 @@ def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:
             seq, t, cell, pioneer = int(seq), int(t), int(cell), int(pioneer)
         except ValueError as exc:
             raise TraceParseError(str(exc), line=lineno) from exc
-        known = _KINDS.get(kind)
-        if known is None:
+        if kind not in (KIND_EXTERNAL, KIND_INTERNAL):
             raise TraceParseError(f"bad trigger kind {kind!r}", line=lineno)
         if seq != len(triggers):
             raise TraceParseError(f"trigger seq {seq} is not its index "
@@ -254,7 +253,7 @@ def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:
         if not (0 <= cell < n and 0 <= pioneer < n):
             raise TraceParseError(f"cell or pioneer outside [0, {n})",
                                   line=lineno)
-        if known is KIND_EXTERNAL:
+        if kind == KIND_EXTERNAL:
             if pioneer != cell:
                 raise TraceParseError(f"external trigger of cell {cell} has "
                                       f"pioneer {pioneer}", line=lineno)
@@ -270,7 +269,7 @@ def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:
             raise TraceParseError("triggers not sorted by (time, cell)",
                                   line=lineno)
         prev = key
-        triggers.append((t, cell, known, pioneer))
+        triggers.append((t, cell, pioneer))
     raise TraceParseError("missing [arrivals] section")
 
 
@@ -319,7 +318,7 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
             if known is not OUTCOME_REJECTED:
                 raise TraceParseError(f"rejecting_seq on an {known} arrival",
                                       line=lineno)
-            rej_t, rej_cell, _, _ = triggers[rej]
+            rej_t, rej_cell, _ = triggers[rej]
             if rej_t > t:
                 raise TraceParseError(f"rejecting_seq {rej} names a trigger "
                                       f"after the arrival", line=lineno)

@@ -26,8 +26,8 @@ from mepsim.oracle import brute_force_simulate
 from mepsim.timing import SimParams
 from mepsim.topology import (build_grid, build_hypercube, build_ring,
                              from_edge_list, topology_stats)
-from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_REJECTED,
-                          ArrivalRecord, Trace, trace_to_text)
+from mepsim.trace import (OUTCOME_REJECTED, ArrivalRecord, Trace,
+                          trace_to_text)
 
 
 VERDICT_LINES = []
@@ -398,7 +398,7 @@ def _fixture_suite():
                        tau2=4000)
     good = Trace(
         graph=K2, params=params,
-        triggers=[(1000, 0, KIND_EXTERNAL, 0), (1080, 1, KIND_INTERNAL, 0)],
+        triggers=[(1000, 0, 0), (1080, 1, 0)],
         arrivals=[ArrivalRecord(frm=0, to=1, time=1080, outcome="accepted")],
         horizon=10**6, seed=0)
     ac = association_classes(good, (0, 10**6), topology_stats(K2))
@@ -407,7 +407,7 @@ def _fixture_suite():
           and ac.partitions_coincide and ac.spans_ok)
     bad = Trace(
         graph=K2, params=params,
-        triggers=[(0, 1, KIND_EXTERNAL, 1), (150, 0, KIND_EXTERNAL, 0)],
+        triggers=[(0, 1, 1), (150, 0, 0)],
         arrivals=[ArrivalRecord(frm=0, to=1, time=200,
                                 outcome=OUTCOME_REJECTED, rejecting_seq=0)],
         horizon=10**6, seed=0)

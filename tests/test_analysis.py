@@ -14,8 +14,8 @@ from mepsim.engine import InitState
 from mepsim.errors import InsufficientHorizonError
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
-from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
-                          OUTCOME_REJECTED, ArrivalRecord, Trace)
+from mepsim.trace import (OUTCOME_ACCEPTED, OUTCOME_REJECTED, ArrivalRecord,
+                          Trace)
 
 K2 = from_edge_list(2, [(0, 1)])
 P3 = from_edge_list(3, [(0, 1), (1, 2)])
@@ -24,12 +24,11 @@ D = 100
 PARAMS = SimParams(d_min=0, d_max=D, rho=0.0, tau0=1000, tau1=4000, tau2=4000)
 
 
-def _trace(times, cells=None, kinds=None, pioneers=None, graph=K2,
+def _trace(times, cells=None, pioneers=None, graph=K2,
            arrivals=(), horizon=10**6):
     cells = cells or [0] * len(times)
-    kinds = kinds or [KIND_EXTERNAL] * len(times)
     pioneers = pioneers if pioneers is not None else list(cells)
-    trig = list(zip(times, cells, kinds, pioneers))
+    trig = list(zip(times, cells, pioneers))
     return Trace(graph=graph, params=PARAMS, triggers=trig,
                  arrivals=list(arrivals), horizon=horizon, seed=0)
 
@@ -66,15 +65,14 @@ def test_extract_all_external():
 
 
 def test_extract_chain():
-    tr = _trace([0, 80], cells=[0, 1], kinds=[KIND_EXTERNAL, KIND_INTERNAL],
-                pioneers=[0, 0])
+    tr = _trace([0, 80], cells=[0, 1], pioneers=[0, 0])
     seg = cluster_triggers(tr.triggers, 1000)[0]
     p = extract_propagation(tr, seg)
     assert p.path(1) == (0, 1) and p.source[1] == 0
 
 
 def test_extract_flags_cross_segment_pioneer():
-    tr = _trace([0], cells=[1], kinds=[KIND_INTERNAL], pioneers=[0])
+    tr = _trace([0], cells=[1], pioneers=[0])
     seg = cluster_triggers(tr.triggers, 1000)[0]
     p = extract_propagation(tr, seg)
     assert p.cross_refs == (1,) and p.source[1] is None
@@ -94,13 +92,13 @@ def _walk_reference(trace, seg):
     """The chain walk extraction used before its forward pass: dicts over
     the fired cells, every cell walked in first-trigger order."""
     times, pioneer, multi, externals = {}, {}, [], set()
-    for t, cell, kind, h in trace.triggers[seg.trigger_seqs.start:
-                                           seg.trigger_seqs.stop]:
+    for t, cell, h in trace.triggers[seg.trigger_seqs.start:
+                                     seg.trigger_seqs.stop]:
         if cell in times:
             multi.append(cell)
             continue
         times[cell], pioneer[cell] = t, h
-        if kind == KIND_EXTERNAL:
+        if h == cell:
             externals.add(cell)
     cross_refs = tuple(sorted(
         i for i, h in pioneer.items() if h != i and h not in times))
@@ -145,8 +143,7 @@ def _pointer_trace(draw):
     for _ in range(draw(st.integers(1, 3 * n))):
         cell = draw(st.integers(0, n - 1))
         h = ptr[cell] if draw(st.booleans()) else draw(st.integers(0, n - 1))
-        trig.append((draw(st.integers(0, 3)), cell,
-                     KIND_EXTERNAL if h == cell else KIND_INTERNAL, h))
+        trig.append((draw(st.integers(0, 3)), cell, h))
     trig.sort(key=lambda r: r[:2])  # the (time, cell) order of a trace
     start = draw(st.integers(0, len(trig) - 1))
     stop = draw(st.integers(start + 1, len(trig)))
@@ -207,8 +204,7 @@ def test_simple_negative_repeating_path():
 
 
 def test_simple_negative_pointer_loop():
-    tr = _trace([0, 10], cells=[0, 1], kinds=[KIND_INTERNAL, KIND_INTERNAL],
-                pioneers=[1, 0])
+    tr = _trace([0, 10], cells=[0, 1], pioneers=[1, 0])
     p = extract_propagation(tr, cluster_triggers(tr.triggers, 1000)[0])
     assert p.loops
     assert not validate_omep(p, K2, p.external_cells).simple
@@ -342,8 +338,7 @@ def _pattern_case(draw):
                                       max_size=2 * n)):
         h = draw(st.sampled_from((cell, *graph.adjacency[cell]))
                  if draw(st.integers(0, 4)) else st.integers(0, n - 1))
-        trig.append((draw(st.integers(0, 3)), cell,
-                     KIND_EXTERNAL if h == cell else KIND_INTERNAL, h))
+        trig.append((draw(st.integers(0, 3)), cell, h))
     trig.sort(key=lambda r: r[:2])
     start, stop = 0, len(trig)
     if draw(st.booleans()):
@@ -410,8 +405,8 @@ def test_propagation_error_sums_offsets():
 
 
 def test_k2_exchange_single_class():
-    t0 = (1000, 0, KIND_EXTERNAL, 0)
-    t1 = (1080, 1, KIND_INTERNAL, 0)
+    t0 = (1000, 0, 0)
+    t1 = (1080, 1, 0)
     arr = ArrivalRecord(frm=0, to=1, time=1080, outcome="accepted")
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
                horizon=10**6, seed=0)
@@ -423,8 +418,8 @@ def test_k2_exchange_single_class():
 
 def test_distant_rejection_breaks_both_checks():
     # rejection referencing a trigger older than the delay bound
-    t0 = (0, 1, KIND_EXTERNAL, 1)
-    t1 = (150, 0, KIND_EXTERNAL, 0)
+    t0 = (0, 1, 1)
+    t1 = (150, 0, 0)
     arr = ArrivalRecord(frm=0, to=1, time=200, outcome=OUTCOME_REJECTED,
                         rejecting_seq=0)
     tr = Trace(graph=K2, params=PARAMS, triggers=[t0, t1], arrivals=[arr],
@@ -443,7 +438,7 @@ def test_distant_rejection_breaks_both_checks():
 def test_association_arrival_ends(t_arrive, t_receive, linked):
     """An accepted arrival links its sender's latest trigger at most d_max
     earlier to its receiver's trigger at the arrival's own time."""
-    triggers = [(1000, 0, KIND_EXTERNAL, 0), (t_receive, 1, KIND_INTERNAL, 0)]
+    triggers = [(1000, 0, 0), (t_receive, 1, 0)]
     arr = ArrivalRecord(frm=0, to=1, time=t_arrive, outcome=OUTCOME_ACCEPTED)
     tr = Trace(graph=K2, params=PARAMS, triggers=triggers, arrivals=[arr],
                horizon=10**6, seed=0)
@@ -488,7 +483,7 @@ def _reference_association(tr, lo, hi, stats):
     pair enumeration, BFS components, witnesses read off the partitions."""
     d_max = tr.params.d_max
     weak = 0
-    window = [(seq, t, cell) for seq, (t, cell, _, _) in enumerate(tr.triggers)
+    window = [(seq, t, cell) for seq, (t, cell, _) in enumerate(tr.triggers)
               if lo <= t <= hi]
     strong_adj = {seq: set() for seq, _, _ in window}
     loose_adj = {seq: set() for seq, _, _ in window}
@@ -562,12 +557,12 @@ def test_association_matches_reference(tr, data):
         if rejections else st.just([])
     for k in data.draw(doctored):
         a = tr.arrivals[k]
-        earlier = [seq for seq, (_, cell, _, _)
+        earlier = [seq for seq, (_, cell, _)
                    in enumerate(tr.triggers[:a.rejecting_seq]) if cell == a.to]
         if earlier:
             rej = data.draw(st.sampled_from(earlier[-2:]))
             tr.arrivals[k] = ArrivalRecord(a.frm, a.to, a.time, a.outcome, rej)
-    edge = st.one_of(st.sampled_from([t for t, _, _, _ in tr.triggers]),
+    edge = st.one_of(st.sampled_from([t for t, _, _ in tr.triggers]),
                      st.integers(0, tr.horizon))
     lo, hi = sorted((data.draw(edge),
                      data.draw(st.one_of(st.just(tr.horizon), edge))))

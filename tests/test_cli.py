@@ -20,7 +20,7 @@ from mepsim.cli import (_CONFIG, EXIT_CHECK_FAILURE, EXIT_HORIZON,
 from mepsim.errors import ConfigError
 from mepsim.timing import SimParams
 from mepsim.topology import from_edge_list, topology_stats
-from mepsim.trace import KIND_EXTERNAL, Trace, write_trace
+from mepsim.trace import Trace, write_trace
 
 FAST = ["--override", "topology=ring:4", "--override", "d_max=100",
         "--override", "rho=0.0", "--override", "drift.mode=zero"]
@@ -81,6 +81,7 @@ def test_nan_drift_exits_invalid(tmp_path):
             "--override", "drift.mode=explicit",
             "--override", "drift.values=[NaN,0,0,0]"]
     assert main(argv) == EXIT_INVALID
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_elapsed_exits_invalid(tmp_path):
@@ -126,6 +127,7 @@ def test_delay_model_outside_the_bounds_exits_invalid(tmp_path, capsys,
                    for arg in ("--override", item.format(schedule=schedule))]
     assert main(["run", "--out", str(tmp_path / "o")] + argv) == EXIT_INVALID
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     assert main(["sweep", "--axis", "p", "--values", "0", "--jobs", "1",
                  "--out", str(tmp_path / "s")] + argv) == EXIT_INVALID
     assert message in capsys.readouterr().err
@@ -581,7 +583,7 @@ def test_span_only_violation_names_span_and_bound(tmp_path, capsys):
                        tau2=4000)
     horizon = required_horizon(params, topology_stats(g)) + 4000
     triggers = [row for t in range(0, horizon - 150, 4000) for row in
-                ((t, 0, KIND_EXTERNAL, 0), (t + 150, 1, KIND_EXTERNAL, 1))]
+                ((t, 0, 0), (t + 150, 1, 1))]
     path = tmp_path / "trace.csv"
     write_trace(Trace(graph=g, params=params, triggers=triggers, arrivals=[],
                       horizon=horizon, seed=0), path)
@@ -765,6 +767,24 @@ def test_sweep_rejects_bad_input(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     rc = main(["sweep", "--out", str(tmp_path / "o")] + argv)
     assert rc == EXIT_INVALID
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--horizon-ns", "abc"],
+    ["sweep", "--axis", "bogus", "--values", "1"],
+    [],
+], ids=["run-bad-int", "sweep-bad-axis", "no-command"])
+def test_usage_errors_exit_invalid(argv, capsys):
+    """A malformed command line exits 4, since argparse's own 2 would read
+    as "not stabilized"; the usage and the error go to stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mepsim") and "error=usage detail=" in err
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--help"])
+    assert exc.value.code == EXIT_OK
 
 
 def test_topology_subcommand(capsys):

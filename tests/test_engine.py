@@ -14,8 +14,8 @@ from mepsim.oracle import brute_force_simulate
 from mepsim.timing import SimParams
 from mepsim.topology import (build_ring, from_edge_list, parse_topology,
                              topology_stats)
-from mepsim.trace import (KIND_EXTERNAL, KIND_INTERNAL, OUTCOME_ACCEPTED,
-                          OUTCOME_REJECTED, ArrivalRecord, trace_to_text)
+from mepsim.trace import (OUTCOME_ACCEPTED, OUTCOME_REJECTED, ArrivalRecord,
+                          trace_to_text)
 
 K2 = from_edge_list(2, [(0, 1)])
 P3 = from_edge_list(3, [(0, 1), (1, 2)])
@@ -42,9 +42,9 @@ def test_all_omitted_runs_purely_external():
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau2))
     tr = simulate(K2, p, delay_model=dm, horizon=10 * p.tau2, seed=0,
                   init=init)
-    assert all(kind == KIND_EXTERNAL for _, _, kind, _ in tr.triggers)
+    assert all(h == cell for _, cell, h in tr.triggers)
     for cell in (0, 1):
-        times = [t for t, c, _, _ in tr.triggers if c == cell]
+        times = [t for t, c, _ in tr.triggers if c == cell]
         assert times[0] == 0
         assert all(b - a == p.tau2 for a, b in zip(times, times[1:]))
 
@@ -71,7 +71,7 @@ def test_compensated_fixed_delay_becomes_simultaneous():
     dm = DelayModel(kind="fixed")
     tr = simulate(K2, p, delay_model=dm, horizon=20 * p.tau2, seed=5)
     by_cell = {0: [], 1: []}
-    for t, cell, _, _ in tr.triggers:
+    for t, cell, _ in tr.triggers:
         by_cell[cell].append(t)
     tail0, tail1 = by_cell[0][-5:], by_cell[1][-5:]
     assert tail0 == tail1
@@ -84,9 +84,8 @@ def test_zero_delay_cascade_same_instant():
     dm = DelayModel(kind="adversarial-schedule", schedule=sched, cycle=True)
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau0, p.tau0))
     tr = simulate(P3, p, delay_model=dm, horizon=p.tau0, seed=0, init=init)
-    first = [(cell, kind, h) for t, cell, kind, h in tr.triggers if t == 0]
-    assert first == [
-        (0, KIND_EXTERNAL, 0), (1, KIND_INTERNAL, 0), (2, KIND_INTERNAL, 1)]
+    first = [(cell, h) for t, cell, h in tr.triggers if t == 0]
+    assert first == [(0, 0), (1, 0), (2, 1)]
 
 
 def test_simultaneous_arrivals_pick_smallest_pioneer():
@@ -96,7 +95,7 @@ def test_simultaneous_arrivals_pick_smallest_pioneer():
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau0, p.tau2))
     tr = simulate(tri, p, delay_model=dm, horizon=100, seed=0, init=init)
     trig1 = [trig for trig in tr.triggers if trig[1] == 1]
-    assert trig1[0][0] == 60 and trig1[0][3] == 0
+    assert trig1[0][0] == 60 and trig1[0][2] == 0
     accepted = [a for a in tr.arrivals if a.to == 1 and a.time == 60]
     assert {a.frm for a in accepted} == {0, 2}
     assert all(a.outcome == OUTCOME_ACCEPTED for a in accepted)
@@ -111,7 +110,7 @@ def test_rejection_references_latest_trigger():
     rejected = [a for a in tr.arrivals if a.outcome == OUTCOME_REJECTED]
     assert len(rejected) == 2
     for a in rejected:
-        ref_time, ref_cell, _, _ = tr.triggers[a.rejecting_seq]
+        ref_time, ref_cell, _ = tr.triggers[a.rejecting_seq]
         assert ref_cell == a.to and ref_time == 0
 
 
@@ -136,7 +135,7 @@ def test_injected_signal_can_trigger():
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau0, p.tau0),
                      signals=((0, 1, 5),))
     tr = simulate(K2, p, delay_model=dm, horizon=p.tau0, seed=0, init=init)
-    assert tr.triggers[0] == (5, 1, KIND_INTERNAL, 0)
+    assert tr.triggers[0] == (5, 1, 0)
 
 
 def test_short_horizon_warns():
@@ -171,7 +170,7 @@ def test_stale_liveness_deadline_is_cancelled():
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau2 - 60))
     tr = simulate(K2, p, delay_model=dm, horizon=3 * p.tau2, seed=0, init=init)
     trig1 = [trig for trig in tr.triggers if trig[1] == 1]
-    assert trig1[0][0] == 60 and trig1[0][2] == KIND_INTERNAL
+    assert trig1[0][0] == 60 and trig1[0][2] == 0  # internal, from cell 0
     assert trig1[1][0] > 60
     gaps = [b[0] - a[0] for a, b in zip(trig1, trig1[1:])]
     assert all(g >= p.tau0 for g in gaps)
@@ -196,8 +195,8 @@ def test_arrival_at_restoration_instant_is_rejected_one_ns_later_accepted():
     assert at_0[(1, T)].outcome == OUTCOME_REJECTED
     assert at_0[(1, T)].rejecting_seq == 0
     assert at_0[(3, T + 1)].outcome == OUTCOME_ACCEPTED
-    fired = [(t, kind, h) for t, cell, kind, h in tr.triggers if cell == 0]
-    assert fired == [(0, KIND_EXTERNAL, 0), (T + 1, KIND_INTERNAL, 3)]
+    fired = [(t, h) for t, cell, h in tr.triggers if cell == 0]
+    assert fired == [(0, 0), (T + 1, 3)]
     for record in (True, False):
         a = simulate(g, p, record_arrivals=record, **kw)
         b = brute_force_simulate(g, p, record_arrivals=record, **kw)

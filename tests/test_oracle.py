@@ -7,7 +7,7 @@ from mepsim.errors import ParameterError
 from mepsim.oracle import brute_force_simulate
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
-from mepsim.trace import KIND_EXTERNAL, trace_to_text
+from mepsim.trace import trace_to_text
 
 K2 = from_edge_list(2, [(0, 1)])
 P3 = from_edge_list(3, [(0, 1), (1, 2)])
@@ -49,10 +49,9 @@ def test_all_omitted_is_periodic():
     tr = brute_force_simulate(K2, p, delay_model=dm, horizon=6 * p.tau2,
                               seed=0, init=init)
     for cell in (0, 1):
-        times = [t for t, c, _, _ in tr.triggers if c == cell]
+        times = [t for t, c, _ in tr.triggers if c == cell]
         assert all(b - a == p.tau2 for a, b in zip(times, times[1:]))
-        assert all(kind == KIND_EXTERNAL
-                   for _, c, kind, _ in tr.triggers if c == cell)
+        assert all(h == cell for _, c, h in tr.triggers if c == cell)
 
 
 def test_path3_scheduled_delays_match_engine():

@@ -24,6 +24,7 @@ def test_roundtrip(tmp_path, small_trace):
     write_trace(small_trace, path)
     back = read_trace(path)
     assert back.triggers == small_trace.triggers
+    assert {len(t) for t in back.triggers} == {3}  # (time, cell, pioneer)
     assert back.arrivals == small_trace.arrivals
     assert back.params == small_trace.params
     assert back.graph.edges == small_trace.graph.edges
@@ -171,7 +172,7 @@ def _last_seq(parts, trace):
 
 def _other_cells_trigger(parts, trace):
     t, to = int(parts[0]), int(parts[2])
-    return str(next(seq for seq, (time, cell, _, _) in enumerate(trace.triggers)
+    return str(next(seq for seq, (time, cell, _) in enumerate(trace.triggers)
                     if cell != to and time <= t))
 
 
