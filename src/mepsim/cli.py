@@ -257,7 +257,11 @@ def build_metrics(trace, stats, association=False) -> tuple:
     The report is returned so the plot data reads its rounds instead of
     analyzing them again.  Each failed check gets one `check=<name> ...`
     line, which names its witness; the lines stay out of the document.
+    Association checks asked of a trace without arrivals are skipped with
+    a WARNING.
     """
+    if association and not trace.arrivals_recorded:
+        log.warning("association_checks skipped: the trace holds no arrivals")
     graph = trace.graph
     report = detect_stabilization(trace, stats)
     counts = []  # classify each round once, keeping only the last one's roles
@@ -397,7 +401,9 @@ def cmd_run(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     write_trace(trace, os.path.join(outdir, "trace.csv"))
     _write_manifest(outdir, cfg, {"horizon_ns": spec.horizon, "seed": spec.seed})
-    return _report(outdir, trace, spec.stats, cfg["association_checks"],
+    # the trace is written first, so a run too short for a verdict keeps it
+    built = build_metrics(trace, spec.stats, cfg["association_checks"])
+    return _report(outdir, trace.graph, built,
                    "stabilized t_stab_ns={t_stab_ns}")
 
 
@@ -405,21 +411,21 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config, args.override)
     trace = read_trace(args.trace)
     stats = topology_stats(trace.graph, lg_override=cfg["lg_override"])
+    # an analysis that fails leaves no output directory
+    built = build_metrics(trace, stats, cfg["association_checks"])
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     _write_manifest(outdir, cfg, {"analyzed_trace": os.path.abspath(args.trace)})
-    return _report(outdir, trace, stats, cfg["association_checks"], "ok")
+    return _report(outdir, trace.graph, built, "ok")
 
 
-def _report(outdir, trace, stats, association, ok_line) -> int:
-    """Write metrics.json and the plot data; print the verdict and return
-    its exit code.  ok_line is formatted with the stabilization metrics."""
-    if association and not trace.arrivals_recorded:
-        log.warning("association_checks skipped: the trace holds no arrivals")
-    metrics, report, failed = build_metrics(trace, stats,
-                                            association=association)
+def _report(outdir, graph, built, ok_line) -> int:
+    """Write metrics.json and the plot data of build_metrics' result
+    `built`; print the verdict and return its exit code.  ok_line is
+    formatted with the stabilization metrics."""
+    metrics, report, failed = built
     _json_dump(metrics, os.path.join(outdir, "metrics.json"))
-    _write_plotdata(outdir, trace.graph, report)
+    _write_plotdata(outdir, graph, report)
     if not report.stabilized:
         print("not-stabilized")
         print(" ".join(f"{'violation' if k == 'kind' else k}={v}"
@@ -445,7 +451,9 @@ _SWEEP_AXES = {
 
 def _sweep_worker(task):
     point_label, replica, spec = task
-    report = detect_stabilization(spec.run(), spec.stats)
+    # a sweep reads only triggers, which recording arrivals never changes
+    trace = spec._replace(record_arrivals=False).run()
+    report = detect_stabilization(trace, spec.stats)
     valid = [r for r in report.rounds if r.valid]
     spans = [r.segment.span for r in valid]
     return {

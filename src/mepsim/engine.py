@@ -38,7 +38,6 @@ the trace is the one that queueing every signal gives.
 
 from __future__ import annotations
 
-import gc
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ from .timing import (DELAY_UNIFORM, Checked, DriftAssignment, SimParams,
                      local_to_real, stream)
 from .topology import Graph
 from .trace import (ArrivalRecord, OUTCOME_ACCEPTED, OUTCOME_OMITTED,
-                    OUTCOME_REJECTED, Trace)
+                    OUTCOME_REJECTED, Trace, paused_gc)
 
 INIT_RANDOM_UNIFORM = "random-uniform"
 INIT_ADVERSARIAL = "adversarial-explicit"
@@ -191,9 +190,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     for frm, to, arrival in init.signals:
         heappush(heap, (arrival, _CLS_ARRIVAL, to, frm))
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # the run builds many records and no reference cycles
-    try:
+    with paused_gc():  # the run builds many records and no reference cycles
         while heap and heap[0][0] <= horizon:
             t, cls, cell, sender = heappop(heap)
             if cls == _CLS_ARRIVAL:
@@ -242,9 +239,6 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                 else:
                     heappush(heap, (due, _CLS_ARRIVAL, j, cell))
         return _finalize(trace, raw_triggers, raw_arrivals)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _finalize(trace: Trace, raw_triggers, raw_arrivals) -> Trace:

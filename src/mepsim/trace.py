@@ -4,13 +4,18 @@ A trace is the single source of truth for all analysis: the time-ordered
 trigger events plus every signal-arrival outcome.  The file format is
 CSV with '#key=value' header lines (schema version, seed, and a JSON
 parameter echo) followed by a [triggers] and an [arrivals] section, so a
-persisted trace can be re-analyzed bit-identically.  The reader streams
-the file line by line and rejects any break of the trace contract.
+persisted trace can be re-analyzed bit-identically.  The writer yields
+one string per chunk of up to _CHUNK_ROWS rows.  The reader streams the
+file line by line with the cyclic GC paused, checks each distinct trigger
+tail "cell,kind,pioneer" once, looks arrival ids up in a table of their
+canonical spellings, and rejects any break of the trace contract.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from .errors import MepsimError, TopologyError, TraceParseError
@@ -32,6 +37,20 @@ _OUTCOMES = {o: o for o in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_OMITTED)
 
 TRIGGERS_HEADER = "seq,time_ns,cell,kind,pioneer"
 ARRIVALS_HEADER = "time_ns,from,to,outcome,rejecting_seq"
+
+_CHUNK_ROWS = 4096  # rows per string the writer yields
+
+
+@contextmanager
+def paused_gc():
+    """Pause the cyclic GC in the block; restore its prior state after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class ArrivalRecord:
@@ -93,21 +112,25 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def _trace_rows(trace: Trace):
-    """The lines of the trace file, each with its newline, one at a time,
-    so writing a trace never holds the whole file text."""
+    """The text of the trace file in pieces: the header lines, then one
+    string per chunk of at most _CHUNK_ROWS rows, so writing a trace never
+    holds the whole file text."""
     yield f"#mepsim-trace={SCHEMA_VERSION}\n"
     yield f"#seed={json.dumps(trace.seed)}\n"
     yield f"#meta={json.dumps(_meta_dict(trace), sort_keys=True)}\n"
-    yield "[triggers]\n"
-    yield TRIGGERS_HEADER + "\n"
-    for seq, (t, cell, pioneer) in enumerate(trace.triggers):
-        kind = KIND_EXTERNAL if pioneer == cell else KIND_INTERNAL
-        yield f"{seq},{t},{cell},{kind},{pioneer}\n"
-    yield "[arrivals]\n"
-    yield ARRIVALS_HEADER + "\n"
-    for a in trace.arrivals:
-        rej = "" if a.rejecting_seq is None else a.rejecting_seq
-        yield f"{a.time},{a.frm},{a.to},{a.outcome},{rej}\n"
+    yield "[triggers]\n" + TRIGGERS_HEADER + "\n"
+    for i in range(0, len(trace.triggers), _CHUNK_ROWS):
+        yield "".join([
+            f"{seq},{t},{cell},"
+            f"{KIND_EXTERNAL if pioneer == cell else KIND_INTERNAL},{pioneer}\n"
+            for seq, (t, cell, pioneer)
+            in enumerate(trace.triggers[i:i + _CHUNK_ROWS], i)])
+    yield "[arrivals]\n" + ARRIVALS_HEADER + "\n"
+    for i in range(0, len(trace.arrivals), _CHUNK_ROWS):
+        yield "".join([
+            f"{a.time},{a.frm},{a.to},{a.outcome},"
+            f"{'' if a.rejecting_seq is None else a.rejecting_seq}\n"
+            for a in trace.arrivals[i:i + _CHUNK_ROWS]])
 
 
 def read_trace(path) -> Trace:
@@ -121,7 +144,7 @@ def read_trace(path) -> Trace:
     rejecting trigger, which is a trigger of the receiving cell no later
     than the arrival.  Any break raises TraceParseError.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, paused_gc():
         try:
             return _parse(enumerate(fh, 1))
         except UnicodeDecodeError as exc:
@@ -229,46 +252,58 @@ def _names_graph(name: str, graph: Graph) -> bool:
 
 def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:
     """The trigger rows, and the line number of the [arrivals] line that
-    ends them."""
+    ends them.  A row whose tail "cell,kind,pioneer" is new runs every
+    check in order; a later row with a tail that passed skips just the
+    checks the tail alone decides."""
     n = graph.node_count
     adjacency = graph.adjacency
     triggers = []
-    prev = (-1, -1)  # (time, cell) of the previous row
+    checked = {}  # tail -> (cell, pioneer) of a tail that passed
+    prev_t = prev_cell = -1  # (time, cell) of the previous row
     for lineno, line in rows:
+        parts = line.split(",", 2)
+        known = checked.get(parts[-1])  # only a 3-part row can match
+        if known is None:
+            try:
+                seq, t, cell, kind, pioneer = line.split(",")
+            except ValueError:
+                if line.rstrip("\n") == "[arrivals]":
+                    return triggers, lineno
+                raise TraceParseError("malformed trigger row",
+                                      line=lineno) from None
+        else:
+            seq, t, _ = parts
+            cell, pioneer = known
         try:
-            seq, t, cell, kind, pioneer = line.split(",")
-        except ValueError:
-            if line.rstrip("\n") == "[arrivals]":
-                return triggers, lineno
-            raise TraceParseError("malformed trigger row", line=lineno) from None
-        try:
-            seq, t, cell, pioneer = int(seq), int(t), int(cell), int(pioneer)
+            seq, t = int(seq), int(t)
+            if known is None:
+                cell, pioneer = int(cell), int(pioneer)
         except ValueError as exc:
             raise TraceParseError(str(exc), line=lineno) from exc
-        if kind not in (KIND_EXTERNAL, KIND_INTERNAL):
+        if known is None and kind not in (KIND_EXTERNAL, KIND_INTERNAL):
             raise TraceParseError(f"bad trigger kind {kind!r}", line=lineno)
         if seq != len(triggers):
             raise TraceParseError(f"trigger seq {seq} is not its index "
                                   f"{len(triggers)}", line=lineno)
-        if not (0 <= cell < n and 0 <= pioneer < n):
-            raise TraceParseError(f"cell or pioneer outside [0, {n})",
-                                  line=lineno)
-        if kind == KIND_EXTERNAL:
-            if pioneer != cell:
+        if known is None:
+            if not (0 <= cell < n and 0 <= pioneer < n):
+                raise TraceParseError(f"cell or pioneer outside [0, {n})",
+                                      line=lineno)
+            if kind == KIND_EXTERNAL and pioneer != cell:
                 raise TraceParseError(f"external trigger of cell {cell} has "
                                       f"pioneer {pioneer}", line=lineno)
-        elif pioneer not in adjacency[cell]:
-            raise TraceParseError(f"internal trigger of cell {cell} has "
-                                  f"pioneer {pioneer}, not a neighbour",
-                                  line=lineno)
+            if kind == KIND_INTERNAL and pioneer not in adjacency[cell]:
+                raise TraceParseError(f"internal trigger of cell {cell} has "
+                                      f"pioneer {pioneer}, not a neighbour",
+                                      line=lineno)
+            checked[parts[2]] = (cell, pioneer)
         if not 0 <= t <= horizon:
             raise TraceParseError(f"time {t} outside [0, {horizon}]",
                                   line=lineno)
-        key = (t, cell)
-        if key < prev:
+        if t <= prev_t and (t < prev_t or cell < prev_cell):
             raise TraceParseError("triggers not sorted by (time, cell)",
                                   line=lineno)
-        prev = key
+        prev_t, prev_cell = t, cell
         triggers.append((t, cell, pioneer))
     raise TraceParseError("missing [arrivals] section")
 
@@ -279,7 +314,8 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
     arrivals = []
     seqs = len(triggers)
     seq_ints = None  # list(range(seqs)) once a rejection row is read
-    prev = (-1, -1, -1)  # (time, to, from) of the previous row
+    ids = {str(i): i for i in range(n)}  # canonical in-range cell ids
+    prev_t = prev_to = prev_frm = -1  # (time, to, from) of the previous row
     for lineno, line in rows:
         try:
             t, frm, to, outcome, rej = line.split(",")
@@ -289,7 +325,11 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
                                       line=lineno) from None
             break
         try:
-            t, frm, to = int(t), int(frm), int(to)
+            t = int(t)
+            if frm in ids and to in ids:
+                frm, to, other = ids[frm], ids[to], False
+            else:  # another spelling, such as "+3" or "03", or out of range
+                frm, to, other = int(frm), int(to), True
             rej = None if rej in ("", "\n") else int(rej)
         except ValueError as exc:
             raise TraceParseError(str(exc), line=lineno) from exc
@@ -297,16 +337,16 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
         if known is None:
             raise TraceParseError(f"bad arrival outcome {outcome!r}",
                                   line=lineno)
-        if not (0 <= frm < n and 0 <= to < n):
+        if other and not (0 <= frm < n and 0 <= to < n):
             raise TraceParseError(f"from or to outside [0, {n})", line=lineno)
         if not 0 <= t <= horizon:
             raise TraceParseError(f"time {t} outside [0, {horizon}]",
                                   line=lineno)
-        key = (t, to, frm)
-        if key < prev:
+        if t <= prev_t and (t < prev_t or to < prev_to or
+                            (to == prev_to and frm < prev_frm)):
             raise TraceParseError("arrivals not sorted by (time, to, from)",
                                   line=lineno)
-        prev = key
+        prev_t, prev_to, prev_frm = t, to, frm
         if rej is not None:
             if not 0 <= rej < seqs:
                 raise TraceParseError(f"rejecting_seq {rej} outside "

@@ -309,6 +309,17 @@ def test_short_horizon_exit_code(tmp_path):
     assert rc == EXIT_HORIZON
 
 
+def test_analyze_without_a_verdict_leaves_no_output(tmp_path):
+    """A run too short for a verdict keeps its trace; analyzing that trace
+    fails the same way and creates no --out directory."""
+    argv = ["--override", "topology=ring:4", "--override", "d_max=100"]
+    assert main(["run", "--out", str(tmp_path / "r"), "--horizon-ns", "5000"]
+                + argv) == EXIT_HORIZON
+    assert main(["analyze", str(tmp_path / "r" / "trace.csv"),
+                 "--out", str(tmp_path / "a")] + argv) == EXIT_HORIZON
+    assert not (tmp_path / "a").exists()
+
+
 def test_invalid_topology_exit_code(tmp_path):
     rc = main(["run", "--out", str(tmp_path / "o"),
                "--override", "topology=moebius:4"])
@@ -713,6 +724,30 @@ def test_sweep_csv_quotes_a_seed_with_a_comma(tmp_path):
     rows = _sweep_rows(out / "sweep.csv")
     assert [len(r) for r in rows] == [8, 8, 8]
     assert [r[2] for r in rows[1:]] == ["[1, 2]-0-0", "[1, 2]-0.1-0"]
+
+
+def test_sweep_ignores_record_arrivals(tmp_path, monkeypatch):
+    """A sweep's runs record no arrivals, which it never reads: sweep.csv
+    is the same whatever record_arrivals says, and the manifest keeps the
+    config as given."""
+    recorded = []
+    detect = mepsim.cli.detect_stabilization
+
+    def spy(trace, stats):
+        recorded.append(trace.arrivals_recorded)
+        return detect(trace, stats)
+
+    monkeypatch.setattr(mepsim.cli, "detect_stabilization", spy)
+    argv = ["sweep", "--axis", "p", "--values", "0,0.1", "--replicas", "2",
+            "--jobs", "1"] + FAST
+    for record in ("true", "false"):
+        assert main(argv + ["--out", str(tmp_path / record), "--override",
+                            f"record_arrivals={record}"]) == EXIT_OK
+    assert recorded == [False] * 8
+    assert (tmp_path / "true" / "sweep.csv").read_bytes() == \
+        (tmp_path / "false" / "sweep.csv").read_bytes()
+    manifest = json.loads((tmp_path / "true" / "manifest.json").read_text())
+    assert manifest["config"]["record_arrivals"] is True
 
 
 def test_sweep_process_pool_matches_one_process(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -259,19 +260,83 @@ def _past_horizon(parts, trace):
 def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
     """Each mutation breaks the trace contract in one header line, or in
     the first row of its section that has every field set (arrival rows
-    may omit rejecting_seq)."""
+    may omit rejecting_seq) and again in a later row that repeats that
+    row's tail, which the reader has seen before.  A data-row fault is
+    reported on the mutated row; an order fault on the row after it."""
     path = tmp_path / "trace.csv"
     lines = trace_to_text(small_trace).splitlines()
     if header.startswith("#"):
-        idx = next(k for k, line in enumerate(lines) if line.startswith(header))
+        rows = [next(k for k, line in enumerate(lines)
+                     if line.startswith(header))]
     else:
-        idx = lines.index(header) + 1
-        while lines[idx].endswith(","):
-            idx += 1
-    lines[idx] = mutate(lines[idx], small_trace)
+        first = lines.index(header) + 1
+        while lines[first].endswith(","):
+            first += 1
+        # a trigger row's "cell,kind,pioneer", an arrival row's
+        # "from,to,outcome"
+        cut = slice(2, None) if header == TRIGGERS else slice(1, 4)
+        tail = lines[first].split(",")[cut]
+        rows = [first, next(k for k in range(first + 1, len(lines))
+                            if lines[k].split(",")[cut] == tail)]
+    for idx in rows:
+        mutated = list(lines)
+        mutated[idx] = mutate(lines[idx], small_trace)
+        path.write_text("\n".join(mutated) + "\n")
+        with pytest.raises(TraceParseError, match=match) as exc:
+            read_trace(path)
+        if not header.startswith("#"):
+            assert exc.value.line == idx + 1 + ("not sorted" in match)
+
+
+def test_six_field_trigger_row_with_bad_seq_is_malformed(tmp_path,
+                                                         small_trace):
+    lines = trace_to_text(small_trace).splitlines()
+    idx = lines.index(TRIGGERS) + 3
+    lines[idx] = "x," + lines[idx - 2].partition(",")[2] + ",5"
+    path = tmp_path / "trace.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceParseError, match=match):
+    with pytest.raises(TraceParseError, match="malformed trigger row") as exc:
         read_trace(path)
+    assert exc.value.line == idx + 1
+
+
+def test_ids_read_in_any_int_spelling(tmp_path, small_trace):
+    """Cells spelled "+3" or "03" read as int() reads them, in triggers
+    and arrivals alike, whether or not the canonical spelling came first."""
+    respell = {"0": "+0", "1": "01", "2": "+02"}
+    lines = trace_to_text(small_trace).splitlines()
+    arrivals = lines.index("[arrivals]")
+    for k in range(lines.index(TRIGGERS) + 1, len(lines), 2):
+        if k not in (arrivals, arrivals + 1):
+            parts = lines[k].split(",")
+            for f in (2, 4) if k < arrivals else (1, 2):
+                parts[f] = respell.get(parts[f], parts[f])
+            lines[k] = ",".join(parts)
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    back = read_trace(path)
+    assert back.triggers == small_trace.triggers
+    assert back.arrivals == small_trace.arrivals
+    assert trace_to_text(back) == trace_to_text(small_trace)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_trace_restores_gc_state(tmp_path, small_trace, enabled):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_trace(small_trace, good)
+    lines = good.read_text().splitlines()
+    lines[len(lines) // 2] = "not,a,row"  # raised mid-file
+    bad.write_text("\n".join(lines) + "\n")
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        read_trace(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(TraceParseError, match="malformed arrival row"):
+            read_trace(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 @pytest.mark.parametrize("key, value, detail", [
