@@ -8,7 +8,7 @@ from .analysis import (AssociationClasses, OmepReport, PatternReport,
                        association_classes, check_pattern_properties,
                        classify_patterns, detect_stabilization,
                        extract_propagation, propagation_error,
-                       series_metrics, validate_omep)
+                       series_metrics, validate_omep, validate_paths)
 from .engine import InitState, simulate
 from .errors import (ConfigError, ConnectivityError, InsufficientHorizonError,
                      MepsimError, ParameterError, ScheduleUnderrunError,

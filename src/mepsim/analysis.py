@@ -1,8 +1,9 @@
 """Post-hoc trace analysis.
 
 Everything here is a pure function of (Trace, Graph, parameters): round
-clustering by inter-trigger gaps, propagation extraction along pioneer
-chains, the five one-shot validity checks, association classes over
+clustering by inter-trigger gaps, propagation extraction into a pointer
+forest, the five one-shot validity checks on that forest (and by their
+pairwise definition on hand-built paths), association classes over
 arrival outcomes, cell/neighbor pattern taxonomy with its structural
 invariants, error metrics, and stabilization detection against the
 analytic convergence bound.  `detect_stabilization` is the one pass over
@@ -61,39 +62,27 @@ def cluster_triggers(triggers, tau_delta: int) -> list:
 
 
 class Propagation(NamedTuple):
-    """One extracted propagation: per-cell trigger instant and pioneer.
+    """One extracted propagation: the pioneer-pointer forest of a round.
 
     Each list is indexed by cell.  `times[i]` is i's first trigger time
     within the segment, None if i did not fire; `pioneer[i]` is i itself
     for an external trigger or a cell that did not fire.  `source[i]` is
     the cell reached by following pioneer pointers from i; None marks a
     cell that did not fire or a broken chain (pointer loop or a pioneer
-    triggered outside the segment).  `path(i)` materializes the chain
-    source -> ... -> i.
+    with no trigger in the segment).  Cell i's path is the pointer chain
+    source -> ... -> i, which `validate_omep` never spells out.
     """
 
     times: list
     pioneer: list
     source: list
     multi_triggered: tuple  # cells triggered more than once in the segment
-    cross_refs: tuple  # cells whose pioneer has no trigger in the segment
     loops: tuple  # cells on a pioneer-pointer cycle
     external_cells: frozenset  # cells whose first trigger is external
-    explicit_paths: dict | None = None  # fixture override: cell -> path tuple
-
-    def path(self, i: int) -> tuple | None:
-        if self.explicit_paths is not None:
-            return self.explicit_paths.get(i)
-        if self.source[i] is None:
-            return None
-        chain = [i]
-        while self.pioneer[chain[-1]] != chain[-1]:
-            chain.append(self.pioneer[chain[-1]])
-        return tuple(reversed(chain))
 
     @classmethod
     def from_paths(cls, paths: dict, times: dict | None = None) -> "Propagation":
-        """Hand-built propagation from explicit per-cell paths (fixtures)."""
+        """The pointer form of explicit per-cell paths (fixtures)."""
         n = max(paths, default=-1) + 1
         at, pioneer, source = [None] * n, list(range(n)), [None] * n
         for i, p in paths.items():
@@ -102,8 +91,7 @@ class Propagation(NamedTuple):
             source[i] = p[0] if p else None
         externals = frozenset(i for i, p in paths.items() if len(p) == 1)
         return cls(times=at, pioneer=pioneer, source=source,
-                   multi_triggered=(), cross_refs=(), loops=(),
-                   external_cells=externals, explicit_paths=dict(paths))
+                   multi_triggered=(), loops=(), external_cells=externals)
 
 
 def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
@@ -136,7 +124,6 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
             else:
                 source[cell] = source[h]
 
-    cross_refs = tuple(sorted(i for i in pending if times[pioneer[i]] is None))
     unsettled, loops = set(pending), []
     for start in pending:  # a start settled by an earlier chain walks none
         chain, cur = [], start
@@ -151,7 +138,7 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
             source[c] = s
     return Propagation(times=times, pioneer=pioneer, source=source,
                        multi_triggered=tuple(sorted(set(multi))),
-                       cross_refs=cross_refs, loops=tuple(sorted(loops)),
+                       loops=tuple(sorted(loops)),
                        external_cells=frozenset(externals))
 
 
@@ -172,6 +159,31 @@ class OmepReport(NamedTuple):
                 and self.exclusive and self.propagative)
 
 
+def validate_omep(p: Propagation) -> OmepReport:
+    """Check the five one-shot properties of an extracted propagation,
+    whose allowed sources are its external cells.
+
+    The pointer forest makes every path simple and any two paths either
+    disjoint or prefix-sharing, so only sources, loops and coverage need
+    checking; `validate_paths` is the pairwise definition.
+    """
+    n_s, witnesses = p.external_cells, {}
+    bad_source = [i for i, s in enumerate(p.source)
+                  if s not in n_s and p.times[i] is not None]
+    valid = not bad_source
+    if bad_source:
+        witnesses["valid"] = bad_source[:4]
+    simple = not p.loops
+    if p.loops:
+        witnesses["simple"] = list(p.loops[:4])
+    missing = [i for i, t in enumerate(p.times) if t is None]
+    complete = not missing and not p.multi_triggered
+    if not complete:
+        witnesses["complete"] = {"missing": missing[:4],
+                                 "repeated": list(p.multi_triggered[:4])}
+    return OmepReport(valid, simple, complete, True, True, witnesses)
+
+
 def _common_prefix_len(a, b) -> int:
     k = 0
     for x, y in zip(a, b):
@@ -181,36 +193,12 @@ def _common_prefix_len(a, b) -> int:
     return k
 
 
-def validate_omep(p: Propagation, g: Graph, n_s) -> OmepReport:
-    """Check the five one-shot properties against the source-candidate set.
-
-    Chain-extracted propagations get the structural fast path: the
-    pointer forest makes every path simple and any two paths either
-    disjoint or prefix-sharing, so only sources/coverage need checking.
-    Explicit-path fixtures run the full pairwise definition.
-    """
+def validate_paths(paths: dict, g: Graph, n_s) -> OmepReport:
+    """The five one-shot properties by their pairwise definition, for a
+    hand-built set of paths {cell: (source, ..., cell)} and the
+    source-candidate set n_s."""
     n_s = frozenset(n_s)
     witnesses = {}
-
-    if p.explicit_paths is None:
-        bad_source = [i for i, s in enumerate(p.source)
-                      if s not in n_s and p.times[i] is not None]
-        valid = not bad_source
-        if bad_source:
-            witnesses["valid"] = bad_source[:4]
-        simple = not p.loops
-        if p.loops:
-            witnesses["simple"] = list(p.loops[:4])
-        missing = [i for i, t in enumerate(p.times) if t is None]
-        complete = not missing and not p.multi_triggered
-        if not complete:
-            witnesses["complete"] = {"missing": missing[:4],
-                                     "repeated": list(p.multi_triggered[:4])}
-        exclusive = propagative = True
-        return OmepReport(valid, simple, complete, exclusive, propagative,
-                          witnesses)
-
-    paths = p.explicit_paths
     valid = True
     for i, path in sorted(paths.items()):
         if not path or path[0] not in n_s:
@@ -493,7 +481,7 @@ def detect_stabilization(trace: Trace,
     # the last cluster may be horizon-truncated
     for seg in cluster_triggers(trace.triggers, tau_delta)[:-1]:
         p = extract_propagation(trace, seg)
-        ok = validate_omep(p, graph, p.external_cells).all_ok
+        ok = validate_omep(p).all_ok
         rounds.append(Round(seg, p, ok, ok and seg.span <= tau_pi,
                             propagation_error(p),
                             len(p.external_cells) / graph.node_count))

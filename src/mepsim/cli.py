@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import __version__
 from .analysis import (association_classes, check_pattern_properties,
                        classify_patterns, detect_stabilization,
-                       required_horizon, series_metrics)
+                       required_horizon, segmentation_params, series_metrics)
 from .engine import INIT_RANDOM_UNIFORM, InitState, simulate
 from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
                      ParameterError, TraceParseError)
@@ -394,6 +394,7 @@ def cmd_run(args) -> int:
     if args.horizon_ns is not None:
         cfg["horizon_ns"] = args.horizon_ns
     spec = resolve_config(cfg)
+    segmentation_params(spec.params, spec.stats)  # exit 4 before simulating
     log.info("run: %s seed=%s horizon=%d", spec.graph.name, spec.seed,
              spec.horizon)
     trace = spec.run()  # a run its inputs reject leaves no output directory
@@ -486,6 +487,7 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad {args.axis} sweep value {value!r}") from exc
         spec = resolve_config({**cfg, key: point})
+        segmentation_params(spec.params, spec.stats)  # before any task runs
         for replica in range(args.replicas):
             seed = f"{cfg['seed']}-{value}-{replica}"
             tasks.append((str(value), replica, spec._replace(seed=seed)))

@@ -18,7 +18,7 @@ from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.analysis import (Propagation, association_classes,
                              check_pattern_properties, classify_patterns,
                              detect_stabilization, convergence_bound,
-                             required_horizon, validate_omep, ROLE_FLAT,
+                             required_horizon, validate_paths, ROLE_FLAT,
                              ROLE_FLOW, ROLE_RIDGE, ROLE_SINK)
 from mepsim.cli import main as cli_main
 from mepsim.engine import InitState
@@ -329,23 +329,24 @@ def _fixture_suite():
     P3 = from_edge_list(3, [(0, 1), (1, 2)])
     K2 = from_edge_list(2, [(0, 1)])
     diamond = from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    chain = Propagation.from_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2)})
+    chain_paths = {0: (0,), 1: (0, 1), 2: (0, 1, 2)}
+    chain = Propagation.from_paths(chain_paths)
     results = []
 
     def check(name, got, want=True):
         results.append((name, got == want))
 
-    rep = validate_omep(chain, P3, {0})
+    rep = validate_paths(chain_paths, P3, {0})
     check("chain-all-ok", rep.all_ok)
-    check("valid-neg", validate_omep(chain, P3, {1}).valid, False)
-    check("simple-neg", validate_omep(Propagation.from_paths(
-        {0: (0,), 1: (0, 1, 0, 1)}), K2, {0}).simple, False)
-    check("complete-neg", validate_omep(Propagation.from_paths(
-        {0: (0,), 1: (0, 1)}), P3, {0}).complete, False)
-    check("exclusive-neg", validate_omep(Propagation.from_paths(
-        {0: (0,), 1: (0, 1), 2: (1, 2)}), P3, {0, 1}).exclusive, False)
-    check("propagative-neg", validate_omep(Propagation.from_paths(
-        {0: (0,), 1: (0, 1), 2: (0, 1, 2), 3: (0, 2, 3)}),
+    check("valid-neg", validate_paths(chain_paths, P3, {1}).valid, False)
+    check("simple-neg", validate_paths(
+        {0: (0,), 1: (0, 1, 0, 1)}, K2, {0}).simple, False)
+    check("complete-neg", validate_paths(
+        {0: (0,), 1: (0, 1)}, P3, {0}).complete, False)
+    check("exclusive-neg", validate_paths(
+        {0: (0,), 1: (0, 1), 2: (1, 2)}, P3, {0, 1}).exclusive, False)
+    check("propagative-neg", validate_paths(
+        {0: (0,), 1: (0, 1), 2: (0, 1, 2), 3: (0, 2, 3)},
         diamond, {0}).propagative, False)
 
     pattern = classify_patterns(chain, P3)

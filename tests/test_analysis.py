@@ -7,7 +7,8 @@ from mepsim.analysis import (Propagation, Segment, association_classes,
                              cluster_triggers, detect_stabilization,
                              extract_propagation, convergence_bound,
                              propagation_error, required_horizon,
-                             series_metrics, validate_omep, ROLE_BANK,
+                             series_metrics, validate_omep,
+                             validate_paths, ROLE_BANK,
                              ROLE_FLAT, ROLE_FLOW, ROLE_RIDGE, ROLE_SINK,
                              ROLE_SOURCE, ROLE_UNITED)
 from mepsim.engine import InitState
@@ -55,12 +56,30 @@ def test_cluster_triggers_is_lenient():
 # ------------------------------------------------------------- extraction
 
 
+def _path(p, i):
+    """Cell i's path source -> ... -> i, walked along p.pioneer; None if
+    i has no source (it did not fire, or its chain is broken)."""
+    if p.source[i] is None:
+        return None
+    chain = [i]
+    while p.pioneer[chain[-1]] != chain[-1]:
+        chain.append(p.pioneer[chain[-1]])
+    return tuple(reversed(chain))
+
+
+def _cross_segment(p):
+    """The cells that fired with a pioneer that has no trigger in the
+    segment."""
+    return tuple(i for i, t in enumerate(p.times)
+                 if t is not None and p.times[p.pioneer[i]] is None)
+
+
 def test_extract_all_external():
     tr = _trace([0, 5], cells=[0, 1])
     seg = cluster_triggers(tr.triggers, 1000)[0]
     p = extract_propagation(tr, seg)
     assert p.source == [0, 1]
-    assert p.path(0) == (0,) and p.path(1) == (1,)
+    assert _path(p, 0) == (0,) and _path(p, 1) == (1,)
     assert p.external_cells == {0, 1}
 
 
@@ -68,15 +87,15 @@ def test_extract_chain():
     tr = _trace([0, 80], cells=[0, 1], pioneers=[0, 0])
     seg = cluster_triggers(tr.triggers, 1000)[0]
     p = extract_propagation(tr, seg)
-    assert p.path(1) == (0, 1) and p.source[1] == 0
+    assert _path(p, 1) == (0, 1) and p.source[1] == 0
 
 
 def test_extract_flags_cross_segment_pioneer():
     tr = _trace([0], cells=[1], pioneers=[0])
     seg = cluster_triggers(tr.triggers, 1000)[0]
     p = extract_propagation(tr, seg)
-    assert p.cross_refs == (1,) and p.source[1] is None
-    rep = validate_omep(p, K2, p.external_cells)
+    assert _cross_segment(p) == (1,) and p.source[1] is None
+    rep = validate_omep(p)
     assert not rep.valid
 
 
@@ -85,7 +104,7 @@ def test_extract_flags_repeats():
     seg = cluster_triggers(tr.triggers, 1000)[0]
     p = extract_propagation(tr, seg)
     assert p.multi_triggered == (0,)
-    assert not validate_omep(p, K2, p.external_cells).complete
+    assert not validate_omep(p).complete
 
 
 def _walk_reference(trace, seg):
@@ -164,8 +183,8 @@ def test_forward_pass_matches_chain_walk(case):
     assert p.times == [times.get(i) for i in range(n)]
     assert p.pioneer == [pioneer.get(i, i) for i in range(n)]
     assert p.source == [source.get(i) for i in range(n)]
-    assert (p.loops, p.cross_refs, p.multi_triggered, p.external_cells) == \
-        tuple(rest)
+    assert (p.loops, _cross_segment(p), p.multi_triggered,
+            p.external_cells) == tuple(rest)
     for i, t in times.items():  # name the cases drawn
         h = pioneer[i]
         if h > i and times.get(h) == t:
@@ -176,7 +195,7 @@ def test_forward_pass_matches_chain_walk(case):
         if pioneer.get(seen[-1]) in seen[:-1]:
             k = seen.index(pioneer[seen[-1]])
             event(f"{len(seen) - k}-cycle" + (" with a tail" if k else ""))
-    if p.cross_refs:
+    if _cross_segment(p):
         event("pioneer outside the segment")
     if p.multi_triggered:
         event("repeated trigger")
@@ -188,18 +207,16 @@ def test_forward_pass_matches_chain_walk(case):
 def test_all_external_validates():
     tr = _trace([0, 5], cells=[0, 1])
     p = extract_propagation(tr, cluster_triggers(tr.triggers, 1000)[0])
-    assert validate_omep(p, K2, p.external_cells).all_ok
+    assert validate_omep(p).all_ok
 
 
 def test_valid_negative_bad_source():
-    p = Propagation.from_paths({0: (0,), 1: (0, 1)})
-    rep = validate_omep(p, K2, n_s={1})  # 0 is not an allowed source
+    rep = validate_paths({0: (0,), 1: (0, 1)}, K2, n_s={1})  # 0 is not in n_s
     assert not rep.valid and rep.simple
 
 
 def test_simple_negative_repeating_path():
-    p = Propagation.from_paths({0: (0,), 1: (0, 1, 0, 1)})
-    rep = validate_omep(p, K2, n_s={0})
+    rep = validate_paths({0: (0,), 1: (0, 1, 0, 1)}, K2, n_s={0})
     assert not rep.simple
 
 
@@ -207,34 +224,31 @@ def test_simple_negative_pointer_loop():
     tr = _trace([0, 10], cells=[0, 1], pioneers=[1, 0])
     p = extract_propagation(tr, cluster_triggers(tr.triggers, 1000)[0])
     assert p.loops
-    assert not validate_omep(p, K2, p.external_cells).simple
+    assert not validate_omep(p).simple
 
 
 def test_complete_negative_missing_cell():
-    p = Propagation.from_paths({0: (0,), 1: (0, 1)})
-    rep = validate_omep(p, P3, n_s={0})  # cell 2 never appears
+    rep = validate_paths({0: (0,), 1: (0, 1)}, P3, n_s={0})  # 2 never appears
     assert not rep.complete and rep.valid and rep.simple
 
 
 def test_exclusive_negative_shared_cell():
-    p = Propagation.from_paths({0: (0,), 1: (0, 1), 2: (1, 2)})
-    rep = validate_omep(p, P3, n_s={0, 1})
+    rep = validate_paths({0: (0,), 1: (0, 1), 2: (1, 2)}, P3, n_s={0, 1})
     assert not rep.exclusive
     assert rep.witnesses["exclusive"]
 
 
 def test_propagative_negative_reconverging_paths():
     g = from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    p = Propagation.from_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2),
-                                3: (0, 2, 3)})
-    rep = validate_omep(p, g, n_s={0})
+    rep = validate_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2), 3: (0, 2, 3)},
+                         g, n_s={0})
     assert not rep.propagative
     assert rep.exclusive  # single source, so exclusivity is untouched
 
 
 def test_explicit_positive_chain():
-    p = Propagation.from_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2)})
-    assert validate_omep(p, P3, n_s={0}).all_ok
+    assert validate_paths({0: (0,), 1: (0, 1), 2: (0, 1, 2)}, P3,
+                          n_s={0}).all_ok
 
 
 # ------------------------------------------------------------- patterns
@@ -386,7 +400,7 @@ def test_pattern_roles_match_reference(case):
         event("silent cell")
     if p.loops:
         event("pointer loop")
-    if p.cross_refs:
+    if _cross_segment(p):
         event("pioneer outside the segment")
     if ROLE_RIDGE in rep.border_role:
         event("ridge")
@@ -732,18 +746,51 @@ def test_fast_path_matches_definition_on_random_runs(case):
         fired = {i: t for i, t in enumerate(p.times) if t is not None}
         if p.multi_triggered or any(p.source[i] is None for i in fired):
             continue
-        ref = Propagation.from_paths({i: p.path(i) for i in fired}, fired)
-        fast = validate_omep(p, graph, p.external_cells)
-        full = validate_omep(ref, graph, p.external_cells)
+        fast = validate_omep(p)
+        full = validate_paths({i: _path(p, i) for i in fired}, graph,
+                              p.external_cells)
         assert (fast.valid, fast.simple, fast.complete) == \
             (full.valid, full.simple, full.complete)
         assert full.exclusive and full.propagative
 
 
+@settings(max_examples=400, deadline=None)
+@given(_pointer_trace())
+def test_forest_check_matches_definition_on_pointer_traces(case):
+    """On hand-built segments, validate_omep gives the flags and the
+    witnesses of the pairwise definition wherever each fired cell has one
+    path to compare: no repeated trigger, and every fired cell's chain
+    reaches a source.  Any other segment fails, and where a fired cell
+    has no source, the valid witness names the first four such cells."""
+    trace, seg = case
+    p = extract_propagation(trace, seg)
+    rep = validate_omep(p)
+    fired = [i for i, t in enumerate(p.times) if t is not None]
+    unsourced = [i for i in fired if p.source[i] is None]
+    if not p.multi_triggered and not unsourced:
+        event("every chain settles")
+        assert rep == validate_paths({i: _path(p, i) for i in fired},
+                                     trace.graph, p.external_cells)
+    else:
+        assert not rep.all_ok
+        if p.multi_triggered:
+            event("repeated trigger")
+        if unsourced:
+            event("fired cell without a source")
+            assert rep.witnesses["valid"] == unsourced[:4]
+    if p.loops:
+        event("pointer loop")
+    if _cross_segment(p):
+        event("pioneer outside the segment")
+    if any(p.pioneer[i] > i and p.times[p.pioneer[i]] == p.times[i]
+           for i in fired):
+        event("zero-delay signal from a higher id")
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_run(), st.integers(0, 100))
 def test_cross_ref_cells_fired_without_a_source(case, small_tau_delta):
-    """A cross-ref cell fired, but its pioneer has no trigger in the
+    """A cross-segment cell fired, but its pioneer has no trigger in the
     segment, so its chain ends without a source: validate_omep's source
     check already flags it, at the separation window's cut and at a cut
     small enough to split rounds."""
@@ -751,8 +798,9 @@ def test_cross_ref_cells_fired_without_a_source(case, small_tau_delta):
     for tau_delta in (trace.params.tau1 // 2, small_tau_delta):
         for seg in cluster_triggers(trace.triggers, tau_delta):
             p = extract_propagation(trace, seg)
-            for i in p.cross_refs:
+            cross = _cross_segment(p)
+            for i in cross:
                 assert p.times[i] is not None and p.source[i] is None
-            if p.cross_refs:
+            if cross:
                 event("cross-ref cells")
-                assert not validate_omep(p, graph, p.external_cells).valid
+                assert not validate_omep(p).valid

@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import mepsim.analysis
 import mepsim.cli
+from mepsim import DelayModel, simulate
 from mepsim.analysis import required_horizon
 from mepsim.cli import (_CONFIG, EXIT_CHECK_FAILURE, EXIT_HORIZON,
                         EXIT_INVALID, EXIT_NOT_STABILIZED, EXIT_OK,
                         load_config, main, resolve_config)
 from mepsim.errors import ConfigError
 from mepsim.timing import SimParams
-from mepsim.topology import from_edge_list, topology_stats
+from mepsim.topology import build_ring, from_edge_list, topology_stats
 from mepsim.trace import Trace, write_trace
 
 FAST = ["--override", "topology=ring:4", "--override", "d_max=100",
@@ -507,7 +508,8 @@ def test_paths_stabilize(tmp_path):
 def test_timing_without_a_separation_window_exits_invalid(tmp_path, capsys):
     """Rounds are cut at gaps above tau1 // 2, which must exceed the span
     bound diameter * d_max; on ring:16 at d_max = 100 and tau1 = 1600
-    both are 800, so neither run nor analyze of its trace has a verdict."""
+    both are 800, so neither run nor analyze of such a trace has a
+    verdict.  run rejects the timing before it simulates."""
     run = tmp_path / "run"
     argv = ["--override", "topology=ring:16", "--override", "d_max=100",
             "--override", "rho=0.0", "--override", "tau0=1000",
@@ -515,9 +517,33 @@ def test_timing_without_a_separation_window_exits_invalid(tmp_path, capsys):
     assert main(["run", "--out", str(run)] + argv) == EXIT_INVALID
     named = "tau1 // 2 = 800 <= diameter * d_max = 800"
     assert named in capsys.readouterr().err
-    assert main(["analyze", str(run / "trace.csv"),
+    assert not run.exists()
+    graph = build_ring(16)
+    params = SimParams(d_min=0, d_max=100, rho=0.0, tau0=1000, tau1=1600,
+                       tau2=1600)
+    trace = simulate(graph, params, delay_model=DelayModel(kind="uniform"),
+                     horizon=required_horizon(params, topology_stats(graph)))
+    write_trace(trace, tmp_path / "trace.csv")
+    assert main(["analyze", str(tmp_path / "trace.csv"),
                  "--out", str(tmp_path / "an")]) == EXIT_INVALID
     assert named in capsys.readouterr().err
+
+
+def test_not_stabilized_run_names_its_first_violation(tmp_path, capsys):
+    """Omissions at p = 0.3 leave seed 1's first round on grid:16x16
+    invalid: run exits 2, prints not-stabilized and names the round."""
+    out = tmp_path / "run"
+    assert main(["run", "--out", str(out), "--seed", "1",
+                 "--override", "topology=grid:16x16", "--override",
+                 "d_max=100", "--override", "omission_p=0.3"]) == \
+        EXIT_NOT_STABILIZED
+    assert capsys.readouterr() == (
+        "not-stabilized\n", "violation=invalid-cluster k=0 t1=191\n")
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["stabilization"]["first_violation"] == {
+        "kind": "invalid-cluster", "k": 0, "t1": 191}
+    assert len(metrics["per_k"]) == 7
+    assert not any(row["valid"] for row in metrics["per_k"])
 
 
 def test_longest_path_bound_is_logged_not_written(tmp_path, caplog):
@@ -794,7 +820,11 @@ def test_run_survives_random_config_overrides(tmp_path_factory, overrides):
     ["--axis", "n", "--values", "abc"],
     ["--axis", "p", "--values", "x"],
     ["--axis", "n", "--values", "4", "--jobs", "-1"],
-], ids=["n-not-int", "p-not-float", "negative-jobs"])
+    ["--axis", "p", "--values", "0", "--jobs", "2", "--override",
+     "topology=ring:16", "--override", "d_max=100", "--override", "rho=0.0",
+     "--override", "tau0=1000", "--override", "tau1=1600", "--override",
+     "tau2=1600"],
+], ids=["n-not-int", "p-not-float", "negative-jobs", "no-separation-window"])
 def test_sweep_rejects_bad_input(tmp_path, monkeypatch, argv):
     def no_pool(*args, **kwargs):
         raise AssertionError("sweep started a worker pool")
