@@ -81,12 +81,13 @@ class Propagation(NamedTuple):
     external_cells: frozenset  # cells whose first trigger is external
 
     @classmethod
-    def from_paths(cls, paths: dict, times: dict | None = None) -> "Propagation":
-        """The pointer form of explicit per-cell paths (fixtures)."""
+    def from_paths(cls, paths: dict) -> "Propagation":
+        """The pointer form of explicit per-cell paths (fixtures); every
+        cell given a path fired at time 0."""
         n = max(paths, default=-1) + 1
         at, pioneer, source = [None] * n, list(range(n)), [None] * n
         for i, p in paths.items():
-            at[i] = times[i] if times else 0
+            at[i] = 0
             pioneer[i] = p[-2] if len(p) > 1 else i
             source[i] = p[0] if p else None
         externals = frozenset(i for i, p in paths.items() if len(p) == 1)

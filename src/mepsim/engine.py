@@ -27,7 +27,10 @@ rest_due never decreases:
   and when it does, each waiting signal due at or before the new
   rest_due is rejected by that trigger, since the receiver cannot fire
   again until after rest_due.  The other waiting signals go onto the
-  queue.
+  queue.  There are none when no cell restores sooner than d_max after
+  a trigger, as under the paper's constraint: a signal sent at t is due
+  by t + d_max, and its receiver fires at some f >= t.  A run that
+  records no arrivals then drops each late signal at send time.
 
 A settled rejection is recorded with the seq it would get at its pop (or
 dropped, when arrivals are not recorded or it is due after the horizon).
@@ -178,6 +181,8 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     adjacency = graph.adjacency
     p = params.omission_p
     lo, width = params.d_min, params.d_max - params.d_min + 1
+    # only a cell restoring within d_max can accept a late signal
+    hold_late = record_arrivals or min(rest_off + rest_off_c) < params.d_max
 
     last_seq = [-1] * n
     raw_triggers = []  # (time, cell, pioneer)
@@ -214,7 +219,8 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                 continue  # timer was reset since this deadline was scheduled
             else:
                 pioneer, r_off, e_off = cell, rest_off, ext_off
-            last_seq[cell] = len(raw_triggers)
+            if record_arrivals:
+                last_seq[cell] = len(raw_triggers)
             raw_triggers.append((t, cell, pioneer))
             rest_due[cell] = rest = t + r_off[cell]
             next_ext[cell] = ext = t + e_off[cell]
@@ -228,14 +234,16 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                         raw_arrivals.append((due, cell, s, _REJECTED,
                                              last_seq[cell]))
                 held.clear()
+            t_lo = t + lo  # the earliest due of its signals
             for j in adjacency[cell]:
-                due = t + (lo + int(rnd() * width) if rnd else sample(cell, j))
+                due = t_lo + int(rnd() * width) if rnd else t + sample(cell, j)
                 if due <= rest_due[j]:  # doomed: rest_due only grows
                     if record_arrivals and due <= horizon:
                         raw_arrivals.append((due, j, cell, _REJECTED,
                                              last_seq[j]))
                 elif due > next_ext[j]:  # j fires first; settle it then
-                    waiting[j].append((due, cell))
+                    if hold_late:  # else that trigger rejects it
+                        waiting[j].append((due, cell))
                 else:
                     heappush(heap, (due, _CLS_ARRIVAL, j, cell))
         return _finalize(trace, raw_triggers, raw_arrivals)

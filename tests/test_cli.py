@@ -505,18 +505,27 @@ def test_paths_stabilize(tmp_path):
     assert failed == []
 
 
-def test_timing_without_a_separation_window_exits_invalid(tmp_path, capsys):
+def test_timing_without_a_separation_window_exits_invalid(tmp_path, capsys,
+                                                         caplog):
     """Rounds are cut at gaps above tau1 // 2, which must exceed the span
     bound diameter * d_max; on ring:16 at d_max = 100 and tau1 = 1600
     both are 800, so neither run nor analyze of such a trace has a
-    verdict.  run rejects the timing before it simulates."""
+    verdict.  run and sweep reject the timing before they simulate, and
+    do not warn that it breaks the paper's constraint (tau0 = 1000 exceeds
+    tau1/3), since it never runs."""
     run = tmp_path / "run"
     argv = ["--override", "topology=ring:16", "--override", "d_max=100",
             "--override", "rho=0.0", "--override", "tau0=1000",
             "--override", "tau1=1600", "--override", "tau2=1600"]
-    assert main(["run", "--out", str(run)] + argv) == EXIT_INVALID
     named = "tau1 // 2 = 800 <= diameter * d_max = 800"
-    assert named in capsys.readouterr().err
+    with caplog.at_level(logging.WARNING, logger="mepsim"):
+        assert main(["run", "--out", str(run)] + argv) == EXIT_INVALID
+        assert named in capsys.readouterr().err
+        assert main(["sweep", "--axis", "p", "--values", "0", "--jobs", "1",
+                     "--out", str(tmp_path / "sweep")] + argv) == EXIT_INVALID
+        assert named in capsys.readouterr().err
+    assert not [r for r in caplog.records
+                if "constraint violated" in r.getMessage()]
     assert not run.exists()
     graph = build_ring(16)
     params = SimParams(d_min=0, d_max=100, rho=0.0, tau0=1000, tau1=1600,

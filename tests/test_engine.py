@@ -204,6 +204,38 @@ def test_arrival_at_restoration_instant_is_rejected_one_ns_later_accepted():
         assert a.triggers == tr.triggers
 
 
+@pytest.mark.parametrize("timing, outcome, fired_by_1", [
+    ("explicit", OUTCOME_ACCEPTED, [(50, 1), (95, 0)]),
+    ("derived", OUTCOME_REJECTED, [(50, 1)])], ids=["explicit", "derived"])
+def test_signal_due_after_its_receivers_deadline(timing, outcome, fired_by_1):
+    """ring 0-1-2-3-0: cell 0 fires at 0 and its signal reaches cell 1 at
+    95, after cell 1's deadline at 50.  At tau0 = 40 < d_max cell 1 is
+    restored by 90, so the signal must wait for that trigger and is then
+    accepted; an unrecorded run may not drop it at send time.  Derived
+    timing has tau0 >= d_max, so cell 1's trigger at 50 rejects it."""
+    g = build_ring(4)
+    if timing == "explicit":
+        p = SimParams(d_min=0, d_max=100, rho=0.0, tau0=40, tau1=1000,
+                      tau2=1000)
+    else:
+        p = _params(g)
+    sched = {(i, j): [95 if (i, j) == (0, 1) else 100]
+             for i in range(4) for j in g.adjacency[i]}
+    dm = DelayModel(kind="adversarial-schedule", schedule=sched, cycle=True)
+    init = InitState(mode="adversarial-explicit",
+                     elapsed=(p.tau2, p.tau2 - 50, p.tau0, p.tau0))
+    kw = dict(delay_model=dm, horizon=120, seed=0, init=init)
+    recorded = simulate(g, p, **kw)
+    late = [a for a in recorded.arrivals if (a.frm, a.to) == (0, 1)]
+    assert [(a.time, a.outcome) for a in late] == [(95, outcome)]
+    assert [(t, h) for t, cell, h in recorded.triggers if cell == 1] == \
+        fired_by_1
+    unrecorded = simulate(g, p, record_arrivals=False, **kw)
+    assert unrecorded.triggers == recorded.triggers
+    oracle = brute_force_simulate(g, p, record_arrivals=False, **kw)
+    assert trace_to_text(unrecorded) == trace_to_text(oracle)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_simulate_restores_gc_state(enabled):
     p = _params(K2)
