@@ -500,7 +500,7 @@ def cmd_sweep(args) -> int:
         for replica in range(args.replicas):
             seed = f"{cfg['seed']}-{value}-{replica}"
             tasks.append((str(value), replica, spec._replace(seed=seed)))
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
     if jobs == 1:
         rows = [_sweep_worker(t) for t in tasks]
     else:

@@ -14,29 +14,27 @@ an external deadline wins, producing an internal trigger.  Simultaneous
 arrivals at one cell collapse into a single acceptance whose pioneer is
 the smallest sender id.
 
-simulate() settles most rejected signals without queueing them, at one
-of two points.  A cell fires only at instants t > rest_due[c] (under
+simulate() settles most rejected signals where they are sent, without
+queueing them.  A cell fires only at instants t > rest_due[c] (under
 drift, SimParams's tau2 - tau0 >= 2 keeps each liveness deadline after
 its restoration), and firing sets rest_due[c] to at least t, so
 rest_due never decreases:
 
-- At send time, a signal due at or before its receiver's rest_due is sure
-  to be rejected by the receiver's current last trigger.
-- A signal due after its receiver's pending liveness deadline waits on
-  the receiver's list: the receiver fires at or before that deadline,
-  and when it does, each waiting signal due at or before the new
-  rest_due is rejected by that trigger, since the receiver cannot fire
-  again until after rest_due.  The other waiting signals go onto the
-  queue.  There are none when no cell restores sooner than d_max after
-  a trigger, as under the paper's constraint: a signal sent at t is due
-  by t + d_max, and its receiver fires at some f >= t.  A run that
-  records no arrivals then drops each late signal at send time.
+- A signal due at or before its receiver's rest_due is sure to be
+  rejected by the receiver's latest trigger.
+- A signal due after its receiver's pending liveness deadline is sure to
+  be rejected by the receiver's next trigger when no cell restores
+  sooner than d_max after a trigger, as under the paper's constraint: a
+  signal sent at t is due by t + d_max, and its receiver fires next at
+  some f in [t, deadline], so it stays excited past the due instant.
+  Otherwise such a signal is queued like any other.
 
-A settled rejection is recorded with the seq it would get at its pop (or
-dropped, when arrivals are not recorded or it is due after the horizon).
-Rejections draw nothing from the omission stream, and a signal due at
-the deadline's own instant is still queued, so it still wins the tie:
-the trace is the one that queueing every signal gives.
+A settled rejection is recorded with its rejecting trigger's index among
+its receiver's triggers (or dropped, when arrivals are not recorded or
+it is due after the horizon).  Rejections draw nothing from the omission
+stream, and a signal due at the deadline's own instant is still queued,
+so it still wins the tie: the trace is the one that queueing every
+signal gives.
 """
 
 from __future__ import annotations
@@ -181,14 +179,13 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
     adjacency = graph.adjacency
     p = params.omission_p
     lo, width = params.d_min, params.d_max - params.d_min + 1
-    # only a cell restoring within d_max can accept a late signal
-    hold_late = record_arrivals or min(rest_off + rest_off_c) < params.d_max
+    # every late signal is rejected unless some cell restores within d_max
+    settle_late = min(rest_off + rest_off_c) >= params.d_max
 
-    last_seq = [-1] * n
+    fired = [0] * n  # each cell's trigger count
     raw_triggers = []  # (time, cell, pioneer)
-    raw_arrivals = []  # (time, to, frm, rank, provisional_rejecting_seq)
+    raw_arrivals = []  # (time, to, frm, rank, rejecting trigger's index at to)
     heap = []  # (time, class, cell, sender); a deadline's sender is its cell
-    waiting = [[] for _ in range(n)]  # (due, sender) past the cell's deadline
 
     for i in range(n):
         heappush(heap, (next_ext[i], _CLS_EXTERNAL, i, i))
@@ -204,7 +201,7 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                         and heap[0][2] == cell:
                     senders.append(heappop(heap)[3])
                 if t <= rest_due[cell]:
-                    rank, rej = _REJECTED, last_seq[cell]
+                    rank, rej = _REJECTED, fired[cell] - 1
                 elif p > 0.0 and omission_random() < p:
                     rank, rej = _OMITTED, -1
                 else:
@@ -219,31 +216,23 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                 continue  # timer was reset since this deadline was scheduled
             else:
                 pioneer, r_off, e_off = cell, rest_off, ext_off
-            if record_arrivals:
-                last_seq[cell] = len(raw_triggers)
+            fired[cell] += 1
             raw_triggers.append((t, cell, pioneer))
-            rest_due[cell] = rest = t + r_off[cell]
+            rest_due[cell] = t + r_off[cell]
             next_ext[cell] = ext = t + e_off[cell]
             heappush(heap, (ext, _CLS_EXTERNAL, cell, cell))
-            held = waiting[cell]
-            if held:
-                for due, s in held:
-                    if due > rest:
-                        heappush(heap, (due, _CLS_ARRIVAL, cell, s))
-                    elif record_arrivals and due <= horizon:
-                        raw_arrivals.append((due, cell, s, _REJECTED,
-                                             last_seq[cell]))
-                held.clear()
             t_lo = t + lo  # the earliest due of its signals
             for j in adjacency[cell]:
                 due = t_lo + int(rnd() * width) if rnd else t + sample(cell, j)
                 if due <= rest_due[j]:  # doomed: rest_due only grows
                     if record_arrivals and due <= horizon:
                         raw_arrivals.append((due, j, cell, _REJECTED,
-                                             last_seq[j]))
-                elif due > next_ext[j]:  # j fires first; settle it then
-                    if hold_late:  # else that trigger rejects it
-                        waiting[j].append((due, cell))
+                                             fired[j] - 1))
+                elif settle_late and due > next_ext[j]:
+                    # late: j's next trigger, by next_ext[j], rejects it
+                    if record_arrivals and due <= horizon:
+                        raw_arrivals.append((due, j, cell, _REJECTED,
+                                             fired[j]))
                 else:
                     heappush(heap, (due, _CLS_ARRIVAL, j, cell))
         return _finalize(trace, raw_triggers, raw_arrivals)
@@ -251,29 +240,33 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
 
 def _finalize(trace: Trace, raw_triggers, raw_arrivals) -> Trace:
     """The header `trace` with the raw (time, cell, pioneer) triggers
-    and (time, to, frm, rank, provisional_rejecting_seq) arrivals sorted
-    in.  Both lists are sorted in place, whole tuples without a key, and
-    each raw arrival is replaced in its own slot by its ArrivalRecord.
+    and (time, to, frm, rank, k) arrivals sorted in.  Both lists are
+    sorted in place, whole tuples without a key, and each raw arrival is
+    replaced in its own slot by its ArrivalRecord.
 
     No two triggers share a (time, cell) pair (a cell fires only at t >
     rest_due, and firing sets rest_due >= t), so the trigger sort never
-    compares a pioneer.  Only rejections carry a provisional seq (a trigger's
-    index in recording order), all else -1.
+    compares a pioneer, and a cell's triggers keep their recording
+    order.  A rejection's k is its rejecting trigger's index among the
+    receiver's own triggers, so its final seq is the k-th seq of `to` in
+    the sorted triggers; every other arrival, and a rejection by a
+    cell's initial excitation, carries k = -1.
 
     At one (time, to) a cell records any omissions, then at most one
     acceptance (after which it fires), then rejections, all by that one
-    trigger, since it stays excited through the instant.  So among equal
-    (time, to, frm) ranks ascend in recording order and equal ranks are
-    equal tuples: the sort keeps the recording order, as a stable keyed
-    sort would.  Outcome strings would not do: 'accepted' < 'omitted'."""
-    if raw_arrivals:
-        remap = [0] * len(raw_triggers)
-        for final_seq, k in enumerate(sorted(range(len(raw_triggers)),
-                                             key=raw_triggers.__getitem__)):
-            remap[k] = final_seq
+    trigger, since it stays excited through the instant; a rejection
+    settled at send time ties only with rejections by that trigger.  So
+    among equal (time, to, frm) ranks ascend in recording order and
+    equal ranks are equal tuples: the sort keeps the recording order, as
+    a stable keyed sort would.  Outcome strings would not do: 'accepted'
+    < 'omitted'."""
     raw_triggers.sort()
-    raw_arrivals.sort()
-    for i, (t, to, frm, rank, rej) in enumerate(raw_arrivals):
+    if raw_arrivals:
+        seqs = [[] for _ in range(trace.graph.node_count)]
+        for seq, (_, cell, _) in enumerate(raw_triggers):
+            seqs[cell].append(seq)
+        raw_arrivals.sort()
+    for i, (t, to, frm, rank, k) in enumerate(raw_arrivals):
         raw_arrivals[i] = ArrivalRecord(frm, to, t, _OUTCOMES[rank],
-                                        remap[rej] if rej >= 0 else None)
+                                        seqs[to][k] if k >= 0 else None)
     return trace._replace(triggers=raw_triggers, arrivals=raw_arrivals)

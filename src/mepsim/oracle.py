@@ -46,23 +46,23 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
     n = graph.node_count
     adjacency = graph.adjacency
     p = params.omission_p
-    last_seq = [-1] * n
+    fired = [0] * n  # each cell's trigger count
 
     pending = {}  # arrival instant -> [(to, frm), ...] in emission order
     for frm, to, arrival in init.signals:
         pending.setdefault(arrival, []).append((to, frm))
 
     raw_triggers = []  # (time, cell, pioneer) in emission order
-    # (time, to, frm, rank, provisional_rejecting_seq), the engine's layout:
-    # rank is its _OMITTED, _ACCEPTED or _REJECTED, and _finalize sorts
-    # these tuples whole
+    # (time, to, frm, rank, k), the engine's layout: rank is its _OMITTED,
+    # _ACCEPTED or _REJECTED, k a rejection's rejecting trigger's index
+    # among the receiver's triggers, and _finalize sorts these tuples whole
     raw_arrivals = []
 
     def fire(cell: int, t: int, pioneer: int, micro) -> None:
         # the protocol only triggers propagable cells
         excited = 1 if t <= rest_due[cell] else 0
         assert (1 - excited) == 1, "trigger on a non-propagable cell"
-        last_seq[cell] = len(raw_triggers)
+        fired[cell] += 1
         raw_triggers.append((t, cell, pioneer))
         if pioneer != cell:  # internal
             rest_due[cell] = t + rest_off_c[cell]
@@ -92,7 +92,7 @@ def brute_force_simulate(graph: Graph, params: SimParams, *, delay_model,
                     senders.append(heappop(micro)[2])
                 if t <= rest_due[cell]:
                     if record_arrivals:
-                        rej = last_seq[cell]
+                        rej = fired[cell] - 1
                         for s in senders:
                             raw_arrivals.append((t, cell, s, _REJECTED, rej))
                 elif p > 0.0 and omission_random() < p:

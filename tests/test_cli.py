@@ -795,6 +795,39 @@ def test_sweep_process_pool_matches_one_process(tmp_path):
         (tmp_path / "one" / "sweep.csv").read_bytes()
 
 
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
+    """A process pool forks all its workers at the first task, so a sweep
+    asks for no more of them than it has runs."""
+    sizes = []
+
+    class InProcessPool:  # records its size, maps here, starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    argv = ["sweep", "--axis", "p", "--values", "0,0.1"] + FAST
+    assert main(argv + ["--jobs", "64", "--out", str(tmp_path / "many")]) \
+        == EXIT_OK
+    assert sizes == [2]
+    assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "one")]) \
+        == EXIT_OK
+    assert (tmp_path / "many" / "sweep.csv").read_bytes() == \
+        (tmp_path / "one" / "sweep.csv").read_bytes()
+    assert main(["sweep", "--axis", "p", "--values", "0", "--jobs", "64",
+                 "--out", str(tmp_path / "single")] + FAST) == EXIT_OK
+    assert sizes == [2]  # one run builds no pool
+
+
 # Every config key but those naming files and the topology (the run stays
 # on FAST's ring:4) and the horizon (pinned below, so no run is long).
 _FUZZED_KEYS = sorted(set(_CONFIG) - {"topology", "topology_file",

@@ -210,9 +210,11 @@ def test_arrival_at_restoration_instant_is_rejected_one_ns_later_accepted():
 def test_signal_due_after_its_receivers_deadline(timing, outcome, fired_by_1):
     """ring 0-1-2-3-0: cell 0 fires at 0 and its signal reaches cell 1 at
     95, after cell 1's deadline at 50.  At tau0 = 40 < d_max cell 1 is
-    restored by 90, so the signal must wait for that trigger and is then
-    accepted; an unrecorded run may not drop it at send time.  Derived
-    timing has tau0 >= d_max, so cell 1's trigger at 50 rejects it."""
+    restored by 90, so the signal is queued like any other and accepted;
+    a run may not settle it at send time.  Derived timing has tau0 >=
+    d_max, so cell 1's trigger at 50 rejects it, and a recording run
+    records that rejection at send time, naming that trigger.  Both
+    recording and unrecorded runs match the per-ns oracle."""
     g = build_ring(4)
     if timing == "explicit":
         p = SimParams(d_min=0, d_max=100, rho=0.0, tau0=40, tau1=1000,
@@ -230,6 +232,8 @@ def test_signal_due_after_its_receivers_deadline(timing, outcome, fired_by_1):
     assert [(a.time, a.outcome) for a in late] == [(95, outcome)]
     assert [(t, h) for t, cell, h in recorded.triggers if cell == 1] == \
         fired_by_1
+    assert trace_to_text(recorded) == \
+        trace_to_text(brute_force_simulate(g, p, **kw))
     unrecorded = simulate(g, p, record_arrivals=False, **kw)
     assert unrecorded.triggers == recorded.triggers
     oracle = brute_force_simulate(g, p, record_arrivals=False, **kw)
@@ -259,8 +263,9 @@ def test_simulate_restores_gc_state(enabled):
 def test_rejected_signals_mostly_skip_the_queue(monkeypatch, topology, rho,
                                                 record):
     """Nearly every signal of a stabilized run is rejected.  Settled at
-    send time or at the receiver's next trigger, such signals skip the
-    queue, so a run pops few more events than it has triggers."""
+    send time, as sure to be rejected by the receiver's latest or next
+    trigger, such signals skip the queue, so a run pops few more events
+    than it has triggers."""
     g = parse_topology(topology)
     stats = topology_stats(g)
     p = _params(g, rho=rho)
@@ -304,16 +309,19 @@ def test_simulate_peak_memory_is_close_to_its_trace(topology, record,
 
 def _reference_finalize(trace, raw_triggers, raw_arrivals):
     """_finalize by definition: stable sorts of the triggers by (time, cell)
-    and of the arrivals by (time, to, frm), each in recording order."""
-    order = sorted(range(len(raw_triggers)),
-                   key=lambda k: raw_triggers[k][:2])
-    final_seq = {k: i for i, k in enumerate(order)}
+    and of the arrivals by (time, to, frm), each in recording order; a
+    rejection's k names the k-th of its receiver's sorted triggers."""
+    triggers = sorted(raw_triggers, key=lambda trig: trig[:2])
+
+    def final_seq(to, k):
+        return [s for s, trig in enumerate(triggers) if trig[1] == to][k]
+
     arrivals = sorted(raw_arrivals, key=lambda a: a[:3])
     return trace._replace(
-        triggers=[raw_triggers[k] for k in order],
+        triggers=triggers,
         arrivals=[ArrivalRecord(frm, to, t, mepsim.engine._OUTCOMES[rank],
-                                final_seq[rej] if rej >= 0 else None)
-                  for t, to, frm, rank, rej in arrivals])
+                                final_seq(to, k) if k >= 0 else None)
+                  for t, to, frm, rank, k in arrivals])
 
 
 def _assert_finalize_matches_reference(run):

@@ -92,8 +92,8 @@ def _differential_case(draw):
     faults = dict(omission_p=draw(st.sampled_from([0.0, 0.2, 1.0])),
                   dmin_compensation=draw(st.booleans()))
     if draw(st.booleans()):
-        # explicit timing with tau0 near the delays: a signal held past its
-        # receiver's deadline can still be due after the next restoration
+        # explicit timing with tau0 near the delays: a signal due past its
+        # receiver's deadline can still arrive after the next restoration
         tau0 = draw(st.integers(d_min + 1, d_min + 2 * d_max))
         if draw(st.booleans()):
             drift_mode, rho = "zero", 0.0
