@@ -329,14 +329,9 @@ def check_pattern_properties(report: PatternReport, p: Propagation,
     add("sinks-at-least-sources", n_sink >= n_source,
         f"sinks={n_sink} sources={n_source}")
 
-    bad = []
-    for s, cells in regions.items():
-        has_non_sink = sinks[s] < len(cells)
-        source_non_sink = any(
-            flow[i] in (ROLE_SOURCE, ROLE_FLOW) and p.source[i] == i == s
-            for i in cells)
-        if has_non_sink and not source_non_sink:
-            bad.append(s)
+    # a region holds its source cell s exactly when s's own path starts at s
+    bad = [s for s, cells in regions.items() if sinks[s] < len(cells)
+           and not (p.source[s] == s and flow[s] in (ROLE_SOURCE, ROLE_FLOW))]
     add("non-sink-region-has-non-sink-source", not bad,
         f"regions: {bad[:4]}")
 

@@ -18,7 +18,7 @@ from mepsim.analysis import required_horizon
 from mepsim.cli import (_CONFIG, EXIT_CHECK_FAILURE, EXIT_HORIZON,
                         EXIT_INVALID, EXIT_NOT_STABILIZED, EXIT_OK,
                         load_config, main, resolve_config)
-from mepsim.errors import ConfigError
+from mepsim.errors import ConfigError, ParameterError
 from mepsim.timing import SimParams
 from mepsim.topology import build_ring, from_edge_list, topology_stats
 from mepsim.trace import Trace, write_trace
@@ -536,6 +536,35 @@ def test_timing_without_a_separation_window_exits_invalid(tmp_path, capsys,
     assert main(["analyze", str(tmp_path / "trace.csv"),
                  "--out", str(tmp_path / "an")]) == EXIT_INVALID
     assert named in capsys.readouterr().err
+
+
+def test_resolve_config_rejects_timing_without_a_separation_window(caplog):
+    """resolve_config is the one gate from config to run: it raises on
+    no-window timing itself, and warns of nothing."""
+    cfg = load_config(overrides=[
+        "topology=ring:16", "d_max=100", "rho=0.0", "tau0=1000",
+        "tau1=1600", "tau2=1600"])
+    with caplog.at_level(logging.WARNING, logger="mepsim"), \
+            pytest.raises(ParameterError,
+                          match=re.escape("tau1 // 2 = 800 <= "
+                                          "diameter * d_max = 800")):
+        resolve_config(cfg)
+    assert caplog.records == []
+
+
+def test_timing_checks_come_after_every_other_check(tmp_path, capsys,
+                                                    caplog):
+    """A config rejected for another reason logs no constraint WARNING,
+    even when its explicit timing breaks the paper's constraint."""
+    with caplog.at_level(logging.WARNING, logger="mepsim"):
+        rc = main(["run", "--out", str(tmp_path / "o")] + FAST + [
+            "--override", "tau0=60", "--override", "tau1=1000",
+            "--override", "tau2=1000", "--override", "init.mode=bogus"])
+    assert rc == EXIT_INVALID
+    assert "unknown init mode" in capsys.readouterr().err
+    assert not [r for r in caplog.records
+                if "constraint violated" in r.getMessage()]
+    assert not (tmp_path / "o").exists()
 
 
 def test_not_stabilized_run_names_its_first_violation(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import mepsim.engine
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.analysis import required_horizon
-from mepsim.cli import load_config, resolve_config
 from mepsim.engine import InitState
 from mepsim.errors import ParameterError, ScheduleUnderrunError
 from mepsim.oracle import brute_force_simulate
@@ -389,14 +388,18 @@ def test_finalize_keeps_recording_order_among_ties(case):
 
 
 @pytest.mark.parametrize("overrides", [
-    ("topology=hypercube:3", "d_max=10", "tau0=3", "tau1=6", "tau2=6",
-     "seed=16", "horizon_ns=300"),
-    ("topology=grid:3x3", "d_max=10", "tau0=7", "tau1=24", "tau2=24",
-     "seed=39", "horizon_ns=1200"),
+    ("hypercube:3", 3, 6, 16, 300),
+    ("grid:3x3", 7, 24, 39, 1200),
 ])
 def test_finalize_orders_omission_before_acceptance(overrides):
     """Two runs where one sender's omitted and accepted signals reach a
-    cell at one instant; sorting outcome strings would swap them."""
-    spec = resolve_config(load_config(overrides=(
-        "d_min=0", "rho=0.0", "omission_p=0.2") + overrides))
-    _assert_finalize_matches_reference(spec.run)
+    cell at one instant; sorting outcome strings would swap them.  Each
+    sets the topology, tau0, tau1 = tau2, the seed and the horizon of a
+    run at d_max = 10 with omissions."""
+    topology, tau0, tau1, seed, horizon = overrides
+    params = SimParams(d_min=0, d_max=10, rho=0.0, tau0=tau0, tau1=tau1,
+                       tau2=tau1, omission_p=0.2)
+    _assert_finalize_matches_reference(lambda: simulate(
+        parse_topology(topology), params,
+        delay_model=DelayModel(kind="uniform"), horizon=horizon, seed=seed,
+        drift=DriftAssignment(mode="uniform")))

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mepsim.analysis import segmentation_params
 from mepsim.engine import InitState
 from mepsim.errors import ParameterError, ScheduleUnderrunError
 from mepsim.timing import (DelayModel, DriftAssignment, SimParams,
                            check_strict_constraint, derive_params,
                            local_to_real, read_schedule_file, stream)
-from mepsim.topology import build_grid, build_ring, topology_stats
+from mepsim.topology import (TopologyStats, build_grid, build_ring,
+                             topology_stats)
 
 
 def test_local_to_real_identity_at_zero_drift():
@@ -52,12 +54,24 @@ def test_derive_params_rounds_up():
     assert p.tau1 == math.ceil(Fraction(p.tau2) / (1 + r))
 
 
+@st.composite
+def _stats(draw):
+    """Topology stats with 1 <= diameter <= L_G <= 10^4."""
+    lg = draw(st.integers(min_value=1, max_value=10**4))
+    return TopologyStats(diameter=draw(st.integers(min_value=1, max_value=lg)),
+                         longest_simple_path=lg, lg_is_exact=True)
+
+
 @given(st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 0.9]),
-       st.integers(min_value=1, max_value=10**6))
-def test_derived_params_always_satisfy_strict_chain(rho, d):
-    stats = topology_stats(build_ring(8))
+       st.integers(min_value=1, max_value=10**6), _stats())
+def test_derived_params_always_satisfy_strict_chain(rho, d, stats):
+    """Derived timing meets the paper's constraint and leaves a
+    separation window, so resolve_config checks neither for it:
+    tau1 >= 3 * (tau0 + d) >= 3 * (L_G + 3) * d puts tau1 // 2 above
+    L_G * d >= diameter * d."""
     p = derive_params(stats, d, rho)
     check_strict_constraint(p.tau0, p.tau1, stats, d, rho)  # must not raise
+    segmentation_params(p, stats)  # must not raise
 
 
 def test_strict_constraint_rejects_bad_tau0():
