@@ -114,26 +114,30 @@ def trace_to_text(trace: Trace) -> str:
 def _trace_rows(trace: Trace):
     """The text of the trace file in pieces: the header lines, then one
     string per chunk of at most _CHUNK_ROWS rows, so writing a trace never
-    holds the whole file text."""
+    holds the whole file text.  Cell ids and external-trigger tails come
+    from tables of n strings; times and seqs, unique per row, are
+    formatted per row."""
     yield f"#mepsim-trace={SCHEMA_VERSION}\n"
     yield f"#seed={json.dumps(trace.seed)}\n"
     yield f"#meta={json.dumps(_meta_dict(trace), sort_keys=True)}\n"
     yield "[triggers]\n" + TRIGGERS_HEADER + "\n"
+    ids = [str(i) for i in range(trace.graph.node_count)]
+    external = [f"{c},{KIND_EXTERNAL},{c}\n" for c in ids]
     for i in range(0, len(trace.triggers), _CHUNK_ROWS):
         yield "".join([
-            f"{seq},{t},{cell},"
-            f"{KIND_EXTERNAL if pioneer == cell else KIND_INTERNAL},{pioneer}\n"
+            f"{seq},{t},{external[cell]}" if pioneer == cell else
+            f"{seq},{t},{ids[cell]},{KIND_INTERNAL},{ids[pioneer]}\n"
             for seq, (t, cell, pioneer)
             in enumerate(trace.triggers[i:i + _CHUNK_ROWS], i)])
     yield "[arrivals]\n" + ARRIVALS_HEADER + "\n"
     for i in range(0, len(trace.arrivals), _CHUNK_ROWS):
         yield "".join([
-            f"{a.time},{a.frm},{a.to},{a.outcome},"
+            f"{a.time},{ids[a.frm]},{ids[a.to]},{a.outcome},"
             f"{'' if a.rejecting_seq is None else a.rejecting_seq}\n"
             for a in trace.arrivals[i:i + _CHUNK_ROWS]])
 
 
-def read_trace(path) -> Trace:
+def read_trace(path, keep_arrivals=True) -> Trace:
     """Read a trace file, checking the whole trace contract.
 
     Beyond the syntax, the contract holds that trigger seqs are row
@@ -142,11 +146,13 @@ def read_trace(path) -> Trace:
     senders lie in [0, n); an external trigger's pioneer is its own cell
     and an internal one's a neighbour; and only a rejection names a
     rejecting trigger, which is a trigger of the receiving cell no later
-    than the arrival.  Any break raises TraceParseError.
+    than the arrival.  Any break raises TraceParseError.  With
+    keep_arrivals false every arrival row is still checked, but the
+    returned trace holds none.
     """
     with open(path, encoding="utf-8") as fh, paused_gc():
         try:
-            return _parse(enumerate(fh, 1))
+            return _parse(enumerate(fh, 1), keep_arrivals)
         except UnicodeDecodeError as exc:
             raise TraceParseError(f"not UTF-8 text: {exc}") from exc
 
@@ -159,7 +165,7 @@ def _next_line(rows, lineno):
     return lineno + 1, None
 
 
-def _parse(rows) -> Trace:
+def _parse(rows, keep_arrivals) -> Trace:
     lineno, line = _next_line(rows, 0)
     if line is None or not line.startswith("#mepsim-trace="):
         raise TraceParseError("missing schema header", line=1)
@@ -190,8 +196,9 @@ def _parse(rows) -> Trace:
     lineno, line = _next_line(rows, lineno)
     if line != ARRIVALS_HEADER:
         raise TraceParseError("missing arrivals header row", line=lineno)
-    arrivals = _read_arrivals(rows, graph.node_count, horizon, triggers)
-    if arrivals and not fields["arrivals_recorded"]:
+    arrivals, any_rows = _read_arrivals(rows, graph.node_count, horizon,
+                                        triggers, keep_arrivals)
+    if any_rows and not fields["arrivals_recorded"]:
         raise TraceParseError("arrival rows in a trace whose #meta says "
                               "arrivals were not recorded")
     return Trace(triggers=triggers, arrivals=arrivals,
@@ -308,9 +315,11 @@ def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:
     raise TraceParseError("missing [arrivals] section")
 
 
-def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
-    """Arrival rows up to the end of the file.  A blank line ends the
-    section; only blank lines may follow it."""
+def _read_arrivals(rows, n: int, horizon: int, triggers: list,
+                   keep: bool) -> tuple:
+    """The arrival rows up to the end of the file (none unless `keep`), and
+    whether there was any.  A blank line ends the section; only blank
+    lines may follow it."""
     arrivals = []
     seqs = len(triggers)
     seq_ints = None  # list(range(seqs)) once a rejection row is read
@@ -366,9 +375,10 @@ def _read_arrivals(rows, n: int, horizon: int, triggers: list) -> list:
                 raise TraceParseError(f"rejecting_seq {rej} names a trigger "
                                       f"of cell {rej_cell}, not of the "
                                       f"receiver {to}", line=lineno)
-        arrivals.append(ArrivalRecord(frm, to, t, known, rej))
+        if keep:
+            arrivals.append(ArrivalRecord(frm, to, t, known, rej))
     for lineno, line in rows:
         if line.rstrip("\n"):
             raise TraceParseError("row after the blank line that ends the "
                                   "arrivals section", line=lineno)
-    return arrivals
+    return arrivals, prev_t >= 0  # each row read sets prev_t to a t >= 0

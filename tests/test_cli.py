@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import gc
 import json
 import logging
 import os
@@ -308,6 +309,36 @@ def test_short_horizon_exit_code(tmp_path):
     rc = main(["run", "--out", str(tmp_path / "o"), "--horizon-ns", "5000"]
               + FAST)
     assert rc == EXIT_HORIZON
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_run_with_gc_paused(tmp_path, monkeypatch, enabled):
+    """Each command runs with the cyclic GC paused, as build_metrics sees
+    it; main restores the prior state after a verdict and after an error
+    raised mid-command."""
+    seen = []
+    build_metrics = mepsim.cli.build_metrics
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return build_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(mepsim.cli, "build_metrics", spy)
+    run_dir = tmp_path / "run"
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert main(["run", "--out", str(run_dir)] + FAST) == EXIT_OK
+        assert gc.isenabled() is enabled
+        assert main(["analyze", str(run_dir / "trace.csv"),
+                     "--out", str(tmp_path / "an")] + FAST) == EXIT_OK
+        assert gc.isenabled() is enabled
+        assert main(["run", "--out", str(tmp_path / "short"),
+                     "--horizon-ns", "5000"] + FAST) == EXIT_HORIZON
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False, False, False]
 
 
 def test_analyze_without_a_verdict_leaves_no_output(tmp_path):
@@ -878,13 +909,27 @@ _JSON_VALUES = st.one_of(
 def test_run_survives_random_config_overrides(tmp_path_factory, overrides):
     """Random JSON values, NaN and the infinities included, for up to four
     config keys: run must answer with a documented exit code, never a
-    traceback."""
-    argv = ["run", "--out", str(tmp_path_factory.mktemp("fuzzed")),
-            "--horizon-ns", "20000"] + FAST
+    traceback.  A run with a verdict re-analyzes, under the same
+    overrides, to the same exit code and the same outputs."""
+    out = tmp_path_factory.mktemp("fuzzed")
+    argv = FAST[:]
     for key, value in overrides:
         argv += ["--override", f"{key}={json.dumps(value)}"]
-    assert main(argv) in (EXIT_OK, EXIT_NOT_STABILIZED, EXIT_CHECK_FAILURE,
-                          EXIT_INVALID, EXIT_HORIZON)
+    rc = main(["run", "--out", str(out / "run"), "--horizon-ns", "20000"]
+              + argv)
+    assert rc in (EXIT_OK, EXIT_NOT_STABILIZED, EXIT_CHECK_FAILURE,
+                  EXIT_INVALID, EXIT_HORIZON)
+    if rc in (EXIT_INVALID, EXIT_HORIZON):
+        return
+    assert main(["analyze", str(out / "run" / "trace.csv"),
+                 "--out", str(out / "an")] + argv) == rc
+
+    def outputs(outdir):
+        files = [outdir / "metrics.json", *sorted(outdir.glob("plotdata/*")),
+                 *sorted(outdir.glob("patterns/*"))]
+        return {str(f.relative_to(outdir)): f.read_bytes() for f in files}
+
+    assert outputs(out / "an") == outputs(out / "run")
 
 
 @pytest.mark.parametrize("argv", [

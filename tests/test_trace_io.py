@@ -7,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.engine import InitState
 from mepsim.errors import TraceParseError
-from mepsim.topology import build_ring, from_edge_list, topology_stats
+from mepsim.topology import (build_ring, from_edge_list, parse_topology,
+                             topology_stats)
 from mepsim.trace import read_trace, trace_to_text, write_trace
+
+TRIGGERS = "seq,time_ns,cell,kind,pioneer"
+ARRIVALS = "time_ns,from,to,outcome,rejecting_seq"
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +58,22 @@ def test_rejections_by_one_trigger_share_their_seq(tmp_path):
     assert all(s is seqs[0] for seqs in shared for s in seqs)
 
 
+# constructor graphs (stats in closed form) whose ids reach two digits
+_WIDE_GRAPHS = [parse_topology(spec)
+                for spec in ("ring:12", "grid:3x5", "hypercube:4")]
+
+
 @st.composite
 def _small_run(draw):
-    n = draw(st.integers(2, 5))
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-    graph = from_edge_list(n, sorted(edges))
+    if draw(st.booleans()):
+        graph = draw(st.sampled_from(_WIDE_GRAPHS))
+    else:
+        n = draw(st.integers(2, 5))
+        edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs),
+                                   max_size=len(pairs))))
+        graph = from_edge_list(n, sorted(edges))
     d_max = draw(st.integers(1, 100))
     d_min = draw(st.integers(0, d_max))
     rho = draw(st.sampled_from([0.0, 1e-4]))
@@ -80,15 +93,29 @@ def _small_run(draw):
         record_arrivals=draw(st.booleans()))
 
 
+def _spelled_rows(trace):
+    """The data rows of a trace file, each spelled on its own."""
+    rows = [f"{seq},{t},{cell},{'external' if p == cell else 'internal'},{p}"
+            for seq, (t, cell, p) in enumerate(trace.triggers)]
+    rows += ["[arrivals]", ARRIVALS]
+    rows += [f"{a.time},{a.frm},{a.to},{a.outcome},"
+             f"{'' if a.rejecting_seq is None else a.rejecting_seq}"
+             for a in trace.arrivals]
+    return rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_run())
 def test_roundtrip_random_runs(tmp_path_factory, case):
-    """Every simulated trace reads back to equal records, and writing what
-    was read reproduces the file."""
+    """Every simulated trace reads back to equal records, writing what was
+    read reproduces the file, and each data row is its record's per-row
+    f-string spelling."""
     graph, params, kw = case
     trace = simulate(graph, params, **kw)
     path = tmp_path_factory.mktemp("roundtrip") / "trace.csv"
     write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert lines[lines.index(TRIGGERS) + 1:] == _spelled_rows(trace)
     back = read_trace(path)
     assert back.triggers == trace.triggers
     assert back.arrivals == trace.arrivals
@@ -97,6 +124,7 @@ def test_roundtrip_random_runs(tmp_path_factory, case):
         (trace.graph, trace.params, trace.horizon, trace.seed,
          trace.warnings, trace.models, trace.arrivals_recorded)
     assert trace_to_text(back) == path.read_text()
+    assert read_trace(path, keep_arrivals=False) == back._replace(arrivals=[])
 
 
 def test_missing_header(tmp_path):
@@ -130,10 +158,6 @@ def test_malformed_row_reports_line(tmp_path, small_trace):
     with pytest.raises(TraceParseError) as exc:
         read_trace(path)
     assert exc.value.line == 6
-
-
-TRIGGERS = "seq,time_ns,cell,kind,pioneer"
-ARRIVALS = "time_ns,from,to,outcome,rejecting_seq"
 
 
 def _field(field, value):
@@ -262,7 +286,8 @@ def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
     the first row of its section that has every field set (arrival rows
     may omit rejecting_seq) and again in a later row that repeats that
     row's tail, which the reader has seen before.  A data-row fault is
-    reported on the mutated row; an order fault on the row after it."""
+    reported on the mutated row; an order fault on the row after it.  A
+    reader that keeps no arrivals still finds each fault."""
     path = tmp_path / "trace.csv"
     lines = trace_to_text(small_trace).splitlines()
     if header.startswith("#"):
@@ -278,12 +303,12 @@ def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
         tail = lines[first].split(",")[cut]
         rows = [first, next(k for k in range(first + 1, len(lines))
                             if lines[k].split(",")[cut] == tail)]
-    for idx in rows:
+    for idx, keep in [(idx, keep) for idx in rows for keep in (True, False)]:
         mutated = list(lines)
         mutated[idx] = mutate(lines[idx], small_trace)
         path.write_text("\n".join(mutated) + "\n")
         with pytest.raises(TraceParseError, match=match) as exc:
-            read_trace(path)
+            read_trace(path, keep_arrivals=keep)
         if not header.startswith("#"):
             assert exc.value.line == idx + 1 + ("not sorted" in match)
 
