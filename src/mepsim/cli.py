@@ -7,8 +7,8 @@ the resolved config echo so results stay regenerable.
 
 Exit codes: 0 stabilized and all property checks pass; 2 not
 stabilized; 3 a structural or association check failed; 4 invalid
-config/parameters/trace/command line; 5 I/O failure; 6 horizon too
-short for a stabilization verdict.
+config/parameters/trace/command line; 5 I/O failure or out of memory;
+6 horizon too short for a stabilization verdict.
 
 Each command runs with the cyclic GC paused: its cyclic garbage is a few
 objects whatever its input, so a collection would only scan the records
@@ -281,7 +281,7 @@ def build_metrics(trace, stats, association=False) -> tuple:
         counts.append(final.counts)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "params": trace.params.as_dict(),
+        "params": trace.params._asdict(),
         "graph": {"n": graph.node_count, "edges": graph.edge_count,
                   "name": graph.name, "diameter": stats.diameter,
                   "longest_simple_path": stats.longest_simple_path},
@@ -387,15 +387,14 @@ def _write_svg(path, rows, cols, source) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _write_manifest(outdir, cfg, extra=None) -> None:
+def _write_manifest(outdir, cfg, extra) -> None:
     manifest = {
         "tool": "mepsim",
         "version": __version__,
         "trace_schema": SCHEMA_VERSION,
         "config": cfg,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     _json_dump(manifest, os.path.join(outdir, "manifest.json"))
 
 
@@ -607,6 +606,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error=io detail={exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        pass  # the traceback's frames hold the run's records until here
+    print("error=out-of-memory", file=sys.stderr)
+    return EXIT_IO
 
 
 if __name__ == "__main__":

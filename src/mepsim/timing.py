@@ -109,9 +109,6 @@ class SimParams(Checked, _SimParamsFields):
         """Worst-case real gap forced by the liveness timer, ceil(tau2/(1-rho))."""
         return int(math.ceil(Fraction(self.tau2) / (1 - Fraction(self.rho))))
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
     @classmethod
     def from_dict(cls, d: dict) -> "SimParams":
         return cls(**{name: d[name] for name in cls._fields})
@@ -156,7 +153,6 @@ def derive_params(stats: TopologyStats, d: int, rho: float, *, d_min: int = 0,
 
 
 DELAY_UNIFORM = "uniform"
-DELAY_FIXED = "fixed"
 DELAY_ADVERSARIAL_MAX = "adversarial-max"
 DELAY_ADVERSARIAL_SCHEDULE = "adversarial-schedule"
 
@@ -171,7 +167,6 @@ class DelayModel(Checked, _DelayModelFields):
     """Per-signal delay source; every sample lies in SimParams's [d_min, d_max].
 
     uniform: integer-uniform inclusive on [d_min, d_max].
-    fixed: degenerate interval, always d_max (requires d_min == d_max).
     adversarial-max: always d_max.
     adversarial-schedule: per-directed-edge lists consumed in emission
     order; cycle=True repeats each list, else exhaustion is an error.
@@ -180,8 +175,8 @@ class DelayModel(Checked, _DelayModelFields):
     __slots__ = ()
 
     def _check(self):
-        if self.kind not in (DELAY_UNIFORM, DELAY_FIXED,
-                             DELAY_ADVERSARIAL_MAX, DELAY_ADVERSARIAL_SCHEDULE):
+        if self.kind not in (DELAY_UNIFORM, DELAY_ADVERSARIAL_MAX,
+                             DELAY_ADVERSARIAL_SCHEDULE):
             raise ParameterError(f"unknown delay model kind {self.kind!r}")
         if self.kind == DELAY_ADVERSARIAL_SCHEDULE and not self.schedule:
             raise ParameterError("adversarial-schedule model requires a schedule")
@@ -193,8 +188,6 @@ class DelayModel(Checked, _DelayModelFields):
         if self.kind == DELAY_UNIFORM:
             rnd, width = rng.random, d_max - d_min + 1
             return lambda src, dst: d_min + int(rnd() * width)
-        if self.kind == DELAY_FIXED and d_min != d_max:
-            raise ParameterError("fixed delay model requires d_min == d_max")
         if self.kind != DELAY_ADVERSARIAL_SCHEDULE:
             return lambda src, dst: d_max
         schedule, cycle, cursors = self.schedule, self.cycle, {}

@@ -61,8 +61,6 @@ def _make_graph(n: int, edge_pairs, name=None) -> Graph:
         if i == j:
             raise TopologyError(f"self-loop at node {i}")
         edges.add((i, j) if i < j else (j, i))
-    if not edges:
-        raise TopologyError("empty edge list")
     adj = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)

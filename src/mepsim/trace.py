@@ -94,7 +94,7 @@ def _meta_dict(trace: Trace) -> dict:
             "name": trace.graph.name,
             "edges": sorted(trace.graph.edges),
         },
-        "params": trace.params.as_dict(),
+        "params": trace.params._asdict(),
         "horizon": trace.horizon,
         "warnings": trace.warnings,
         "models": trace.models or {},
@@ -105,10 +105,6 @@ def _meta_dict(trace: Trace) -> dict:
 def write_trace(trace: Trace, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.writelines(_trace_rows(trace))
-
-
-def trace_to_text(trace: Trace) -> str:
-    return "".join(_trace_rows(trace))
 
 
 def _trace_rows(trace: Trace):
@@ -148,7 +144,7 @@ def read_trace(path, keep_arrivals=True) -> Trace:
     rejecting trigger, which is a trigger of the receiving cell no later
     than the arrival.  Any break raises TraceParseError.  With
     keep_arrivals false every arrival row is still checked, but the
-    returned trace holds none.
+    returned trace holds none and reports arrivals_recorded false.
     """
     with open(path, encoding="utf-8") as fh, paused_gc():
         try:
@@ -201,6 +197,7 @@ def _parse(rows, keep_arrivals) -> Trace:
     if any_rows and not fields["arrivals_recorded"]:
         raise TraceParseError("arrival rows in a trace whose #meta says "
                               "arrivals were not recorded")
+    fields["arrivals_recorded"] &= bool(keep_arrivals)  # holds none: says so
     return Trace(triggers=triggers, arrivals=arrivals,
                  seed=header.get("seed"), **fields)
 

@@ -26,8 +26,7 @@ from mepsim.oracle import brute_force_simulate
 from mepsim.timing import SimParams
 from mepsim.topology import (build_grid, build_hypercube, build_ring,
                              from_edge_list, topology_stats)
-from mepsim.trace import (OUTCOME_REJECTED, ArrivalRecord, Trace,
-                          trace_to_text)
+from mepsim.trace import OUTCOME_REJECTED, ArrivalRecord, Trace
 
 
 VERDICT_LINES = []
@@ -451,7 +450,7 @@ def test_criterion_10_determinism_and_roundtrip(tmp_path):
     dm = DelayModel(kind="uniform")
     t1 = simulate(g, params, delay_model=dm, horizon=10**6, seed="rt")
     t2 = simulate(g, params, delay_model=dm, horizon=10**6, seed="rt")
-    same_lib = trace_to_text(t1) == trace_to_text(t2)
+    same_lib = t1 == t2
     ok = same_trace and same_metrics and roundtrip and same_lib
     _verdict(10, ok, f"(trace={same_trace} metrics={same_metrics} "
                      f"roundtrip={roundtrip} library={same_lib})")

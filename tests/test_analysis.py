@@ -638,8 +638,8 @@ def _model_run(draw, large_drift=False):
         drift_modes = ["zero", "uniform", "extremal"]
     params = derive_params(stats, d_max, rho, d_min=d_min,
                            dmin_compensation=draw(st.booleans()))
-    kinds = ["uniform", "adversarial-max", "adversarial-schedule"]
-    kind = draw(st.sampled_from(kinds + ["fixed"] * (d_min == d_max)))
+    kind = draw(st.sampled_from(["uniform", "adversarial-max",
+                                 "adversarial-schedule"]))
     schedule = None
     if kind == "adversarial-schedule":
         schedule = {(a, b): draw(st.lists(st.integers(d_min, d_max),

@@ -13,8 +13,7 @@ from mepsim.oracle import brute_force_simulate
 from mepsim.timing import SimParams
 from mepsim.topology import (build_ring, from_edge_list, parse_topology,
                              topology_stats)
-from mepsim.trace import (OUTCOME_ACCEPTED, OUTCOME_REJECTED, ArrivalRecord,
-                          trace_to_text)
+from mepsim.trace import OUTCOME_ACCEPTED, OUTCOME_REJECTED, ArrivalRecord
 
 K2 = from_edge_list(2, [(0, 1)])
 P3 = from_edge_list(3, [(0, 1), (1, 2)])
@@ -30,9 +29,9 @@ def test_determinism_same_seed():
     dm = DelayModel(kind="uniform")
     a = simulate(g, p, delay_model=dm, horizon=50000, seed="s1")
     b = simulate(g, p, delay_model=dm, horizon=50000, seed="s1")
-    assert trace_to_text(a) == trace_to_text(b)
+    assert a == b
     c = simulate(g, p, delay_model=dm, horizon=50000, seed="s2")
-    assert trace_to_text(a) != trace_to_text(c)
+    assert a.triggers != c.triggers
 
 
 def test_all_omitted_runs_purely_external():
@@ -50,7 +49,7 @@ def test_all_omitted_runs_purely_external():
 
 def test_elapsed_beyond_period_clamps_to_immediate_fire():
     p = _params(K2, d_min=100)
-    dm = DelayModel(kind="fixed")
+    dm = DelayModel(kind="adversarial-max")
     init = InitState(mode="adversarial-explicit", elapsed=(10 * p.tau2, 0))
     tr = simulate(K2, p, delay_model=dm, horizon=p.tau2, seed=0, init=init)
     assert tr.triggers[0][:2] == (0, 0)
@@ -67,7 +66,7 @@ def test_compensated_fixed_delay_becomes_simultaneous():
     d = 100
     p = derive_params(topology_stats(K2), d, 0.0, d_min=d,
                       dmin_compensation=True)
-    dm = DelayModel(kind="fixed")
+    dm = DelayModel(kind="adversarial-max")
     tr = simulate(K2, p, delay_model=dm, horizon=20 * p.tau2, seed=5)
     by_cell = {0: [], 1: []}
     for t, cell, _ in tr.triggers:
@@ -90,7 +89,7 @@ def test_zero_delay_cascade_same_instant():
 def test_simultaneous_arrivals_pick_smallest_pioneer():
     tri = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
     p = _params(tri, d=60, d_min=60)
-    dm = DelayModel(kind="fixed")
+    dm = DelayModel(kind="adversarial-max")
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau0, p.tau2))
     tr = simulate(tri, p, delay_model=dm, horizon=100, seed=0, init=init)
     trig1 = [trig for trig in tr.triggers if trig[1] == 1]
@@ -102,7 +101,7 @@ def test_simultaneous_arrivals_pick_smallest_pioneer():
 
 def test_rejection_references_latest_trigger():
     p = _params(K2, d=60, d_min=60)
-    dm = DelayModel(kind="fixed")
+    dm = DelayModel(kind="adversarial-max")
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau2))
     tr = simulate(K2, p, delay_model=dm, horizon=200, seed=0, init=init)
     # both fire at 0; each signal lands at 60 on a freshly excited cell
@@ -165,7 +164,7 @@ def test_explicit_params_accepted():
 def test_stale_liveness_deadline_is_cancelled():
     # a cell triggered internally must not also fire at its old deadline
     p = _params(K2, d=60, d_min=60)
-    dm = DelayModel(kind="fixed")
+    dm = DelayModel(kind="adversarial-max")
     init = InitState(mode="adversarial-explicit", elapsed=(p.tau2, p.tau2 - 60))
     tr = simulate(K2, p, delay_model=dm, horizon=3 * p.tau2, seed=0, init=init)
     trig1 = [trig for trig in tr.triggers if trig[1] == 1]
@@ -199,7 +198,7 @@ def test_arrival_at_restoration_instant_is_rejected_one_ns_later_accepted():
     for record in (True, False):
         a = simulate(g, p, record_arrivals=record, **kw)
         b = brute_force_simulate(g, p, record_arrivals=record, **kw)
-        assert trace_to_text(a) == trace_to_text(b)
+        assert a == b
         assert a.triggers == tr.triggers
 
 
@@ -231,12 +230,11 @@ def test_signal_due_after_its_receivers_deadline(timing, outcome, fired_by_1):
     assert [(a.time, a.outcome) for a in late] == [(95, outcome)]
     assert [(t, h) for t, cell, h in recorded.triggers if cell == 1] == \
         fired_by_1
-    assert trace_to_text(recorded) == \
-        trace_to_text(brute_force_simulate(g, p, **kw))
+    assert recorded == brute_force_simulate(g, p, **kw)
     unrecorded = simulate(g, p, record_arrivals=False, **kw)
     assert unrecorded.triggers == recorded.triggers
     oracle = brute_force_simulate(g, p, record_arrivals=False, **kw)
-    assert trace_to_text(unrecorded) == trace_to_text(oracle)
+    assert unrecorded == oracle
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -337,7 +335,7 @@ def _assert_finalize_matches_reference(run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mepsim.engine, "_finalize", both)
         trace = run()
-    assert trace_to_text(trace) == trace_to_text(references[0])
+    assert trace == references[0]
     assert trace.arrivals == references[0].arrivals
 
 

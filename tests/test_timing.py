@@ -159,7 +159,7 @@ def test_records_validate_on_every_construction_path(cls, valid, field, bad,
 
 def test_simparams_dict_roundtrip():
     p = _params()
-    assert SimParams.from_dict(p.as_dict()) == p
+    assert SimParams.from_dict(p._asdict()) == p
 
 
 def test_liveness_real_max():
@@ -178,9 +178,12 @@ def test_uniform_delay_bounds():
 
 
 def test_fixed_delay_requires_degenerate_interval():
-    with pytest.raises(ParameterError):
-        DelayModel(kind="fixed").sampler(stream(0, "delays"), 1, 2)
-    s = DelayModel(kind="fixed").sampler(stream(0, "delays"), 7, 7)
+    """A fixed delay is adversarial-max on a degenerate interval; "fixed"
+    is no kind of its own."""
+    with pytest.raises(ParameterError,
+                       match="unknown delay model kind 'fixed'"):
+        DelayModel(kind="fixed")
+    s = DelayModel(kind="adversarial-max").sampler(stream(0, "delays"), 7, 7)
     assert s(0, 1) == 7
 
 

@@ -9,7 +9,7 @@ from mepsim.engine import InitState
 from mepsim.errors import TraceParseError
 from mepsim.topology import (build_ring, from_edge_list, parse_topology,
                              topology_stats)
-from mepsim.trace import read_trace, trace_to_text, write_trace
+from mepsim.trace import read_trace, write_trace
 
 TRIGGERS = "seq,time_ns,cell,kind,pioneer"
 ARRIVALS = "time_ns,from,to,outcome,rejecting_seq"
@@ -22,6 +22,14 @@ def small_trace():
     params = derive_params(stats, 100, 0.0)
     dm = DelayModel(kind="uniform")
     return simulate(g, params, delay_model=dm, horizon=20000, seed=11)
+
+
+@pytest.fixture(scope="module")
+def small_text(small_trace, tmp_path_factory):
+    """The text write_trace writes for small_trace."""
+    path = tmp_path_factory.mktemp("small") / "trace.csv"
+    write_trace(small_trace, path)
+    return path.read_text()
 
 
 def test_roundtrip(tmp_path, small_trace):
@@ -37,7 +45,9 @@ def test_roundtrip(tmp_path, small_trace):
     assert back.seed == small_trace.seed
     assert back.horizon == small_trace.horizon
     # serialization is a fixed point
-    assert trace_to_text(back) == trace_to_text(small_trace)
+    assert back == small_trace
+    write_trace(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == path.read_text()
 
 
 def test_rejections_by_one_trigger_share_their_seq(tmp_path):
@@ -123,8 +133,11 @@ def test_roundtrip_random_runs(tmp_path_factory, case):
             back.models, back.arrivals_recorded) == \
         (trace.graph, trace.params, trace.horizon, trace.seed,
          trace.warnings, trace.models, trace.arrivals_recorded)
-    assert trace_to_text(back) == path.read_text()
-    assert read_trace(path, keep_arrivals=False) == back._replace(arrivals=[])
+    again = path.with_name("again.csv")
+    write_trace(back, again)
+    assert again.read_text() == path.read_text()
+    assert read_trace(path, keep_arrivals=False) == \
+        back._replace(arrivals=[], arrivals_recorded=False)
 
 
 def test_missing_header(tmp_path):
@@ -141,18 +154,18 @@ def test_unsupported_version(tmp_path):
         read_trace(path)
 
 
-def test_truncated_file_reports_line(tmp_path, small_trace):
+def test_truncated_file_reports_line(tmp_path, small_text):
     path = tmp_path / "trace.csv"
-    text = trace_to_text(small_trace).splitlines()
-    cut = text[: text.index("[arrivals]")]
+    lines = small_text.splitlines()
+    cut = lines[: lines.index("[arrivals]")]
     path.write_text("\n".join(cut) + "\n")
     with pytest.raises(TraceParseError):
         read_trace(path)
 
 
-def test_malformed_row_reports_line(tmp_path, small_trace):
+def test_malformed_row_reports_line(tmp_path, small_text):
     path = tmp_path / "trace.csv"
-    lines = trace_to_text(small_trace).splitlines()
+    lines = small_text.splitlines()
     lines[5] = "not,a,row"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceParseError) as exc:
@@ -281,7 +294,8 @@ def _past_horizon(parts, trace):
                  "dmin_compensation must be bool",
                  id="meta-compensation-int"),
 ])
-def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
+def test_bad_kind_rejected(tmp_path, small_trace, small_text, header, mutate,
+                           match):
     """Each mutation breaks the trace contract in one header line, or in
     the first row of its section that has every field set (arrival rows
     may omit rejecting_seq) and again in a later row that repeats that
@@ -289,7 +303,7 @@ def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
     reported on the mutated row; an order fault on the row after it.  A
     reader that keeps no arrivals still finds each fault."""
     path = tmp_path / "trace.csv"
-    lines = trace_to_text(small_trace).splitlines()
+    lines = small_text.splitlines()
     if header.startswith("#"):
         rows = [next(k for k, line in enumerate(lines)
                      if line.startswith(header))]
@@ -314,8 +328,8 @@ def test_bad_kind_rejected(tmp_path, small_trace, header, mutate, match):
 
 
 def test_six_field_trigger_row_with_bad_seq_is_malformed(tmp_path,
-                                                         small_trace):
-    lines = trace_to_text(small_trace).splitlines()
+                                                         small_text):
+    lines = small_text.splitlines()
     idx = lines.index(TRIGGERS) + 3
     lines[idx] = "x," + lines[idx - 2].partition(",")[2] + ",5"
     path = tmp_path / "trace.csv"
@@ -325,11 +339,11 @@ def test_six_field_trigger_row_with_bad_seq_is_malformed(tmp_path,
     assert exc.value.line == idx + 1
 
 
-def test_ids_read_in_any_int_spelling(tmp_path, small_trace):
+def test_ids_read_in_any_int_spelling(tmp_path, small_trace, small_text):
     """Cells spelled "+3" or "03" read as int() reads them, in triggers
     and arrivals alike, whether or not the canonical spelling came first."""
     respell = {"0": "+0", "1": "01", "2": "+02"}
-    lines = trace_to_text(small_trace).splitlines()
+    lines = small_text.splitlines()
     arrivals = lines.index("[arrivals]")
     for k in range(lines.index(TRIGGERS) + 1, len(lines), 2):
         if k not in (arrivals, arrivals + 1):
@@ -341,8 +355,7 @@ def test_ids_read_in_any_int_spelling(tmp_path, small_trace):
     path.write_text("\n".join(lines) + "\n")
     back = read_trace(path)
     assert back.triggers == small_trace.triggers
-    assert back.arrivals == small_trace.arrivals
-    assert trace_to_text(back) == trace_to_text(small_trace)
+    assert back == small_trace
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -370,9 +383,9 @@ def test_read_trace_restores_gc_state(tmp_path, small_trace, enabled):
      "#meta params invalid: tau1 is outside [-2**53, 2**53] ns"),
     ("tau2", None, "#meta lacks or mistypes 'tau2'"),
 ])
-def test_meta_errors_name_their_fault(tmp_path, small_trace, key, value,
-                                      detail):
-    lines = trace_to_text(small_trace).splitlines()
+def test_meta_errors_name_their_fault(tmp_path, small_trace, small_text, key,
+                                      value, detail):
+    lines = small_text.splitlines()
     idx = next(k for k, line in enumerate(lines) if line.startswith("#meta="))
     lines[idx] = _meta_edit("params", key, value=value,
                             delete=value is None)(lines[idx], small_trace)
@@ -383,20 +396,19 @@ def test_meta_errors_name_their_fault(tmp_path, small_trace, key, value,
     assert str(exc.value).startswith(detail)
 
 
-def test_blank_line_ends_the_trace(tmp_path, small_trace):
-    text = trace_to_text(small_trace)
+def test_blank_line_ends_the_trace(tmp_path, small_trace, small_text):
     path = tmp_path / "trace.csv"
-    path.write_text(text + "\n\n")
+    path.write_text(small_text + "\n\n")
     assert read_trace(path).arrivals == small_trace.arrivals
-    lines = text.splitlines()
+    lines = small_text.splitlines()
     path.write_text("\n".join(lines[:-1] + ["", lines[-1]]) + "\n")
     with pytest.raises(TraceParseError, match="after the blank line") as exc:
         read_trace(path)
     assert exc.value.line == len(lines) + 1
 
 
-def test_non_utf8_rejected(tmp_path, small_trace):
+def test_non_utf8_rejected(tmp_path, small_text):
     path = tmp_path / "trace.csv"
-    path.write_bytes(trace_to_text(small_trace).encode() + b"\xff\xfe\n")
+    path.write_bytes(small_text.encode() + b"\xff\xfe\n")
     with pytest.raises(TraceParseError, match="UTF-8"):
         read_trace(path)
