@@ -576,38 +576,42 @@ def association_classes(trace: Trace, window,
     `last[cell]` is the x of the cell's latest trigger at or before the
     arrival, its sender's emitter and, at the arrival's time, an accepted
     arrival's receiver.  Every strong pair is a loose pair, so the loose
-    closure is the strong closure plus the weak pairs (|dt| > d_max),
-    joined in after the strong read.  Finds halve paths (Tarjan, JACM 1975).
+    closure is the strong closure plus the weak pairs (|dt| > d_max).  The
+    loose classes are read again only when a weak pair joins two strong
+    classes; otherwise they are the strong ones.  Finds halve paths
+    (Tarjan, JACM 1975).
     """
     lo, hi = window
     d_max, trigger_time = trace.params.d_max, itemgetter(0)
     triggers, arrivals = trace.triggers, trace.arrivals
     s0 = bisect_left(triggers, lo, key=trigger_time)
-    n = max(0, bisect_right(triggers, hi, key=trigger_time) - s0)
-    in_window = triggers[s0:s0 + n]
+    s1 = max(s0, bisect_right(triggers, hi, key=trigger_time))
+    times = [*map(trigger_time, triggers[s0:s1]), hi + 1]  # a sentinel
+    cells = list(map(itemgetter(1), triggers[s0:s1]))
     last, x = [-1] * trace.graph.node_count, 0
 
-    parent, weak = list(range(n)), []
+    parent, weak = list(range(s1 - s0)), []
     for a in arrivals[bisect_left(arrivals, lo, key=attrgetter("time")):
                       bisect_right(arrivals, hi, key=attrgetter("time"))]:
         t = a.time
-        while x < n and in_window[x][0] <= t:
-            last[in_window[x][1]] = x
+        while times[x] <= t:
+            last[cells[x]] = x
             x += 1
         e = last[a.frm]
-        if e < 0 or in_window[e][0] < t - d_max:
+        if e < 0 or times[e] < t - d_max:
             continue
-        if a.outcome == OUTCOME_ACCEPTED:  # the receiver's trigger at t
-            o = last[a.to]
-            if o < 0 or in_window[o][0] != t:
+        if a.outcome == OUTCOME_REJECTED:  # most arrivals
+            o = a.rejecting_seq
+            if o is None or not s0 <= o < s1:
                 continue
-        elif a.outcome == OUTCOME_REJECTED and a.rejecting_seq is not None:
-            o = a.rejecting_seq - s0
-            if not 0 <= o < n:
+            o -= s0
+        elif a.outcome == OUTCOME_ACCEPTED:  # the receiver's trigger at t
+            o = last[a.to]
+            if o < 0 or times[o] != t:
                 continue
         else:
             continue
-        if abs(in_window[e][0] - in_window[o][0]) > d_max:
+        if abs(times[e] - times[o]) > d_max:
             weak.append((e, o))
             continue
         # _union, inlined: collecting the pairs for it measured 30 % slower
@@ -621,6 +625,8 @@ def association_classes(trace: Trace, window,
             parent[e] = o
 
     strong_groups = classes = _read_groups(parent, s0)
+    # parent[x] is now x's strong root
+    weak = [(e, o) for e, o in weak if parent[e] != parent[o]]
     p_witness = None
     if weak:
         strong_root = parent[:]
@@ -635,7 +641,7 @@ def association_classes(trace: Trace, window,
                       if span > bound), None)
     return AssociationClasses(
         classes=classes, strong_classes=strong_groups, spans=spans,
-        partitions_coincide=classes == strong_groups,
+        partitions_coincide=not weak,
         partition_witness=p_witness, span_bound=bound,
         spans_ok=s_witness is None, span_witness=s_witness)
 

@@ -525,11 +525,12 @@ def cmd_sweep(args) -> int:
 def cmd_topology(args) -> int:
     graph = parse_topology(args.spec)
     stats = topology_stats(graph)
+    # derived before any print, so timing that fails prints nothing
+    params = None if args.d is None else derive_params(stats, args.d, args.rho)
     print(f"topology {args.spec}: n={graph.node_count} edges={graph.edge_count}")
     print(f"diameter={stats.diameter} longest_simple_path="
           f"{stats.longest_simple_path} exact={stats.lg_is_exact}")
-    if args.d is not None:
-        params = derive_params(stats, args.d, args.rho)
+    if params is not None:
         print(f"tau0={params.tau0} tau1={params.tau1} tau2={params.tau2}"
               f" (d={args.d} rho={args.rho})")
     return EXIT_OK

@@ -12,7 +12,8 @@ then restorations, then external deadlines, each in ascending cell id
 therefore still sees the excited state, and an arrival coinciding with
 an external deadline wins, producing an internal trigger.  Simultaneous
 arrivals at one cell collapse into a single acceptance whose pioneer is
-the smallest sender id.
+the smallest sender id.  A deadline that fires is not popped: the
+cell's next deadline replaces its queue entry in one heapreplace.
 
 simulate() settles most rejected signals where they are sent, without
 queueing them.  A cell fires only at instants t > rest_due[c] (under
@@ -39,7 +40,7 @@ signal gives.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -194,8 +195,9 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
 
     with paused_gc():  # the run builds many records and no reference cycles
         while heap and heap[0][0] <= horizon:
-            t, cls, cell, sender = heappop(heap)
+            t, cls, cell, sender = heap[0]
             if cls == _CLS_ARRIVAL:
+                heappop(heap)
                 senders = [sender]
                 while heap and heap[0][0] == t and heap[0][1] == _CLS_ARRIVAL \
                         and heap[0][2] == cell:
@@ -212,15 +214,18 @@ def simulate(graph: Graph, params: SimParams, *, delay_model, horizon: int,
                 if rank != _ACCEPTED:
                     continue
                 pioneer, r_off, e_off = min(senders), rest_off_c, ext_off_c
+                push = heappush
             elif t != next_ext[cell]:
-                continue  # timer was reset since this deadline was scheduled
-            else:
+                heappop(heap)  # timer was reset since this was scheduled
+                continue
+            else:  # the next deadline takes this one's place in the heap
                 pioneer, r_off, e_off = cell, rest_off, ext_off
+                push = heapreplace
             fired[cell] += 1
             raw_triggers.append((t, cell, pioneer))
             rest_due[cell] = t + r_off[cell]
             next_ext[cell] = ext = t + e_off[cell]
-            heappush(heap, (ext, _CLS_EXTERNAL, cell, cell))
+            push(heap, (ext, _CLS_EXTERNAL, cell, cell))
             t_lo = t + lo  # the earliest due of its signals
             for j in adjacency[cell]:
                 due = t_lo + int(rnd() * width) if rnd else t + sample(cell, j)
@@ -266,7 +271,11 @@ def _finalize(trace: Trace, raw_triggers, raw_arrivals) -> Trace:
         for seq, (_, cell, _) in enumerate(raw_triggers):
             seqs[cell].append(seq)
         raw_arrivals.sort()
-    for i, (t, to, frm, rank, k) in enumerate(raw_arrivals):
-        raw_arrivals[i] = ArrivalRecord(frm, to, t, _OUTCOMES[rank],
-                                        seqs[to][k] if k >= 0 else None)
+    # by slices: a comprehension beats a store per slot, and a slice of
+    # 1024 keeps the peak near the trace's own size
+    for i in range(0, len(raw_arrivals), 1024):
+        raw_arrivals[i:i + 1024] = [
+            ArrivalRecord(frm, to, t, _OUTCOMES[rank],
+                          seqs[to][k] if k >= 0 else None)
+            for t, to, frm, rank, k in raw_arrivals[i:i + 1024]]
     return trace._replace(triggers=raw_triggers, arrivals=raw_arrivals)

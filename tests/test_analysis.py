@@ -444,6 +444,22 @@ def test_distant_rejection_breaks_both_checks():
     assert not ac.spans_ok and ac.span_witness == (0, 1, 150)
 
 
+def test_weak_pair_inside_a_strong_class_changes_nothing():
+    """A rejection 180 ns from its emitter is a weak pair, but the strong
+    exchanges already join its two ends: the closures coincide."""
+    triggers = [(0, 0, 0), (60, 1, 0), (120, 0, 1), (180, 1, 0)]
+    arrivals = [ArrivalRecord(0, 1, 60, OUTCOME_ACCEPTED),
+                ArrivalRecord(1, 0, 120, OUTCOME_ACCEPTED),
+                ArrivalRecord(0, 1, 180, OUTCOME_ACCEPTED),
+                ArrivalRecord(1, 0, 190, OUTCOME_REJECTED, rejecting_seq=0)]
+    tr = Trace(graph=K2, params=PARAMS, triggers=triggers, arrivals=arrivals,
+               horizon=10**6, seed=0)
+    ac = association_classes(tr, (0, 10**6), topology_stats(K2))
+    assert ac.classes == ac.strong_classes == ((0, 1, 2, 3),)
+    assert ac.partitions_coincide and ac.partition_witness is None
+    assert ac.spans == (180,)
+
+
 @pytest.mark.parametrize("t_arrive, t_receive, linked", [
     (1000 + D, 1000 + D, True),
     (1001 + D, 1001 + D, False),

@@ -900,6 +900,7 @@ def test_each_input_error_exits_with_its_code(tmp_path, capsys, argv, code,
     out, err = capsys.readouterr()
     assert err.startswith(f"error={error} detail=") and detail in err
     assert "Traceback" not in out + err
+    assert out == ""  # no partial answer on stdout either
     assert not (tmp_path / "o").exists()
     assert not (tmp_path / "file" / "x").exists()
 

@@ -262,24 +262,29 @@ def test_rejected_signals_mostly_skip_the_queue(monkeypatch, topology, rho,
     """Nearly every signal of a stabilized run is rejected.  Settled at
     send time, as sure to be rejected by the receiver's latest or next
     trigger, such signals skip the queue, so a run pops few more events
-    than it has triggers."""
+    than it has triggers.  A firing deadline's heapreplace is its pop."""
     g = parse_topology(topology)
     stats = topology_stats(g)
     p = _params(g, rho=rho)
-    pops = 0
-    heappop = mepsim.engine.heappop
+    calls = {"heappop": 0, "heapreplace": 0}
 
-    def counting_heappop(heap):
-        nonlocal pops
-        pops += 1
-        return heappop(heap)
+    def counting(name, pop):
+        def counted(*args):
+            calls[name] += 1
+            return pop(*args)
+        return counted
 
-    monkeypatch.setattr(mepsim.engine, "heappop", counting_heappop)
+    for name in calls:
+        monkeypatch.setattr(mepsim.engine, name,
+                            counting(name, getattr(mepsim.engine, name)))
     tr = simulate(g, p, delay_model=DelayModel(kind="uniform"),
                   horizon=required_horizon(p, stats) + 100 * p.tau2, seed=0,
                   drift=DriftAssignment(mode="uniform" if rho else "zero"),
                   record_arrivals=record)
-    assert pops <= 1.5 * len(tr.triggers)
+    assert calls["heappop"] + calls["heapreplace"] <= 1.5 * len(tr.triggers)
+    # each external trigger, pioneered by its own cell, replaced its entry
+    assert calls["heapreplace"] == sum(cell == pioneer
+                                       for _, cell, pioneer in tr.triggers)
 
 
 @pytest.mark.parametrize("topology, record, omission_p", [
