@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import glob
 import json
 import logging
 import os
@@ -328,6 +329,21 @@ def build_metrics(trace, stats, association=False) -> tuple:
     return doc, report, failed
 
 
+def _remove_outputs(outdir) -> None:
+    """Remove what an earlier run or analysis wrote to `outdir` besides
+    trace.csv and manifest.json, so no file outlives the run it is from."""
+    patdir = os.path.join(outdir, "patterns")
+    for path in [os.path.join(outdir, "metrics.json"),
+                 os.path.join(outdir, "plotdata", "offsets.csv"),
+                 os.path.join(outdir, "plotdata", "pattern_map.csv"),
+                 os.path.join(patdir, "final.svg"),
+                 *glob.glob(os.path.join(glob.escape(patdir), "k?????.txt"))]:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+
+
 def _write_plotdata(outdir, graph, report) -> None:
     """Write plotdata/ (every round's trigger offsets and source map) and
     patterns/ (the source maps of the first and the last round)."""
@@ -410,6 +426,7 @@ def cmd_run(args) -> int:
     trace = spec.run()  # a run its inputs reject leaves no output directory
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
+    _remove_outputs(outdir)
     write_trace(trace, os.path.join(outdir, "trace.csv"))
     _write_manifest(outdir, cfg, {"horizon_ns": spec.horizon, "seed": spec.seed})
     # the trace is written first, so a run too short for a verdict keeps it
@@ -427,6 +444,7 @@ def cmd_analyze(args) -> int:
     built = build_metrics(trace, stats, cfg["association_checks"])
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
+    _remove_outputs(outdir)
     _write_manifest(outdir, cfg, {"analyzed_trace": os.path.abspath(args.trace)})
     return _report(outdir, trace.graph, built, "ok")
 
@@ -590,7 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MEPSIM_LOG", "WARNING"))
+    level = os.environ.get("MEPSIM_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error=usage detail=MEPSIM_LOG={level} is not a log level",
+              file=sys.stderr)
+        return EXIT_INVALID
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     try:
         with paused_gc():

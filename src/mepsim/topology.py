@@ -1,7 +1,7 @@
 """Undirected propagation networks and their path statistics.
 
 Graphs are immutable after construction: dense integer node ids 0..n-1,
-sorted adjacency lists, connectivity enforced.  The two statistics that
+sorted adjacency tuples, connectivity enforced.  The two statistics that
 drive timer parameterization are the diameter and the longest-simple-path
 length.  The diameter is always exact: a closed form for the constructor
 topologies, otherwise one breadth-first sweep from every cell at once,
@@ -30,16 +30,21 @@ DIAMETER_BLOCK_BITS = 4096
 
 
 class Graph(NamedTuple):
-    """Connected undirected graph with dense ids and sorted adjacency."""
+    """Connected undirected graph held as its sorted adjacency alone."""
 
     node_count: int
-    edges: frozenset  # frozenset of (i, j) tuples with i < j
     adjacency: tuple  # tuple of tuples, sorted ascending per node
     name: str | None = None  # constructor tag like "ring:16", None for custom
 
     @property
+    def edges(self) -> list:
+        """The (i, j) pairs with i < j, in ascending order."""
+        return [(i, j) for i, nbrs in enumerate(self.adjacency)
+                for j in nbrs if i < j]
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -54,26 +59,18 @@ class TopologyStats(NamedTuple):
 
 
 def _make_graph(n: int, edge_pairs, name=None) -> Graph:
-    edges = set()
+    adj = [set() for _ in range(n)]
     for i, j in edge_pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise TopologyError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
             raise TopologyError(f"self-loop at node {i}")
-        edges.add((i, j) if i < j else (j, i))
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
+        adj[i].add(j)
+        adj[j].add(i)
     missing = [i for i, d in enumerate(_distances(adj, 0)) if d < 0]
     if missing:
         raise ConnectivityError(f"graph is disconnected; unreachable nodes {missing[:8]}")
-    return Graph(
-        node_count=n,
-        edges=frozenset(edges),
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
-        name=name,
-    )
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj), name)
 
 
 def build_ring(n: int) -> Graph:
@@ -295,6 +292,20 @@ def parse_topology(spec: str) -> Graph:
     except (ValueError, TypeError) as exc:
         raise TopologyError(f"cannot parse topology spec {spec!r}: {exc}") from exc
     raise TopologyError(f"unknown topology kind in spec {spec!r}")
+
+
+def names_graph(name: str, graph: Graph) -> bool:
+    """Whether the constructor spec `name` builds exactly `graph`.  Only
+    specs sized for its node count are built, so a name cannot make a
+    caller build a huge graph."""
+    n = graph.node_count
+    specs = {f"ring:{n}", f"hypercube:{n.bit_length() - 1}"}
+    specs.update(f"grid:{r}x{n // r}" for r in range(1, n + 1) if n % r == 0)
+    try:
+        return (name in specs
+                and parse_topology(name).adjacency == graph.adjacency)
+    except TopologyError:
+        return False
 
 
 def read_edge_list(path) -> Graph:

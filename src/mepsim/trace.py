@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import MepsimError, TopologyError, TraceParseError
 from .timing import SimParams
-from .topology import Graph, from_edge_list, parse_topology
+from .topology import Graph, from_edge_list, names_graph
 
 SCHEMA_VERSION = 1
 
@@ -92,7 +92,7 @@ def _meta_dict(trace: Trace) -> dict:
         "graph": {
             "n": trace.graph.node_count,
             "name": trace.graph.name,
-            "edges": sorted(trace.graph.edges),
+            "edges": trace.graph.edges,
         },
         "params": trace.params._asdict(),
         "horizon": trace.horizon,
@@ -222,7 +222,7 @@ def _read_meta(meta) -> dict:
         part = "graph" if isinstance(exc, TopologyError) else "params"
         raise TraceParseError(f"#meta {part} invalid: {exc}") from exc
     if name:
-        if not isinstance(name, str) or not _names_graph(name, graph):
+        if not isinstance(name, str) or not names_graph(name, graph):
             raise TraceParseError(f"#meta graph name {name!r} does not "
                                   f"build its edge list")
         graph = graph._replace(name=name)
@@ -239,19 +239,6 @@ def _read_meta(meta) -> dict:
     return dict(graph=graph, params=params, horizon=horizon,
                 warnings=warnings, models=models,
                 arrivals_recorded=arrivals_recorded)
-
-
-def _names_graph(name: str, graph: Graph) -> bool:
-    """Whether the constructor spec `name` builds exactly `graph`.  Only
-    specs sized for its node count are built, so a name cannot make the
-    reader build a huge graph."""
-    n = graph.node_count
-    specs = {f"ring:{n}", f"hypercube:{n.bit_length() - 1}"}
-    specs.update(f"grid:{r}x{n // r}" for r in range(1, n + 1) if n % r == 0)
-    try:
-        return name in specs and parse_topology(name).edges == graph.edges
-    except TopologyError:
-        return False
 
 
 def _read_triggers(rows, graph: Graph, horizon: int) -> tuple:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import csv
 import gc
 import json
@@ -351,6 +352,83 @@ def test_analyze_without_a_verdict_leaves_no_output(tmp_path):
     assert main(["analyze", str(tmp_path / "r" / "trace.csv"),
                  "--out", str(tmp_path / "a")] + argv) == EXIT_HORIZON
     assert not (tmp_path / "a").exists()
+
+
+def _files(outdir) -> dict:
+    """Every file under outdir, by its path relative to it, with its bytes."""
+    return {path.relative_to(outdir).as_posix(): path.read_bytes()
+            for path in outdir.rglob("*") if path.is_file()}
+
+
+def test_rerun_too_short_keeps_nothing_of_the_earlier_run(tmp_path):
+    """A rerun into the same --out that exits 6 leaves its own trace and
+    manifest there and none of the earlier run's outputs."""
+    out = tmp_path / "o"
+    assert main(["run", "--out", str(out), "--seed", "1"] + FAST) == EXIT_OK
+    assert "metrics.json" in _files(out)
+    assert main(["run", "--out", str(out), "--seed", "2",
+                 "--horizon-ns", "5000"] + FAST) == EXIT_HORIZON
+    assert sorted(_files(out)) == ["manifest.json", "trace.csv"]
+    assert "#seed=2\n" in (out / "trace.csv").read_text()
+
+
+def test_rerun_leaves_no_stale_round_pattern(tmp_path):
+    """A rerun with fewer rounds, and an analysis of its trace into the
+    earlier analysis' --out, write exactly what a fresh directory gets:
+    no pattern file of a round the rerun does not have survives."""
+    out, an, fresh = tmp_path / "o", tmp_path / "an", tmp_path / "fresh"
+    assert main(["run", "--out", str(out), "--horizon-ns", "200000"]
+                + FAST) == EXIT_OK
+    assert main(["analyze", str(out / "trace.csv"), "--out", str(an)]
+                + FAST) == EXIT_OK
+    assert main(["run", "--out", str(fresh)] + FAST) == EXIT_OK
+    assert set(_files(out)) - set(_files(fresh))  # a later round's pattern
+    assert main(["run", "--out", str(out)] + FAST) == EXIT_OK
+    assert _files(out) == _files(fresh)
+    assert main(["analyze", str(out / "trace.csv"), "--out", str(an)]
+                + FAST) == EXIT_OK
+    analyzed = _files(an)
+    assert analyzed.pop("manifest.json")
+    assert analyzed == {name: data for name, data in _files(fresh).items()
+                        if name not in ("trace.csv", "manifest.json")}
+
+
+@contextlib.contextmanager
+def _bare_root_logger():
+    """The root logger without handlers, as in a fresh process, so that
+    main's logging.basicConfig takes effect; restored afterwards."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        yield root
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+
+
+@pytest.mark.parametrize("value, level", [
+    ("info", logging.INFO), ("Debug", logging.DEBUG),
+    ("WARNING", logging.WARNING), ("verbose", None), ("10", None),
+    ("", None)])
+def test_mepsim_log_takes_level_names_in_any_case(tmp_path, capsys,
+                                                  monkeypatch, value, level):
+    """MEPSIM_LOG names a logging level in any case; any other value is a
+    usage error: exit 4 with one stderr line, before any command runs."""
+    monkeypatch.setenv("MEPSIM_LOG", value)
+    out = tmp_path / "o"
+    with _bare_root_logger() as root:
+        rc = main(["run", "--out", str(out)] + FAST)
+        root_level = root.level
+    err = capsys.readouterr().err
+    if level is None:
+        assert rc == EXIT_INVALID and not out.exists()
+        assert err == f"error=usage detail=MEPSIM_LOG={value} is not a log " \
+                      f"level\n"
+    else:
+        assert rc == EXIT_OK and root_level == level
+        assert ("INFO:mepsim:run: ring:4 seed=0" in err) is \
+            (level <= logging.INFO)
 
 
 def test_invalid_topology_exit_code(tmp_path):
@@ -916,15 +994,31 @@ def valid_trace_lines(tmp_path_factory):
 @given(data=st.data(), association=st.booleans())
 def test_analyze_survives_perturbed_traces(tmp_path_factory, valid_trace_lines,
                                            data, association):
-    """Delete, duplicate or swap a row of a valid trace, or replace one of
-    its comma-separated fields with random text or a random integer:
-    analyze must answer with a documented exit code, never a traceback."""
+    """Delete, duplicate or swap a row of a valid trace, replace one of its
+    comma-separated fields with random text or a random integer, or
+    replace one #meta number (a params member, the horizon, graph.n or an
+    edge endpoint) with a negative, zero, huge, fractional or non-finite
+    one: analyze must answer with a documented exit code, never a
+    traceback."""
     lines = list(valid_trace_lines)
     rows = st.integers(0, len(lines) - 1)
     k = data.draw(rows)
     action = data.draw(st.sampled_from(["delete", "duplicate", "swap",
-                                        "field"]))
-    if action == "delete":
+                                        "field", "meta"]))
+    if action == "meta":
+        k = next(k for k, line in enumerate(lines) if line.startswith("#meta="))
+        meta = json.loads(lines[k].partition("=")[2])
+        holder, key = data.draw(st.one_of(
+            st.sampled_from(sorted(meta["params"])).map(
+                lambda key: (meta["params"], key)),
+            st.just((meta, "horizon")), st.just((meta["graph"], "n")),
+            st.tuples(st.sampled_from(meta["graph"]["edges"]),
+                      st.integers(0, 1))))
+        holder[key] = data.draw(st.one_of(
+            st.integers(max_value=0), st.integers(min_value=2**53),
+            st.integers(), st.floats()))
+        lines[k] = "#meta=" + json.dumps(meta, sort_keys=True)
+    elif action == "delete":
         del lines[k]
     elif action == "duplicate":
         lines.insert(k, lines[k])

@@ -1,5 +1,7 @@
 import logging
+import random
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -28,6 +30,48 @@ def test_ring_basic():
     assert g.edge_count == 8
     assert all(g.degree(i) == 2 for i in range(8))
     assert g.adjacency[0] == (1, 7)
+
+
+def _random_connected_pairs(n, seed):
+    """A random spanning tree of n cells plus random extra pairs, with
+    every pair also given reversed and some given twice."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+    return pairs + [(j, i) for i, j in pairs] + rng.sample(pairs, n // 2)
+
+
+@pytest.mark.parametrize("graph, pairs", [
+    (build_ring(5), [(i, (i + 1) % 5) for i in range(5)]),
+    (build_grid(3, 4), [(i, i + 1) for i in range(12) if i % 4 != 3]
+     + [(i, i + 4) for i in range(8)]),
+    (build_hypercube(3), [(i, i ^ (1 << b)) for i in range(8)
+                          for b in range(3)]),
+    (from_edge_list(12, _random_connected_pairs(12, 7)),
+     _random_connected_pairs(12, 7)),
+], ids=["ring:5", "grid:3x4", "hypercube:3", "random"])
+def test_graph_is_its_adjacency(graph, pairs):
+    """A Graph holds its node count, sorted adjacency and name alone;
+    edges is the ascending list of its normalized pairs, read off the
+    adjacency, and edge_count its length."""
+    assert Graph._fields == ("node_count", "adjacency", "name")
+    assert graph.edges == sorted({(min(p), max(p)) for p in pairs})
+    assert graph.edge_count == len(graph.edges)
+    assert all(list(a) == sorted(set(a)) for a in graph.adjacency)
+
+
+def test_grid_100x100_holds_its_adjacency_alone():
+    """A 10^4-cell grid holds no edge set beside its adjacency: 1.8 MB,
+    where an extra frozenset of its 19,800 pairs took it to 4.0 MB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = parse_topology("grid:100x100")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 19_800
+    assert held <= 2.5e6, held
 
 
 def test_ring_too_small():
@@ -138,12 +182,10 @@ def test_diameter_matches_bfs_reference(block_bits, g):
 @pytest.mark.parametrize("block_bits", [topology.DIAMETER_BLOCK_BITS, 2])
 def test_diameter_rejects_hand_built_disconnected_graph(monkeypatch, block_bits):
     monkeypatch.setattr(topology, "DIAMETER_BLOCK_BITS", block_bits)
-    two_pairs = Graph(node_count=4, edges=frozenset({(0, 1), (2, 3)}),
-                      adjacency=((1,), (0,), (3,), (2,)))
+    two_pairs = Graph(node_count=4, adjacency=((1,), (0,), (3,), (2,)))
     with pytest.raises(ConnectivityError):
         diameter(two_pairs)
-    isolated = Graph(node_count=3, edges=frozenset({(0, 1)}),
-                     adjacency=((1,), (0,), ()))
+    isolated = Graph(node_count=3, adjacency=((1,), (0,), ()))
     with pytest.raises(ConnectivityError):
         diameter(isolated)
 
