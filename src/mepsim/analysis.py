@@ -263,26 +263,29 @@ def classify_patterns(p: Propagation, g: Graph) -> PatternReport:
     sources differ, family otherwise.  Cells missing from the
     propagation count as alien to everything (their source is
     undefined).  Parents and children set the flow role, aliens and
-    family the border role.
+    family the border role.  One pass over the pioneer pointers finds
+    the children (j is h = pioneer[j]'s child when h is a neighbour
+    whose pioneer is not j), and i's first alien makes it a bank.
     """
-    pioneer, source = p.pioneer, p.source
+    pioneer, source, adjacency = p.pioneer, p.source, g.adjacency
+    child = [False] * len(pioneer)
+    for j, h in enumerate(pioneer):
+        if pioneer[h] != j and h in adjacency[j]:
+            child[h] = True
     flow_role, border_role = [], []
-    for i, adjacent in enumerate(g.adjacency):
-        parent = child = alien = family = False
+    for i, adjacent in enumerate(adjacency):
+        h, s, border = pioneer[i], source[i], ROLE_FLAT
         for j in adjacent:
-            if pioneer[i] == j:
-                parent = True
-            elif pioneer[j] == i:
-                child = True
-            elif source[i] is None or source[i] != source[j]:
-                alien = True
-            else:
-                family = True
-        if parent:
-            flow = ROLE_FLOW if child else ROLE_SINK
+            if j == h or pioneer[j] == i:
+                continue
+            if s is None or s != source[j]:
+                border = ROLE_BANK
+                break
+            border = ROLE_RIDGE
+        if h in adjacent:
+            flow = ROLE_FLOW if child[i] else ROLE_SINK
         else:
-            flow = ROLE_SOURCE if child else ROLE_UNITED
-        border = ROLE_BANK if alien else ROLE_RIDGE if family else ROLE_FLAT
+            flow = ROLE_SOURCE if child[i] else ROLE_UNITED
         flow_role.append(flow)
         border_role.append(border)
     counts = {role: flow_role.count(role)

@@ -23,6 +23,7 @@ import glob
 import json
 import logging
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -333,11 +334,13 @@ def _remove_outputs(outdir) -> None:
     """Remove what an earlier run or analysis wrote to `outdir` besides
     trace.csv and manifest.json, so no file outlives the run it is from."""
     patdir = os.path.join(outdir, "patterns")
+    rounds = [name for name in glob.glob("k*.txt", root_dir=patdir)
+              if re.fullmatch(r"k[0-9]{5,}\.txt", name)]
     for path in [os.path.join(outdir, "metrics.json"),
                  os.path.join(outdir, "plotdata", "offsets.csv"),
                  os.path.join(outdir, "plotdata", "pattern_map.csv"),
                  os.path.join(patdir, "final.svg"),
-                 *glob.glob(os.path.join(glob.escape(patdir), "k?????.txt"))]:
+                 *(os.path.join(patdir, name) for name in rounds)]:
         try:
             os.remove(path)
         except FileNotFoundError:

@@ -309,7 +309,7 @@ def names_graph(name: str, graph: Graph) -> bool:
 
 
 def read_edge_list(path) -> Graph:
-    """Read the text format: first line 'n m', then m lines 'i j'."""
+    """Read the text format: line 'n m', m lines 'i j', then blanks only."""
     with open(path) as fh:
         try:
             header = fh.readline().split()
@@ -322,6 +322,8 @@ def read_edge_list(path) -> Graph:
                 if len(parts) != 2:
                     raise TopologyError(f"{path}: truncated edge list")
                 edges.append((int(parts[0]), int(parts[1])))
+            if any(line.strip() for line in fh):
+                raise TopologyError(f"{path}: more than {m} edge lines")
         except ValueError as exc:  # a non-integer field or bad encoding
             raise TopologyError(f"{path}: {exc}") from exc
     return from_edge_list(n, edges)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from mepsim import DelayModel, DriftAssignment, derive_params, simulate
 from mepsim.analysis import (Propagation, Segment, association_classes,
@@ -384,6 +384,17 @@ def _reference_roles(p, g, i):
 
 @settings(max_examples=300, deadline=None)
 @given(_pattern_case())
+# 0 and 1 are each other's pioneer: each is the other's parent, not child
+@example((P3, Propagation(times=[0, 0, 0], pioneer=[1, 0, 2],
+                          source=[None, None, 2], multi_triggered=(),
+                          loops=(0, 1), external_cells=frozenset({2}))))
+# 2's pioneer 0 is no neighbour: 2 has no parent, and 0 gains no child
+@example((P3, Propagation.from_paths({0: (0,), 1: (1,), 2: (0, 2)})))
+# silent 1 and 2 have source None, and neither is the other's parent or
+# child: both are banks
+@example((P3, Propagation(times=[0, None, None], pioneer=[0, 1, 2],
+                          source=[0, None, None], multi_triggered=(),
+                          loops=(), external_cells=frozenset({0}))))
 def test_pattern_roles_match_reference(case):
     graph, p = case
     rep = classify_patterns(p, graph)

@@ -391,6 +391,14 @@ def test_rerun_leaves_no_stale_round_pattern(tmp_path):
     assert analyzed.pop("manifest.json")
     assert analyzed == {name: data for name, data in _files(fresh).items()
                         if name not in ("trace.csv", "manifest.json")}
+    # round 100000 on, a pattern file has six digits; a file that is no
+    # round's pattern stays
+    (out / "patterns" / "k100000.txt").write_text("stale")
+    mine = {"patterns/notes.txt": b"mine", "patterns/kept.txt": b"mine"}
+    for name, data in mine.items():
+        (out / name).write_bytes(data)
+    assert main(["run", "--out", str(out)] + FAST) == EXIT_OK
+    assert _files(out) == {**_files(fresh), **mine}
 
 
 @contextlib.contextmanager
@@ -867,6 +875,7 @@ _BAD_FILES = {
     "truncated.txt": "3 2\n0 1\n",
     "one-cell.txt": "1 1\n0 1\n",
     "no-edges.txt": "2 0\n",
+    "extra-lines.txt": "4 3\n0 1\n1 2\n2 3\n3 0\n",  # the ring's 4th edge
     "two-fields.sched": "0 1\n",
     "header-only.csv": "#mepsim-trace=1\n",
 }
@@ -925,7 +934,8 @@ _RAISES = {
             ("bad-header.txt", "expected header 'n m'"),
             ("truncated.txt", "truncated edge list"),
             ("one-cell.txt", "need n >= 2, got 1"),
-            ("no-edges.txt", "empty edge list")]},
+            ("no-edges.txt", "empty edge list"),
+            ("extra-lines.txt", "extra-lines.txt: more than 3 edge lines")]},
     "grid-one-row": (["run", "--override", "topology=grid:1x5"], EXIT_INVALID,
                      "invalid-config", "grid needs rows, cols >= 2"),
     "hypercube-one": (["run", "--override", "topology=hypercube:1"],

@@ -275,6 +275,8 @@ def test_edge_list_roundtrip(tmp_path):
     g = build_grid(3, 3)
     path = tmp_path / "g.txt"
     write_edge_list(g, path)
+    with open(path, "a") as fh:
+        fh.write("\n  \n")  # blank lines after the edges are allowed
     h = read_edge_list(path)
     assert h.edges == g.edges and h.node_count == g.node_count
 
