@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, eq, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import InsufficientHorizonError, ParameterError
@@ -70,7 +70,8 @@ class Propagation(NamedTuple):
     the cell reached by following pioneer pointers from i; None marks a
     cell that did not fire or a broken chain (pointer loop or a pioneer
     with no trigger in the segment).  Cell i's path is the pointer chain
-    source -> ... -> i, which `validate_omep` never spells out.
+    source -> ... -> i, which `validate_omep` never spells out.  Only
+    an external first trigger makes a cell its own source.
     """
 
     times: list
@@ -78,7 +79,6 @@ class Propagation(NamedTuple):
     source: list
     multi_triggered: tuple  # cells triggered more than once in the segment
     loops: tuple  # cells on a pioneer-pointer cycle
-    external_cells: frozenset  # cells whose first trigger is external
 
     @classmethod
     def from_paths(cls, paths: dict) -> "Propagation":
@@ -90,9 +90,8 @@ class Propagation(NamedTuple):
             at[i] = 0
             pioneer[i] = p[-2] if len(p) > 1 else i
             source[i] = p[0] if p else None
-        externals = frozenset(i for i, p in paths.items() if len(p) == 1)
         return cls(times=at, pioneer=pioneer, source=source,
-                   multi_triggered=(), loops=(), external_cells=externals)
+                   multi_triggered=(), loops=())
 
 
 def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
@@ -108,7 +107,7 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
     """
     n = trace.graph.node_count
     times, pioneer, source = [None] * n, list(range(n)), [None] * n
-    pending, multi, externals = [], [], []
+    pending, multi = [], []
     seqs = seg.trigger_seqs
     for t, cell, h in trace.triggers[seqs.start:seqs.stop]:
         if times[cell] is not None:
@@ -117,7 +116,6 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
         times[cell] = t
         if h == cell:  # an external trigger
             source[cell] = cell
-            externals.append(cell)
         else:
             pioneer[cell] = h
             if source[h] is None:
@@ -139,8 +137,7 @@ def extract_propagation(trace: Trace, seg: Segment) -> Propagation:
             source[c] = s
     return Propagation(times=times, pioneer=pioneer, source=source,
                        multi_triggered=tuple(sorted(set(multi))),
-                       loops=tuple(sorted(loops)),
-                       external_cells=frozenset(externals))
+                       loops=tuple(sorted(loops)))
 
 
 # ---------------------------------------------------------------- validation
@@ -162,13 +159,13 @@ class OmepReport(NamedTuple):
 
 def validate_omep(p: Propagation) -> OmepReport:
     """Check the five one-shot properties of an extracted propagation,
-    whose allowed sources are its external cells.
+    whose allowed sources are the cells that are their own source.
 
     The pointer forest makes every path simple and any two paths either
     disjoint or prefix-sharing, so only sources, loops and coverage need
     checking; `validate_paths` is the pairwise definition.
     """
-    n_s, witnesses = p.external_cells, {}
+    n_s, witnesses = {i for i, s in enumerate(p.source) if s == i}, {}
     bad_source = [i for i, s in enumerate(p.source)
                   if s not in n_s and p.times[i] is not None]
     valid = not bad_source
@@ -467,7 +464,7 @@ def detect_stabilization(trace: Trace,
     horizon to cover the analytic bound plus a couple of liveness
     periods, else the verdict would be vacuous.
     """
-    graph, params = trace.graph, trace.params
+    n, params = trace.graph.node_count, trace.params
     bound = convergence_bound(params)
     need = required_horizon(params, stats)
     if trace.horizon < need:
@@ -483,7 +480,7 @@ def detect_stabilization(trace: Trace,
         ok = validate_omep(p).all_ok
         rounds.append(Round(seg, p, ok, ok and seg.span <= tau_pi,
                             propagation_error(p),
-                            len(p.external_cells) / graph.node_count))
+                            sum(map(eq, p.source, range(n))) / n))
 
     k0 = len(rounds)  # the earliest round with every later one valid
     while k0 and rounds[k0 - 1].valid:

@@ -34,7 +34,7 @@ from .analysis import (association_classes, check_pattern_properties,
 from .engine import INIT_RANDOM_UNIFORM, InitState, simulate
 from .errors import (ConfigError, InsufficientHorizonError, MepsimError,
                      ParameterError, TraceParseError)
-from .timing import (DelayModel, DriftAssignment, SimParams,
+from .timing import (MAX_NS, DelayModel, DriftAssignment, SimParams,
                      check_strict_constraint, derive_params,
                      read_schedule_file)
 from .topology import (Graph, TopologyStats, grid_shape, parse_topology,
@@ -245,6 +245,8 @@ def resolve_config(cfg: dict) -> RunSpec:
     horizon = cfg["horizon_ns"]
     if horizon is None:
         horizon = required_horizon(params, stats) + 3 * params.liveness_real_max
+    if horizon > MAX_NS:  # not echoed: a given horizon may be huge
+        raise ConfigError("horizon is above 2**53 ns")
     if cfg["tau0"] is not None:  # derived timing meets both checks
         segmentation_params(params, stats)
         try:

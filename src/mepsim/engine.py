@@ -44,7 +44,7 @@ from heapq import heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .timing import (DELAY_UNIFORM, Checked, DriftAssignment, SimParams,
+from .timing import (DELAY_UNIFORM, DriftAssignment, SimParams, checked,
                      local_to_real, stream)
 from .topology import Graph
 from .trace import (ArrivalRecord, OUTCOME_ACCEPTED, OUTCOME_OMITTED,
@@ -63,13 +63,8 @@ _OMITTED, _ACCEPTED, _REJECTED = 0, 1, 2
 _OUTCOMES = (OUTCOME_OMITTED, OUTCOME_ACCEPTED, OUTCOME_REJECTED)
 
 
-class _InitStateFields(NamedTuple):
-    mode: str = INIT_RANDOM_UNIFORM
-    elapsed: tuple | None = None
-    signals: tuple = ()  # (from_cell, to_cell, arrival_ns)
-
-
-class InitState(Checked, _InitStateFields):
+@checked
+class InitState(NamedTuple):
     """Initial timer readings plus optional in-flight spurious signals.
 
     random-uniform draws each cell's initially elapsed local time from
@@ -79,7 +74,9 @@ class InitState(Checked, _InitStateFields):
     inject pending signals with arrival instants within [0, d_max].
     """
 
-    __slots__ = ()
+    mode: str = INIT_RANDOM_UNIFORM
+    elapsed: tuple | None = None
+    signals: tuple = ()  # (from_cell, to_cell, arrival_ns)
 
     def _check(self):
         if self.mode not in (INIT_RANDOM_UNIFORM, INIT_ADVERSARIAL):

@@ -20,8 +20,8 @@ from .errors import ParameterError, ScheduleUnderrunError
 from .topology import TopologyStats
 
 # the largest integer a float holds exactly; SimParams does float math on
-# its integer fields, so none may exceed it
-_MAX_NS = 2**53
+# its integer fields, so none, and no horizon, may exceed it
+MAX_NS = 2**53
 
 
 def stream(seed, name: str) -> random.Random:
@@ -38,22 +38,28 @@ def local_to_real(duration_local: int, drift: float) -> int:
     return math.floor(duration_local / (1.0 + drift) + 0.5)
 
 
-class Checked:
-    """NamedTuple mixin: `_check` runs on a call, `_replace` and unpickling."""
+def checked(cls):
+    """Make a NamedTuple run `_check` on a call, `_replace` and unpickling."""
+    new = cls.__new__
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(klass, *args, **kwargs):
+        self = new(klass, *args, **kwargs)
         self._check()
         return self
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda k, values: k(*values))  # _replace's path
+    return cls
 
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
+
+# SimParams's field types, in order; a bool is no count, an int a valid float
+_PARAM_TYPES = ("int", "int", "float", "int", "int", "int", "float", "bool")
+_ADMITS = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-class _SimParamsFields(NamedTuple):
+@checked
+class SimParams(NamedTuple):
+    """Protocol time parameters and fault/compensation toggles."""
+
     d_min: int
     d_max: int
     rho: float
@@ -66,21 +72,11 @@ class _SimParamsFields(NamedTuple):
     dmin_compensation: bool = False
 
 
-# SimParams's field types, in order; a bool is no count, an int a valid float
-_PARAM_TYPES = ("int", "int", "float", "int", "int", "int", "float", "bool")
-_ADMITS = {"int": (int,), "float": (int, float), "bool": (bool,)}
-
-
-class SimParams(Checked, _SimParamsFields):
-    """Protocol time parameters and fault/compensation toggles."""
-
-    __slots__ = ()
-
     def _check(self):
         for name, v, kind in zip(self._fields, self, _PARAM_TYPES):
             if type(v) not in _ADMITS[kind]:
                 raise ParameterError(f"{name} must be {kind}, got {v!r}")
-            if kind == "int" and abs(v) > _MAX_NS:  # not echoed: v may be huge
+            if kind == "int" and abs(v) > MAX_NS:  # not echoed: v may be huge
                 raise ParameterError(f"{name} is outside [-2**53, 2**53] ns")
         if not 0 <= self.d_min <= self.d_max:
             raise ParameterError(f"need 0 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
@@ -157,13 +153,8 @@ DELAY_ADVERSARIAL_MAX = "adversarial-max"
 DELAY_ADVERSARIAL_SCHEDULE = "adversarial-schedule"
 
 
-class _DelayModelFields(NamedTuple):
-    kind: str
-    schedule: dict | None = None  # {(src, dst): [delay_ns, ...]}
-    cycle: bool = False
-
-
-class DelayModel(Checked, _DelayModelFields):
+@checked
+class DelayModel(NamedTuple):
     """Per-signal delay source; every sample lies in SimParams's [d_min, d_max].
 
     uniform: integer-uniform inclusive on [d_min, d_max].
@@ -172,7 +163,9 @@ class DelayModel(Checked, _DelayModelFields):
     order; cycle=True repeats each list, else exhaustion is an error.
     """
 
-    __slots__ = ()
+    kind: str
+    schedule: dict | None = None  # {(src, dst): [delay_ns, ...]}
+    cycle: bool = False
 
     def _check(self):
         if self.kind not in (DELAY_UNIFORM, DELAY_ADVERSARIAL_MAX,
@@ -240,11 +233,17 @@ DRIFT_EXTREMAL = "extremal"
 DRIFT_EXPLICIT = "explicit"
 
 
+@checked
 class DriftAssignment(NamedTuple):
     """Per-cell constant drift rates, each within SimParams's [-rho, +rho]."""
 
     mode: str = DRIFT_ZERO
     values: tuple | None = None
+
+    def _check(self):
+        if self.mode not in (DRIFT_ZERO, DRIFT_UNIFORM, DRIFT_EXTREMAL,
+                             DRIFT_EXPLICIT):
+            raise ParameterError(f"unknown drift mode {self.mode!r}")
 
     def assign(self, n: int, rng: random.Random, rho: float) -> list:
         if self.mode == DRIFT_ZERO:
@@ -253,11 +252,9 @@ class DriftAssignment(NamedTuple):
             return [rng.uniform(-rho, rho) for _ in range(n)]
         if self.mode == DRIFT_EXTREMAL:
             return [rho if i % 2 == 0 else -rho for i in range(n)]
-        if self.mode == DRIFT_EXPLICIT:
-            if self.values is None or len(self.values) != n:
-                raise ParameterError("explicit drift assignment needs one value per cell")
-            for v in self.values:
-                if not abs(v) <= rho:  # NaN fails this test too
-                    raise ParameterError(f"drift {v} exceeds bound {rho}")
-            return list(self.values)
-        raise ParameterError(f"unknown drift mode {self.mode!r}")
+        if self.values is None or len(self.values) != n:  # explicit
+            raise ParameterError("explicit drift assignment needs one value per cell")
+        for v in self.values:
+            if not abs(v) <= rho:  # NaN fails this test too
+                raise ParameterError(f"drift {v} exceeds bound {rho}")
+        return list(self.values)

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from .errors import MepsimError, TopologyError, TraceParseError
-from .timing import SimParams
+from .timing import MAX_NS, SimParams
 from .topology import Graph, from_edge_list, names_graph
 
 SCHEMA_VERSION = 1
@@ -210,9 +210,9 @@ def _read_meta(meta) -> dict:
         raw_params, horizon = meta["params"], meta["horizon"]
     except (KeyError, TypeError) as exc:
         raise TraceParseError(f"#meta lacks or mistypes {exc}") from exc
-    if type(horizon) is not int or horizon <= 0:
+    if type(horizon) is not int or not 0 < horizon <= MAX_NS:
         raise TraceParseError(f"#meta horizon {horizon!r} is not a positive "
-                              f"integer")
+                              f"integer of at most 2**53 ns")
     try:
         graph = from_edge_list(n, [tuple(e) for e in edges])
         params = SimParams.from_dict(raw_params)

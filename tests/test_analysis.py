@@ -67,6 +67,12 @@ def _path(p, i):
     return tuple(reversed(chain))
 
 
+def _own_sources(p):
+    """The cells that are their own source: those whose first trigger in
+    the segment is external."""
+    return {i for i, s in enumerate(p.source) if s == i}
+
+
 def _cross_segment(p):
     """The cells that fired with a pioneer that has no trigger in the
     segment."""
@@ -80,7 +86,7 @@ def test_extract_all_external():
     p = extract_propagation(tr, seg)
     assert p.source == [0, 1]
     assert _path(p, 0) == (0,) and _path(p, 1) == (1,)
-    assert p.external_cells == {0, 1}
+    assert _own_sources(p) == {0, 1}
 
 
 def test_extract_chain():
@@ -184,7 +190,7 @@ def test_forward_pass_matches_chain_walk(case):
     assert p.pioneer == [pioneer.get(i, i) for i in range(n)]
     assert p.source == [source.get(i) for i in range(n)]
     assert (p.loops, _cross_segment(p), p.multi_triggered,
-            p.external_cells) == tuple(rest)
+            _own_sources(p)) == tuple(rest)
     for i, t in times.items():  # name the cases drawn
         h = pioneer[i]
         if h > i and times.get(h) == t:
@@ -387,14 +393,14 @@ def _reference_roles(p, g, i):
 # 0 and 1 are each other's pioneer: each is the other's parent, not child
 @example((P3, Propagation(times=[0, 0, 0], pioneer=[1, 0, 2],
                           source=[None, None, 2], multi_triggered=(),
-                          loops=(0, 1), external_cells=frozenset({2}))))
+                          loops=(0, 1))))
 # 2's pioneer 0 is no neighbour: 2 has no parent, and 0 gains no child
 @example((P3, Propagation.from_paths({0: (0,), 1: (1,), 2: (0, 2)})))
 # silent 1 and 2 have source None, and neither is the other's parent or
 # child: both are banks
 @example((P3, Propagation(times=[0, None, None], pioneer=[0, 1, 2],
                           source=[0, None, None], multi_triggered=(),
-                          loops=(), external_cells=frozenset({0}))))
+                          loops=())))
 def test_pattern_roles_match_reference(case):
     graph, p = case
     rep = classify_patterns(p, graph)
@@ -469,6 +475,24 @@ def test_weak_pair_inside_a_strong_class_changes_nothing():
     assert ac.classes == ac.strong_classes == ((0, 1, 2, 3),)
     assert ac.partitions_coincide and ac.partition_witness is None
     assert ac.spans == (180,)
+
+
+def test_weak_pair_joins_a_later_strong_class_under_an_earlier_one():
+    """On the path 0-1-2-3, cell 2's rejection by cell 3's trigger 110 ns
+    earlier is a weak pair from the strong class {0, 2, 3} to {1}: the
+    join puts root 1 under root 0, the class with the smaller least seq."""
+    path4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    triggers = [(0, 0, 0), (70, 3, 3), (90, 1, 0), (180, 2, 1)]
+    arrivals = [ArrivalRecord(0, 1, 90, OUTCOME_ACCEPTED),
+                ArrivalRecord(1, 2, 180, OUTCOME_ACCEPTED),
+                ArrivalRecord(2, 3, 200, OUTCOME_REJECTED, rejecting_seq=1)]
+    tr = Trace(graph=path4, params=PARAMS, triggers=triggers,
+               arrivals=arrivals, horizon=10**6, seed=0)
+    ac = association_classes(tr, (0, 10**6), topology_stats(path4))
+    assert ac.classes == ((0, 1, 2, 3),)
+    assert ac.strong_classes == ((0, 2, 3), (1,))
+    assert not ac.partitions_coincide and ac.partition_witness == (0, 1)
+    assert ac.spans == (180,) and ac.span_bound == 300 and ac.spans_ok
 
 
 @pytest.mark.parametrize("t_arrive, t_receive, linked", [
@@ -775,7 +799,7 @@ def test_fast_path_matches_definition_on_random_runs(case):
             continue
         fast = validate_omep(p)
         full = validate_paths({i: _path(p, i) for i in fired}, graph,
-                              p.external_cells)
+                              _own_sources(p))
         assert (fast.valid, fast.simple, fast.complete) == \
             (full.valid, full.simple, full.complete)
         assert full.exclusive and full.propagative
@@ -797,7 +821,7 @@ def test_forest_check_matches_definition_on_pointer_traces(case):
     if not p.multi_triggered and not unsourced:
         event("every chain settles")
         assert rep == validate_paths({i: _path(p, i) for i in fired},
-                                     trace.graph, p.external_cells)
+                                     trace.graph, _own_sources(p))
     else:
         assert not rep.all_ok
         if p.multi_triggered:

@@ -685,6 +685,26 @@ def test_timing_checks_come_after_every_other_check(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("override, detail", [
+    ("delay.kind=bogus", "unknown delay model kind 'bogus'"),
+    ("drift.mode=bogus", "unknown drift mode 'bogus'"),
+], ids=["delay-kind", "drift-mode"])
+def test_unknown_model_is_rejected_before_any_warning(tmp_path, capsys,
+                                                      caplog, override,
+                                                      detail):
+    """resolve_config rejects an unknown delay kind or drift mode while
+    building its record, before the explicit-timing WARNING and before
+    anything is simulated."""
+    with caplog.at_level(logging.WARNING, logger="mepsim"):
+        rc = main(["run", "--out", str(tmp_path / "o")] + FAST + [
+            "--override", "tau0=60", "--override", "tau1=1000",
+            "--override", "tau2=1000", "--override", override])
+    assert rc == EXIT_INVALID
+    assert detail in capsys.readouterr().err
+    assert caplog.records == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_not_stabilized_run_names_its_first_violation(tmp_path, capsys):
     """Omissions at p = 0.3 leave seed 1's first round on grid:16x16
     invalid: run exits 2, prints not-stabilized and names the round."""
@@ -900,6 +920,13 @@ _RAISES = {
                           "invalid-config", "replicas >= 1"),
     "horizon-zero": (["run", "--horizon-ns", "0"], EXIT_INVALID,
                      "invalid-config", "need horizon > 0, got 0"),
+    "horizon-beyond-2-53": (["run", "--horizon-ns", str(2**53 + 1)],
+                            EXIT_INVALID, "invalid-config",
+                            "horizon is above 2**53 ns"),
+    # rho near 1 derives a liveness period, and so a horizon, near 3.6e18 ns
+    "derived-horizon-beyond-2-53": (["run", "--override", "rho=0.9999999"],
+                                    EXIT_INVALID, "invalid-config",
+                                    "horizon is above 2**53 ns"),
     "adversarial-init-no-elapsed": (
         ["run", "--override", "init.mode=adversarial-explicit"],
         EXIT_INVALID, "invalid-config", "one elapsed reading per cell"),
@@ -1285,7 +1312,10 @@ def test_run_survives_random_config_overrides(tmp_path_factory, overrides):
      "topology=ring:16", "--override", "d_max=100", "--override", "rho=0.0",
      "--override", "tau0=1000", "--override", "tau1=1600", "--override",
      "tau2=1600"],
-], ids=["n-not-int", "p-not-float", "negative-jobs", "no-separation-window"])
+    ["--axis", "p", "--values", "0,0.1", "--jobs", "2"] + FAST
+    + ["--override", "drift.mode=bogus"],
+], ids=["n-not-int", "p-not-float", "negative-jobs", "no-separation-window",
+        "unknown-drift-mode"])
 def test_sweep_rejects_bad_input(tmp_path, monkeypatch, argv):
     def no_pool(*args, **kwargs):
         raise AssertionError("sweep started a worker pool")

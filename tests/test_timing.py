@@ -139,10 +139,14 @@ def test_simparams_validation():
      "unknown delay model kind"),
     (InitState, dict(mode="adversarial-explicit", elapsed=(0, 5)), "elapsed",
      (0, -1), "negative elapsed reading"),
-], ids=["simparams-bounds", "simparams-type", "delay-kind", "init-elapsed"])
+    (DriftAssignment, dict(mode="extremal"), "mode", "bogus",
+     "unknown drift mode"),
+], ids=["simparams-bounds", "simparams-type", "delay-kind", "init-elapsed",
+        "drift-mode"])
 def test_records_validate_on_every_construction_path(cls, valid, field, bad,
                                                      message):
     good = cls(**valid)
+    assert cls.__bases__ == (tuple,) and not hasattr(good, "__dict__")
     back = pickle.loads(pickle.dumps(good))
     assert back == good and type(back) is cls
     assert type(good._replace()) is cls

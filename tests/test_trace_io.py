@@ -382,12 +382,15 @@ def test_read_trace_restores_gc_state(tmp_path, small_trace, enabled):
     ("tau1", 10**400,
      "#meta params invalid: tau1 is outside [-2**53, 2**53] ns"),
     ("tau2", None, "#meta lacks or mistypes 'tau2'"),
+    ("horizon", 2**53 + 1, "#meta horizon 9007199254740993 is not a positive "
+     "integer of at most 2**53 ns"),
 ])
 def test_meta_errors_name_their_fault(tmp_path, small_trace, small_text, key,
                                       value, detail):
     lines = small_text.splitlines()
     idx = next(k for k, line in enumerate(lines) if line.startswith("#meta="))
-    lines[idx] = _meta_edit("params", key, value=value,
+    keys = (key,) if key == "horizon" else ("params", key)
+    lines[idx] = _meta_edit(*keys, value=value,
                             delete=value is None)(lines[idx], small_trace)
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(lines) + "\n")
